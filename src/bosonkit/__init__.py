@@ -13,7 +13,6 @@ from .errors import (
     DivergentSeriesError,
     DomainError,
     InconclusiveError,
-    MalformedNormalFormError,
     NonIntegerResultError,
     OutOfRangeError,
     PrecisionExhaustedError,
@@ -29,8 +28,8 @@ from .operator_algebra import (
     MonomialSpec,
     NormalForm,
     coherent_expectation,
-    extract_stirling,
     monomial_power_normal_form,
+    monomial_power_rows,
     multiply,
     normal_order_word,
 )
@@ -38,6 +37,7 @@ from .stirling import (
     BellValue,
     StirlingTable,
     bell,
+    bell_sequence,
     lah,
     stirling,
     stirling_rr_closed,
@@ -88,7 +88,6 @@ __all__ = [
     "ErrorBoundedReal",
     "FormalSeries",
     "InconclusiveError",
-    "MalformedNormalFormError",
     "MomentReport",
     "MonomialSpec",
     "NonIntegerResultError",
@@ -104,6 +103,7 @@ __all__ = [
     "UnsupportedMomentError",
     "bell",
     "bell_hypergeometric",
+    "bell_sequence",
     "bessel_i",
     "coherent_expectation",
     "continuous_moment_series",
@@ -114,10 +114,10 @@ __all__ = [
     "dobinski_rs_literal",
     "egf_classic",
     "egf_r1",
-    "extract_stirling",
     "lah",
     "moment",
     "monomial_power_normal_form",
+    "monomial_power_rows",
     "multiply",
     "normal_order_word",
     "rarefied_comb",

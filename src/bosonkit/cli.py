@@ -5,7 +5,8 @@ Three subcommands: ``stirling`` prints one row of the generalized triangle,
 suite (dobinski, egf, norm, moments, or all) over a default grid or over one
 family given explicitly.  Exit codes: 0 all checks passed, 1 usage error,
 2 unsupported parameter combination, 3 at least one verification check
-failed.
+failed (a value that does not round to its integer is a failed check),
+4 any other BosonKitError, such as exhausted precision, reported on one line.
 
 Output is plain text by default; ``--format json`` emits a versioned record
 whose integers are decimal strings (arbitrary precision survives any JSON
@@ -34,17 +35,17 @@ from .dobinski import (
     dobinski_rs_literal,
 )
 from .errors import (
+    BosonKitError,
     DivergentSeriesError,
     InconclusiveError,
     OutOfRangeError,
-    PrecisionExhaustedError,
     UnsupportedError,
 )
 from .genfunc import egf_classic, egf_r1, select_normalization_order, verify_normal_exponential
 from .measures import verify_moments
 from .numeric import DEFAULT_BITS, ErrorBoundedReal, SeriesSpec
 from .operator_algebra import MonomialSpec
-from .stirling import bell, stirling_table
+from .stirling import bell_sequence, stirling_table
 
 __all__ = ["OutputRecord", "console_main", "main"]
 
@@ -143,8 +144,8 @@ def _check_rounds_to(
 ) -> None:
     try:
         rounded = value.to_integer()
-    except PrecisionExhaustedError:
-        record.add_check(name, False, f"bound too wide to round: {value}")
+    except BosonKitError as exc:
+        record.add_check(name, False, f"cannot round {value}: {exc}")
         return
     ok = rounded == expected and float(value.abs_error) < 1e-6
     record.add_check(name, ok, f"got {value}, expected {expected}")
@@ -153,13 +154,8 @@ def _check_rounds_to(
 # -- verify suites ----------------------------------------------------------
 
 
-def _bell_value(r: int, s: int, n: int) -> int:
-    return bell(MonomialSpec(r=r, s=s, n=n)).value
-
-
 def _dobinski_family(record: OutputRecord, r: int, s: int, n_max: int, series: SeriesSpec) -> None:
-    for n in range(1, n_max + 1):
-        target = _bell_value(r, s, n)
+    for n, target in enumerate(bell_sequence(r, s, n_max)[1:], start=1):
         if (r, s) == (1, 1):
             value = dobinski_classic(n, series)
             label = f"classic n={n}"
@@ -206,6 +202,7 @@ def _verify_dobinski(ns, record: OutputRecord, bits: int, tol: float) -> None:
         if ns.printed_b5:
             if ns.r <= ns.s:
                 raise _UsageError("--printed-b5 applies to families with r > s")
+            targets = bell_sequence(ns.r, ns.s, n_max)
             for n in range(1, n_max + 1):
                 name = f"uncorrected series ({ns.r},{ns.s}) n={n}"
                 try:
@@ -213,7 +210,7 @@ def _verify_dobinski(ns, record: OutputRecord, bits: int, tol: float) -> None:
                 except DivergentSeriesError as exc:
                     record.add_check(name, False, f"diverges: {exc}")
                 else:
-                    _check_rounds_to(record, name, value, _bell_value(ns.r, ns.s, n))
+                    _check_rounds_to(record, name, value, targets[n])
             return
         _dobinski_family(record, ns.r, ns.s, n_max, series)
         return
@@ -233,9 +230,8 @@ def _verify_dobinski(ns, record: OutputRecord, bits: int, tol: float) -> None:
 
 def _egf_family(record: OutputRecord, r: int, n_max: int) -> None:
     series = egf_classic(n_max) if r == 1 else egf_r1(r, n_max)
-    for n in range(n_max + 1):
+    for n, expected in enumerate(bell_sequence(r, 1, n_max)):
         got = series[n] * factorial(n)
-        expected = _bell_value(r, 1, n)
         record.add_check(
             f"egf ({r},1) n={n}",
             got == expected,
@@ -246,8 +242,8 @@ def _egf_family(record: OutputRecord, r: int, n_max: int) -> None:
 def _egf_printed_sign_rejected(record: OutputRecord, r: int) -> None:
     series = egf_r1(r, 4, printed_sign=True)
     mismatch = None
-    for n in range(5):
-        if series[n] * factorial(n) != _bell_value(r, 1, n):
+    for n, expected in enumerate(bell_sequence(r, 1, 4)):
+        if series[n] * factorial(n) != expected:
             mismatch = n
             break
     record.add_check(
@@ -285,9 +281,8 @@ def _verify_egf(ns, record: OutputRecord) -> None:
             if r < 2:
                 raise _UsageError("--printed-sign needs r >= 2")
             series = egf_r1(r, n_max, printed_sign=True)
-            for n in range(n_max + 1):
+            for n, expected in enumerate(bell_sequence(r, 1, n_max)):
                 got = series[n] * factorial(n)
-                expected = _bell_value(r, 1, n)
                 record.add_check(
                     f"egf printed sign ({r},1) n={n}",
                     got == expected,
@@ -355,14 +350,13 @@ def _verify_moments(ns, record: OutputRecord, bits: int, tol: float) -> None:
 
 
 def _cmd_stirling(ns) -> OutputRecord:
-    bits = _resolve_bits(ns.bits)
     spec = MonomialSpec(r=ns.r, s=ns.s, n=ns.n)
     if ns.n < 1:
         raise _UsageError("--n must be >= 1")
     table = stirling_table(spec)
     record = OutputRecord(
         command="stirling",
-        parameters={"r": str(ns.r), "s": str(ns.s), "n": str(ns.n), "bits": str(bits)},
+        parameters={"r": str(ns.r), "s": str(ns.s), "n": str(ns.n)},
     )
     for k in range(spec.s, spec.n * spec.s + 1):
         record.results.append(
@@ -372,18 +366,14 @@ def _cmd_stirling(ns) -> OutputRecord:
 
 
 def _cmd_bell(ns) -> OutputRecord:
-    bits = _resolve_bits(ns.bits)
     if ns.max < 0:
         raise _UsageError("--max must be >= 0")
     record = OutputRecord(
         command="bell",
-        parameters={"r": str(ns.r), "s": str(ns.s), "max": str(ns.max), "bits": str(bits)},
+        parameters={"r": str(ns.r), "s": str(ns.s), "max": str(ns.max)},
     )
-    for n in range(ns.max + 1):
-        value = bell(MonomialSpec(r=ns.r, s=ns.s, n=n))
-        record.results.append(
-            {"n": str(n), "value": str(value.value), "kind": "exact"}
-        )
+    for n, value in enumerate(bell_sequence(ns.r, ns.s, ns.max)):
+        record.results.append({"n": str(n), "value": str(value), "kind": "exact"})
     return record
 
 
@@ -392,7 +382,7 @@ def _cmd_verify(ns) -> OutputRecord:
     if ns.tol <= 0:
         raise _UsageError("--tol must be positive")
     parameters = {"suite": ns.suite, "bits": str(bits), "tol": repr(ns.tol)}
-    for key in ("r", "s", "n", "max", "order"):
+    for key in ("r", "s", "max", "order"):
         value = getattr(ns, key, None)
         if value is not None:
             parameters[key] = str(value)
@@ -424,8 +414,6 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
         p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-        p.add_argument("--bits", type=int, default=None,
-                       help=f"working precision in bits (default {DEFAULT_BITS}, or BOSONKIT_BITS)")
 
     p_st = sub.add_parser("stirling", help="one row of the generalized Stirling triangle")
     p_st.add_argument("--r", type=int, required=True)
@@ -445,10 +433,11 @@ def build_parser() -> _Parser:
     p_ve.add_argument("suite", choices=("dobinski", "egf", "norm", "moments", "all"))
     p_ve.add_argument("--r", type=int, default=None)
     p_ve.add_argument("--s", type=int, default=None)
-    p_ve.add_argument("--n", type=int, default=None)
     p_ve.add_argument("--max", type=int, default=None)
     p_ve.add_argument("--order", type=int, default=None)
     p_ve.add_argument("--tol", type=float, default=1e-9)
+    p_ve.add_argument("--bits", type=int, default=None,
+                      help=f"working precision in bits (default {DEFAULT_BITS}, or BOSONKIT_BITS)")
     p_ve.add_argument("--printed-sign", action="store_true",
                       help="run the sign variant of the closed exponential that does not hold")
     p_ve.add_argument("--printed-b5", action="store_true",
@@ -478,6 +467,9 @@ def main(argv=None) -> int:
     except UnsupportedError as exc:
         print(f"bosonkit: unsupported: {exc}", file=sys.stderr)
         return 2
+    except BosonKitError as exc:
+        print(f"bosonkit: failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     text = record.render(ns.format)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as handle:

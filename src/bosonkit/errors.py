@@ -21,10 +21,6 @@ class OutOfRangeError(BosonKitError):
     """Index or order outside the valid range for the requested quantity."""
 
 
-class MalformedNormalFormError(BosonKitError):
-    """A normal form violates the structural invariant expected of it."""
-
-
 class NonIntegerResultError(BosonKitError):
     """An alternating sum that must collapse to a non-negative integer did not."""
 

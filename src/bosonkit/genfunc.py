@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 from typing import Sequence
 
 from .errors import InconclusiveError, OutOfRangeError
 from .numeric import binomial_coefficient
-from .operator_algebra import MonomialSpec, NormalForm, monomial_power_normal_form
-from .stirling import bell
+from .operator_algebra import monomial_power_rows
+from .stirling import bell_sequence
 
 __all__ = [
     "FormalSeries",
@@ -116,17 +117,6 @@ class FormalSeries:
                     acc += i * self[i] * out[m - i]
             out[m] = acc / m
         return FormalSeries(out)
-
-    def compose(self, inner: "FormalSeries") -> "FormalSeries":
-        """self(inner(lam)); inner must have zero constant term."""
-        if inner[0]:
-            raise ValueError("composition requires zero constant term")
-        n = min(self.order, inner.order)
-        result = FormalSeries([self[n]] + [Fraction(0)] * n)
-        for m in range(n - 1, -1, -1):
-            result = result * inner
-            result = result.shift_constant(self[m])
-        return result
 
     @staticmethod
     def exp_lambda(order: int) -> "FormalSeries":
@@ -234,12 +224,12 @@ def _op_series_exp(f: Sequence[OpPoly]) -> list[OpPoly]:
 
 
 def _normal_ordered_power_series(r: int, order: int) -> OperatorSeries:
-    # Left side: exact normal ordering, coeff[m] = NF[((a+)^r a)^m] / m!.
-    coeffs: list[OpPoly] = []
-    for m in range(order + 1):
-        nf = monomial_power_normal_form(MonomialSpec(r=r, s=1, n=m))
+    # Left side: exact normal ordering, coeff[m] = NF[((a+)^r a)^m] / m!,
+    # where row m holds the coefficient of a+^(m(r-1)+k) a^k at k.
+    coeffs: list[OpPoly] = [{(0, 0): Fraction(1)}]
+    for m, row in enumerate(islice(monomial_power_rows(r, 1), order), start=1):
         coeffs.append(
-            {key: Fraction(c, factorial(m)) for key, c in nf.items()}
+            {((r - 1) * m + k, k): Fraction(c, factorial(m)) for k, c in enumerate(row) if c}
         )
     return OperatorSeries(tuple(coeffs))
 
@@ -306,9 +296,9 @@ def verify_normal_exponential(
 ) -> NormalExponentialReport:
     """Compare exact normal ordering of e^{lam (a+)^r a} with its closed form.
 
-    The left side normal orders each power by rewriting; the right side
-    expands the double-dot exponential formally.  Equality must hold order by
-    order as exact operator-coefficient identity.
+    The left side normal orders each power with the contraction engine; the
+    right side expands the double-dot exponential formally.  Equality must
+    hold order by order as exact operator-coefficient identity.
     """
     if r < 1 or order < 1:
         raise OutOfRangeError("need r >= 1 and order >= 1")
@@ -385,5 +375,4 @@ def select_normalization_order(r: int, s: int, max_n: int) -> int:
     """
     if max_n < 6:
         raise OutOfRangeError("need max_n >= 6 for a meaningful ratio probe")
-    values = [bell(MonomialSpec(r=r, s=s, n=n)).value for n in range(max_n + 1)]
-    return _choose_t(values)
+    return _choose_t(bell_sequence(r, s, max_n))

@@ -47,18 +47,31 @@ class SeriesSpec:
         return Fraction(self.target_abs_error)
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction, without rounding; an mpf converts from its mantissa and exponent."""
+    if isinstance(x, mpmath.mpf):
+        man, exp = x.man_exp  # the magnitude; the sign is not part of it
+        if x < 0:
+            man = -man
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class ErrorBoundedReal:
     """A value together with a bound on |true - value|.
 
     The bound covers series truncation and accumulated rounding; rounding to
-    an integer is only allowed while the bound stays below 1/2.
+    an integer is only allowed while the bound stays below 1/2.  Both are
+    finite and compared as exact rationals, at any magnitude and precision.
     """
 
     value: mpmath.mpf
     abs_error: mpmath.mpf
 
     def __post_init__(self) -> None:
+        if not (mpmath.isfinite(self.value) and mpmath.isfinite(self.abs_error)):
+            raise ValueError("value and abs_error must be finite")
         if self.abs_error < 0:
             raise ValueError("abs_error must be non-negative")
 
@@ -69,12 +82,14 @@ class ErrorBoundedReal:
         actually lie within the bound, so a tightly certified non-integer is
         rejected instead of silently rounded.
         """
-        if not self.abs_error < mp.mpf(0.5):
+        radius = _exact(self.abs_error)
+        if not radius < _HALF:
             raise PrecisionExhaustedError(
                 f"abs_error {self.abs_error} >= 1/2; cannot round to an integer"
             )
-        nearest = int(mpmath.nint(self.value))
-        if not self.contains(nearest):
+        value = _exact(self.value)
+        nearest = round(value)
+        if abs(value - nearest) > radius:
             raise NonIntegerResultError(
                 f"enclosure {self} excludes every integer"
             )
@@ -82,11 +97,12 @@ class ErrorBoundedReal:
 
     def contains(self, x) -> bool:
         """Whether x lies within abs_error of the value."""
-        return abs(self.value - mp.mpf(x)) <= self.abs_error
+        return abs(_exact(self.value) - _exact(x)) <= _exact(self.abs_error)
 
     def agrees_with(self, other: "ErrorBoundedReal") -> bool:
         """Whether the two enclosures overlap."""
-        return abs(self.value - other.value) <= self.abs_error + other.abs_error
+        gap = abs(_exact(self.value) - _exact(other.value))
+        return gap <= _exact(self.abs_error) + _exact(other.abs_error)
 
     def __str__(self) -> str:
         return f"{mpmath.nstr(self.value, 20)} +/- {mpmath.nstr(self.abs_error, 3)}"

@@ -11,21 +11,23 @@ form by two independent routes:
   a^j a+^i = sum_l C(j, l) C(i, l) l!  a+^(i-l) a^(j-l)
   giving polynomial-cost products of normal forms.
 
-All coefficients are arbitrary-precision integers; powers of the monomial
-a+^r a^s are computed by iterated multiplication so every intermediate power
-is available (and cached) for table generation.
+Powers of the monomial a+^r a^s come from one streaming engine,
+``monomial_power_rows``: every term of [(a+)^r a^s]^n has the same excess
+n(r - s) of creation over annihilation, so the power is a single row of
+coefficients indexed by k, and one application of the contraction rule takes
+the row from n to n + 1.  All coefficients are arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import islice
 from math import comb, factorial
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .errors import MalformedNormalFormError, OutOfRangeError, UnsupportedError
+from .errors import OutOfRangeError, UnsupportedError
 
 __all__ = [
     "ANNIHILATE",
@@ -35,8 +37,8 @@ __all__ = [
     "MonomialSpec",
     "NormalForm",
     "coherent_expectation",
-    "extract_stirling",
     "monomial_power_normal_form",
+    "monomial_power_rows",
     "multiply",
     "normal_order_word",
 ]
@@ -263,35 +265,36 @@ class MonomialSpec:
         return self.n * (self.r - self.s)
 
 
-@lru_cache(maxsize=None)
-def _monomial_power(r: int, s: int, n: int) -> NormalForm:
-    # Iterated multiplication: intermediate powers stay cached for table use.
-    if n == 0:
-        return NormalForm.identity()
-    return multiply(_monomial_power(r, s, n - 1), NormalForm.monomial(r, s))
+def monomial_power_rows(r: int, s: int) -> Iterator[list[int]]:
+    """Yield the rows k -> S_{r,s}(n, k) of [(a+)^r a^s]^n for n = 1, 2, ...
+
+    Row n is a list of length ns + 1 whose entry k is the coefficient of
+    a+^(n(r-s)+k) a^k; entries below k = s are zero.  Each step multiplies by
+    a+^r a^s on the right: a^k a+^r = sum_l C(k, l) C(r, l) l! a+^(r-l) a^(k-l)
+    moves k!/(k-l)! C(r, l) times the entry at k to k - l + s.  Only the
+    current row is held.  (r, s) is validated when the first row is drawn.
+    """
+    MonomialSpec(r=r, s=s, n=1)
+    weights = [comb(r, l) for l in range(r + 1)]
+    row = [0] * s + [1]
+    while True:
+        yield row
+        nxt = [0] * (len(row) + s)
+        for k, c in enumerate(row):
+            if not c:
+                continue
+            for l in range(min(k, r) + 1):
+                nxt[k - l + s] += c * weights[l]
+                c *= k - l
+        row = nxt
 
 
 def monomial_power_normal_form(spec: MonomialSpec) -> NormalForm:
     """Normal form of [(a+)^r a^s]^n; the identity for n = 0."""
-    return _monomial_power(spec.r, spec.s, spec.n)
-
-
-def extract_stirling(nf: NormalForm, spec: MonomialSpec) -> dict[int, int]:
-    """Read the coefficient table k -> S_{r,s}(n, k) off a monomial power.
-
-    Every term of the input must carry the excess degree i - j = n(r - s);
-    the coefficient of a+^(n(r-s)+k) a^k is the table entry at k.
-    """
-    if spec.n < 1:
-        raise OutOfRangeError("extraction needs n >= 1")
-    table: dict[int, int] = {}
-    for (i, j), c in nf.items():
-        if i - j != spec.excess:
-            raise MalformedNormalFormError(
-                f"term a+^{i} a^{j} has excess {i - j}, expected {spec.excess}"
-            )
-        table[j] = c
-    return dict(sorted(table.items()))
+    if spec.n == 0:
+        return NormalForm.identity()
+    row = next(islice(monomial_power_rows(spec.r, spec.s), spec.n - 1, None))
+    return NormalForm({(spec.excess + k, k): c for k, c in enumerate(row) if c})
 
 
 def coherent_expectation(nf: NormalForm, z):

@@ -1,29 +1,28 @@
 """Generalized Stirling coefficients and Bell row sums for boson monomial powers.
 
 S_{r,s}(n, k) is the coefficient of a+^(n(r-s)+k) a^k in the normal ordering
-of [(a+)^r a^s]^n, with k running over s..ns; B_{r,s}(n) is the row sum.  The
-rewriting oracle in operator_algebra is the defining computation; closed
-forms exist for r = s and for (2, 1) (the unsigned Lah numbers) and are used
-as fast paths, validated entry-wise against the oracle by the test suite.
+of [(a+)^r a^s]^n, with k running over s..ns; B_{r,s}(n) is the row sum.
+Rows come from the streaming contraction engine ``monomial_power_rows`` in
+operator_algebra.  The one exception is a single (2, 1) row, which the
+unsigned Lah numbers give faster than the engine can advance n steps; Bell
+sweeps read the engine for every family, (2, 1) included.  The r = s closed
+form is kept as an independent cross-check and is not on any dispatch path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
+from itertools import islice
+from math import comb, factorial, perm
 
 from .errors import NonIntegerResultError, OutOfRangeError
-from .operator_algebra import (
-    MonomialSpec,
-    extract_stirling,
-    monomial_power_normal_form,
-)
+from .operator_algebra import MonomialSpec, monomial_power_rows
 
 __all__ = [
     "BellValue",
     "StirlingTable",
     "bell",
+    "bell_sequence",
     "lah",
     "stirling",
     "stirling_rr_closed",
@@ -32,25 +31,25 @@ __all__ = [
 
 
 def stirling_rr_closed(r: int, n: int, k: int) -> int:
-    """S_{r,r}(n, k) by the alternating closed form, evaluated exactly.
+    """S_{r,r}(n, k) by the alternating closed form, in integer arithmetic.
 
-    sum_{p=0}^{k-r} (-1)^p [(k-p)!/(k-p-r)!]^n / ((k-p)! p!), valid for
-    r <= k <= rn.  The sum must collapse to a non-negative integer; anything
-    else signals an implementation bug.
+    k! S_{r,r}(n, k) = sum_{p=0}^{k-r} (-1)^p C(k, p) [(k-p)!/(k-p-r)!]^n,
+    valid for r <= k <= rn.  The sum must be a non-negative multiple of k!;
+    anything else signals an implementation bug.
     """
     if r < 1 or n < 1:
         raise OutOfRangeError("need r >= 1 and n >= 1")
     if not r <= k <= r * n:
         raise OutOfRangeError(f"k = {k} outside [{r}, {r * n}]")
-    total = Fraction(0)
-    for p in range(k - r + 1):
-        falling = factorial(k - p) // factorial(k - p - r)
-        total += Fraction((-1) ** p * falling**n, factorial(k - p) * factorial(p))
-    if total.denominator != 1 or total < 0:
+    total = sum(
+        (-1) ** p * comb(k, p) * perm(k - p, r) ** n for p in range(k - r + 1)
+    )
+    value, remainder = divmod(total, factorial(k))
+    if remainder or value < 0:
         raise NonIntegerResultError(
-            f"closed form for S_{{{r},{r}}}({n},{k}) gave {total}"
+            f"closed form for S_{{{r},{r}}}({n},{k}) gave {total}/{k}!"
         )
-    return int(total)
+    return value
 
 
 def lah(n: int, k: int) -> int:
@@ -60,23 +59,15 @@ def lah(n: int, k: int) -> int:
     return factorial(n) // factorial(k) * comb(n - 1, k - 1)
 
 
-def _oracle_row(spec: MonomialSpec) -> dict[int, int]:
-    return extract_stirling(monomial_power_normal_form(spec), spec)
-
-
 def stirling(spec: MonomialSpec, k: int) -> int:
-    """S_{r,s}(n, k): closed form where one applies, the oracle otherwise."""
+    """S_{r,s}(n, k), read off the full row."""
     if spec.n < 1:
         raise OutOfRangeError("need n >= 1")
     if not spec.s <= k <= spec.n * spec.s:
         raise OutOfRangeError(
             f"k = {k} outside [{spec.s}, {spec.n * spec.s}] for {spec}"
         )
-    if spec.r == spec.s:
-        return stirling_rr_closed(spec.r, spec.n, k)
-    if (spec.r, spec.s) == (2, 1):
-        return lah(spec.n, k)
-    return _oracle_row(spec)[k]
+    return stirling_table(spec).values[k]
 
 
 @dataclass(frozen=True)
@@ -94,16 +85,16 @@ class StirlingTable:
         return sum(self.values.values())
 
 
-def stirling_table(spec: MonomialSpec, *, from_oracle: bool = False) -> StirlingTable:
-    """Compute the full row, via dispatch or (from_oracle=True) rewriting only."""
+def stirling_table(spec: MonomialSpec) -> StirlingTable:
+    """The full row: Lah numbers for (2, 1), the contraction engine otherwise."""
     if spec.n < 1:
         raise OutOfRangeError("need n >= 1")
-    if from_oracle or (spec.r != spec.s and (spec.r, spec.s) != (2, 1)):
-        values = _oracle_row(spec)
+    ks = range(spec.s, spec.n * spec.s + 1)
+    if (spec.r, spec.s) == (2, 1):
+        values = {k: lah(spec.n, k) for k in ks}
     else:
-        values = {
-            k: stirling(spec, k) for k in range(spec.s, spec.n * spec.s + 1)
-        }
+        row = next(islice(monomial_power_rows(spec.r, spec.s), spec.n - 1, None))
+        values = {k: row[k] for k in ks}
     return StirlingTable(spec=spec, values=values)
 
 
@@ -126,3 +117,9 @@ def bell(spec: MonomialSpec) -> BellValue:
     if spec.n == 0:
         return BellValue(spec=spec, value=1)
     return BellValue(spec=spec, value=stirling_table(spec).row_sum())
+
+
+def bell_sequence(r: int, s: int, n_max: int) -> list[int]:
+    """B_{r,s}(0..n_max) from one pass of the contraction engine."""
+    MonomialSpec(r=r, s=s, n=n_max)
+    return [1] + [sum(row) for row in islice(monomial_power_rows(r, s), n_max)]

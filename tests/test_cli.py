@@ -5,8 +5,14 @@ import io
 import json
 
 import pytest
+from mpmath import mp
 
+from bosonkit import cli
 from bosonkit.cli import main
+from bosonkit.errors import DivergentSeriesError
+from bosonkit.numeric import ErrorBoundedReal
+from bosonkit.operator_algebra import MonomialSpec
+from bosonkit.stirling import bell
 
 
 def run(capsys, *argv):
@@ -62,6 +68,14 @@ def test_bell_rows(capsys):
     assert [row["value"] for row in record["results"]] == ["1", "1", "7", "87"]
 
 
+@pytest.mark.parametrize("r, s", [(1, 1), (2, 2), (2, 1), (3, 2), (4, 2), (5, 3)])
+def test_bell_stream_matches_per_n_bell(capsys, r, s):
+    code, record = json_record(capsys, "bell", "--r", str(r), "--s", str(s), "--max", "7")
+    assert code == 0
+    got = [int(row["value"]) for row in record["results"]]
+    assert got == [int(bell(MonomialSpec(r, s, n))) for n in range(8)]
+
+
 def test_json_round_trips(capsys):
     code, out, _ = run(capsys, "bell", "--r", "2", "--s", "2", "--max", "6", "--format", "json")
     assert code == 0
@@ -90,7 +104,10 @@ def test_usage_errors_exit_one(capsys):
         ("stirling", "--r", "1", "--s", "1", "--n", "0"),
         ("stirling", "--r", "1", "--s", "1"),
         ("bell", "--r", "1", "--s", "1", "--max", "3", "--bogus"),
-        ("bell", "--r", "1", "--s", "1", "--max", "3", "--bits", "8"),
+        ("verify", "norm", "--bits", "8"),
+        ("bell", "--r", "1", "--s", "1", "--max", "3", "--bits", "64"),
+        ("stirling", "--r", "1", "--s", "1", "--n", "3", "--bits", "64"),
+        ("verify", "dobinski", "--n", "3"),
         ("verify", "nosuchsuite"),
         ("verify", "dobinski", "--r", "2"),
         ("verify", "dobinski", "--printed-b5"),
@@ -181,16 +198,48 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_bits_environment_fallback(capsys, monkeypatch):
+    argv = ("verify", "norm", "--r", "1", "--order", "1")
     monkeypatch.setenv("BOSONKIT_BITS", "128")
-    _, record = json_record(capsys, "bell", "--r", "1", "--s", "1", "--max", "2")
+    _, record = json_record(capsys, *argv)
     assert record["parameters"]["bits"] == "128"
     # An explicit flag wins over the environment.
-    _, record = json_record(capsys, "bell", "--r", "1", "--s", "1", "--max", "2", "--bits", "64")
+    _, record = json_record(capsys, *argv, "--bits", "64")
     assert record["parameters"]["bits"] == "64"
     monkeypatch.setenv("BOSONKIT_BITS", "notanint")
-    code, _, err = run(capsys, "bell", "--r", "1", "--s", "1", "--max", "2")
+    code, _, err = run(capsys, *argv)
     assert code == 1
     assert "BOSONKIT_BITS" in err
+
+
+def test_dobinski_past_float_range_passes(capsys):
+    # B_{2,1}(17) > 2^53: the series and its hypergeometric twin must both
+    # round to the exact integer.
+    code, record = json_record(capsys, "verify", "dobinski", "--r", "2", "--s", "1", "--max", "17")
+    assert code == 0
+    assert len(record["checks"]) == 3 * 17
+    assert all(c["status"] == "pass" for c in record["checks"])
+
+
+def test_failed_rounding_is_a_failed_check(capsys, monkeypatch):
+    def off_integer(n, series):
+        return ErrorBoundedReal(mp.mpf(2.5), mp.mpf(1e-3))
+
+    monkeypatch.setattr(cli, "dobinski_classic", off_integer)
+    code, out, err = run(capsys, "verify", "dobinski", "--r", "1", "--s", "1", "--max", "2")
+    assert code == 3
+    assert err == ""
+    assert "FAIL  dobinski classic n=1: cannot round" in out
+
+
+def test_computation_error_exits_four(capsys, monkeypatch):
+    def diverges(n, series):
+        raise DivergentSeriesError("terms do not decay")
+
+    monkeypatch.setattr(cli, "dobinski_classic", diverges)
+    code, out, err = run(capsys, "verify", "dobinski", "--r", "1", "--s", "1", "--max", "2")
+    assert code == 4
+    assert out == ""
+    assert err == "bosonkit: failed: DivergentSeriesError: terms do not decay\n"
 
 
 def test_csv_verify_has_two_sections(capsys):

@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from bosonkit.dobinski import (
@@ -31,8 +33,9 @@ from bosonkit.numeric import (
     quotient_by_e,
     sum_with_tail_bound,
 )
+from bosonkit.measures import continuous_moment_series, dirac_comb, moment, rarefied_comb
 from bosonkit.operator_algebra import MonomialSpec
-from bosonkit.stirling import bell
+from bosonkit.stirling import bell, bell_sequence
 
 
 def oracle(r, s, n):
@@ -235,3 +238,59 @@ def test_tighter_target_tightens_bound():
     assert tight.abs_error < loose.abs_error
     assert loose.to_integer() == tight.to_integer() == 203
     assert loose.agrees_with(tight)
+
+
+# Every series family, each at the first n with B > 2^53 and at the first
+# with B > 2^256: (series, (r, s) of its Bell numbers, n past 2^53, n past 2^256).
+BIG_SERIES = [
+    pytest.param(dobinski_classic, (1, 1), 23, 73, id="classic"),
+    pytest.param(lambda n: dobinski_rr(2, n), (2, 2), 12, 37, id="rr-2"),
+    pytest.param(lambda n: dobinski_rr(3, n), (3, 3), 8, 25, id="rr-3"),
+    pytest.param(lambda n: dobinski_rs(2, 1, n), (2, 1), 17, 55, id="rs-2-1"),
+    pytest.param(lambda n: dobinski_rs(3, 1, n), (3, 1), 15, 49, id="rs-3-1"),
+    pytest.param(lambda n: dobinski_rs(3, 2, n), (3, 2), 10, 31, id="rs-3-2"),
+    pytest.param(lambda n: bell_hypergeometric(1, 1, n), (2, 1), 17, 55, id="hyp-1-1"),
+    pytest.param(lambda n: bell_hypergeometric(1, 2, n), (3, 2), 10, 31, id="hyp-1-2"),
+    pytest.param(lambda n: bell_hypergeometric(2, 1, n), (4, 2), 9, 28, id="hyp-2-1"),
+    pytest.param(lambda n: continuous_moment_series(1, n), (2, 1), 17, 55, id="bessel-1"),
+    pytest.param(lambda n: continuous_moment_series(2, n), (4, 2), 9, 28, id="bessel-2"),
+    pytest.param(lambda n: moment(dirac_comb(), n), (1, 1), 23, 73, id="dirac-comb"),
+    pytest.param(lambda n: moment(rarefied_comb(2), n), (2, 2), 12, 37, id="rarefied-2"),
+    pytest.param(lambda n: moment(rarefied_comb(3), n), (3, 3), 8, 25, id="rarefied-3"),
+]
+
+
+@pytest.mark.parametrize("series, family, n_float, n_wide", BIG_SERIES)
+def test_rounds_past_float_and_working_precision(series, family, n_float, n_wide):
+    targets = bell_sequence(*family, n_wide)
+    for n, limit in ((n_float, 2**53), (n_wide, 2**256)):
+        target = targets[n]
+        assert target > limit
+        value = series(n)
+        assert value.to_integer() == target
+        assert value.contains(target) and not value.contains(target + 1)
+        assert float(value.abs_error) < 1e-6
+
+
+def test_rounding_ignores_ambient_precision():
+    value = dobinski_classic(25)
+    with mp.workprec(512):
+        shifted = ErrorBoundedReal(value.value + 1, abs_error=value.abs_error)
+    with mp.workprec(20):
+        assert value.to_integer() == 4638590332229999353
+        assert value.contains(4638590332229999353)
+        assert value.agrees_with(dobinski_rr(1, 25))
+        assert not value.agrees_with(shifted)
+
+
+@given(st.integers(1, 60))
+@settings(max_examples=30, deadline=None)
+def test_classic_to_integer_matches_oracle(n):
+    assert dobinski_classic(n).to_integer() == bell_sequence(1, 1, n)[n]
+
+
+def test_enclosure_must_be_finite():
+    with pytest.raises(ValueError):
+        ErrorBoundedReal(value=mp.mpf(1), abs_error=mp.inf)
+    with pytest.raises(ValueError):
+        ErrorBoundedReal(value=mp.nan, abs_error=mp.mpf(0))

@@ -52,16 +52,6 @@ def test_exp_log_style_recurrence():
         FormalSeries([1, 1]).exp()
 
 
-def test_compose():
-    outer = FormalSeries.exp_lambda(6)
-    inner = FormalSeries([0, 2, 0, 0, 0, 0, 0])
-    composed = outer.compose(inner)
-    # exp(2 lam): coefficient n is 2^n / n!.
-    assert composed.coeffs == tuple(Fraction(2**n, factorial(n)) for n in range(7))
-    with pytest.raises(ValueError):
-        outer.compose(FormalSeries([1, 1, 0, 0, 0, 0, 0]))
-
-
 def test_binomial_series_geometric_case():
     # (1 - lam)^(-1) = 1 + lam + lam^2 + ...
     s = FormalSeries.one_minus_c_lambda_pow(1, -1, 8)

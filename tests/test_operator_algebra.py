@@ -1,14 +1,12 @@
 """Rewriting engine versus contraction-rule multiplication, exact only."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonkit.errors import (
-    MalformedNormalFormError,
-    OutOfRangeError,
-    UnsupportedError,
-)
+from bosonkit.errors import OutOfRangeError, UnsupportedError
 from bosonkit.operator_algebra import (
     ANNIHILATE,
     CREATE,
@@ -16,8 +14,8 @@ from bosonkit.operator_algebra import (
     MonomialSpec,
     NormalForm,
     coherent_expectation,
-    extract_stirling,
     monomial_power_normal_form,
+    monomial_power_rows,
     multiply,
     normal_order_word,
 )
@@ -123,23 +121,22 @@ def test_monomial_spec_validation():
     assert MonomialSpec(r=3, s=1, n=4).excess == 8
 
 
-def test_extract_stirling_classical_row():
-    spec = MonomialSpec(r=1, s=1, n=4)
-    row = extract_stirling(monomial_power_normal_form(spec), spec)
-    assert row == {1: 1, 2: 7, 3: 6, 4: 1}
+def test_monomial_power_rows_classical_row():
+    rows = list(islice(monomial_power_rows(1, 1), 4))
+    assert rows[3] == [0, 1, 7, 6, 1]
 
 
-def test_extract_stirling_rejects_wrong_excess():
-    spec = MonomialSpec(r=2, s=1, n=2)
-    bad = NormalForm.monomial(3, 3)  # excess 0, expected n(r-s) = 2
-    with pytest.raises(MalformedNormalFormError):
-        extract_stirling(bad, spec)
-
-
-def test_extract_stirling_needs_positive_power():
-    spec = MonomialSpec(r=1, s=1, n=0)
-    with pytest.raises(OutOfRangeError):
-        extract_stirling(NormalForm.identity(), spec)
+def test_monomial_power_rows_shape():
+    # Row n has length ns + 1, zeros below k = s and positive entries from
+    # k = s on; the normal form carries the same coefficients.
+    for r, s in ((3, 1), (3, 2), (4, 4)):
+        for n, row in enumerate(islice(monomial_power_rows(r, s), 6), start=1):
+            assert len(row) == n * s + 1
+            assert row[:s] == [0] * s and all(row[s:])
+            nf = monomial_power_normal_form(MonomialSpec(r=r, s=s, n=n))
+            assert dict(nf.items()) == {(n * (r - s) + k, k): c for k, c in enumerate(row) if c}
+    with pytest.raises(UnsupportedError):
+        next(monomial_power_rows(1, 2))
 
 
 def test_coherent_expectation_counts_partitions():

@@ -1,14 +1,21 @@
-"""Closed forms against the rewriting oracle, plus frozen rows."""
+"""Closed forms and dispatch against the row engine and the rewriting oracle."""
+
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from bosonkit.errors import OutOfRangeError
-from bosonkit.operator_algebra import MonomialSpec
+from bosonkit.errors import OutOfRangeError, UnsupportedError
+from bosonkit.operator_algebra import (
+    ANNIHILATE,
+    CREATE,
+    MonomialSpec,
+    monomial_power_rows,
+    normal_order_word,
+)
 from bosonkit.stirling import (
     BellValue,
     bell,
+    bell_sequence,
     lah,
     stirling,
     stirling_rr_closed,
@@ -17,6 +24,19 @@ from bosonkit.stirling import (
 
 # Classical Bell numbers B(0)..B(10), the r = s = 1 row sums.
 BELL_CLASSIC = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
+
+
+def engine_row(r, s, n):
+    """Row n of the contraction engine as k -> S_{r,s}(n, k), k = s..ns."""
+    row = next(islice(monomial_power_rows(r, s), n - 1, None))
+    return {k: row[k] for k in range(s, n * s + 1)}
+
+
+def word_row(r, s, n):
+    """The same row read off the rewritten literal word ((a+)^r a^s)^n."""
+    nf = normal_order_word(([CREATE] * r + [ANNIHILATE] * s) * n)
+    assert all(i - j == n * (r - s) for (i, j), _ in nf.items())
+    return {j: c for (i, j), c in nf.items()}
 
 
 def test_classical_triangle_recurrence():
@@ -36,18 +56,30 @@ def test_rr_closed_row_two_two():
 def test_rr_closed_matches_oracle():
     for r in (1, 2, 3):
         for n in (1, 2, 3, 4, 5):
-            spec = MonomialSpec(r, r, n)
-            oracle = stirling_table(spec, from_oracle=True).values
+            oracle = engine_row(r, r, n)
             for k in range(r, r * n + 1):
                 assert stirling_rr_closed(r, n, k) == oracle[k]
 
 
 def test_lah_matches_oracle():
     for n in range(1, 7):
-        spec = MonomialSpec(2, 1, n)
-        oracle = stirling_table(spec, from_oracle=True).values
+        oracle = engine_row(2, 1, n)
         for k in range(1, n + 1):
             assert lah(n, k) == oracle[k]
+
+
+@pytest.mark.parametrize("r, n", [(1, 100), (3, 30)])
+def test_rr_closed_matches_engine_past_2_256(r, n):
+    row = engine_row(r, r, n)
+    assert max(row.values()) > 2**256
+    assert row == {k: stirling_rr_closed(r, n, k) for k in row}
+
+
+def test_lah_matches_engine_past_2_256():
+    row = engine_row(2, 1, 300)
+    assert max(row.values()) > 2**256
+    assert row == {k: lah(300, k) for k in row}
+    assert stirling_table(MonomialSpec(2, 1, 300)).values == row
 
 
 def test_lah_frozen_row_four():
@@ -60,12 +92,27 @@ def test_oracle_only_family():
     assert stirling(spec, 1) == 3
 
 
-@given(st.integers(1, 3), st.integers(1, 4))
-@settings(max_examples=30, deadline=None)
-def test_dispatch_equals_oracle(s, n):
-    for r in range(s, 4):
-        spec = MonomialSpec(r, s, n)
-        assert stirling_table(spec).values == stirling_table(spec, from_oracle=True).values
+def test_dispatch_equals_oracle():
+    # Every r >= s with r <= 4 whose literal word has at most 12 letters.
+    for r in range(1, 5):
+        for s in range(1, r + 1):
+            for n in range(1, 12 // (r + s) + 1):
+                oracle = word_row(r, s, n)
+                assert engine_row(r, s, n) == oracle, (r, s, n)
+                assert stirling_table(MonomialSpec(r, s, n)).values == oracle, (r, s, n)
+
+
+def test_bell_sequence_matches_per_n_bell():
+    # The families of the benchmark's Bell sweeps, at small max.
+    for r, s in ((1, 1), (2, 2), (2, 1), (3, 2), (4, 2), (5, 3)):
+        per_n = [int(bell(MonomialSpec(r, s, n))) for n in range(9)]
+        assert bell_sequence(r, s, 8) == per_n, (r, s)
+    assert bell_sequence(1, 1, 10) == BELL_CLASSIC
+    assert bell_sequence(3, 1, 0) == [1]
+    with pytest.raises(UnsupportedError):
+        bell_sequence(2, 3, 0)
+    with pytest.raises(OutOfRangeError):
+        bell_sequence(1, 1, -1)
 
 
 def test_k_range_enforced():
