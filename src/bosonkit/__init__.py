@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedFamilyError,
     UnsupportedMomentError,
 )
-from .numeric import DEFAULT_BITS, ErrorBoundedReal, SeriesSpec
+from .numeric import DEFAULT_BITS, Check, ErrorBoundedReal, SeriesSpec
 from .operator_algebra import (
     ANNIHILATE,
     CREATE,
@@ -52,8 +52,6 @@ from .dobinski import (
 )
 from .genfunc import (
     FormalSeries,
-    NormalExponentialReport,
-    OperatorSeries,
     egf_classic,
     egf_r1,
     select_normalization_order,
@@ -80,6 +78,7 @@ __all__ = [
     "BellValue",
     "BosonKitError",
     "BosonWord",
+    "Check",
     "ContinuousDensity",
     "DEFAULT_BITS",
     "DiscreteMeasure",
@@ -91,9 +90,7 @@ __all__ = [
     "MomentReport",
     "MonomialSpec",
     "NonIntegerResultError",
-    "NormalExponentialReport",
     "NormalForm",
-    "OperatorSeries",
     "OutOfRangeError",
     "PrecisionExhaustedError",
     "SeriesSpec",

@@ -20,7 +20,7 @@ from math import factorial
 from typing import Iterator
 
 from .errors import DivergentSeriesError, OutOfRangeError, UnsupportedError
-from .numeric import ErrorBoundedReal, SeriesSpec, quotient_by_e, sum_with_tail_bound
+from .numeric import ErrorBoundedReal, SeriesSpec, sum_over_e
 
 __all__ = [
     "bell_hypergeometric",
@@ -63,18 +63,11 @@ def rs_terms(r: int, s_exp: int, n: int) -> Iterator[Fraction]:
 
     t_k = (1/k!) prod_{j=1}^{s} prod_{m=1}^{n-1} ((k+j)/(r-s) + m).
     """
-    d = r - s_exp
     kfact = 1
-    k = 0
-    while True:
-        prod = Fraction(1)
-        for j in range(1, s_exp + 1):
-            x = Fraction(k + j, d)
-            for m in range(1, n):
-                prod *= x + m
-        yield prod / kfact
-        k += 1
-        kfact *= k
+    for k, term in enumerate(_rs_literal_terms(r, s_exp, n)):
+        if k:
+            kfact *= k
+        yield term / kfact
 
 
 def _rs_literal_terms(r: int, s_exp: int, n: int) -> Iterator[Fraction]:
@@ -105,32 +98,18 @@ def hypergeometric_terms(p: int, r: int, n: int) -> Iterator[Fraction]:
         k += 1
 
 
-def _evaluate(
-    terms: Iterator[Fraction],
-    prefactor: Fraction,
-    series: SeriesSpec,
-    *,
-    min_terms: int = 0,
-) -> ErrorBoundedReal:
-    # Tail contribution to the final value is prefactor * tail / e; stopping
-    # terms below target / (2 * prefactor) keeps it within half the budget.
-    stop_below = series.target / (2 * max(prefactor, Fraction(1)))
-    partial, tail, _ = sum_with_tail_bound(terms, stop_below, min_terms=min_terms)
-    return quotient_by_e(prefactor * partial, prefactor * tail, series)
-
-
 def dobinski_classic(n: int, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedReal:
     """(1/e) sum_k k^n / k!, which rounds to the classical Bell number B(n)."""
     if n < 1:
         raise OutOfRangeError("need n >= 1")
-    return _evaluate(classic_terms(n), Fraction(1), series)
+    return sum_over_e(classic_terms(n), series)
 
 
 def dobinski_rr(r: int, n: int, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedReal:
     """(1/e) sum_k [(k+r)!/k!]^(n-1) / k!, rounding to B_{r,r}(n)."""
     if r < 1 or n < 1:
         raise OutOfRangeError("need r >= 1 and n >= 1")
-    return _evaluate(rr_terms(r, n), Fraction(1), series)
+    return sum_over_e(rr_terms(r, n), series)
 
 
 def dobinski_rs(
@@ -145,7 +124,7 @@ def dobinski_rs(
     if n < 1:
         raise OutOfRangeError("need n >= 1")
     prefactor = Fraction((r - s_exp) ** (s_exp * (n - 1)))
-    return _evaluate(rs_terms(r, s_exp, n), prefactor, series)
+    return sum_over_e(rs_terms(r, s_exp, n), series, prefactor)
 
 
 def dobinski_rs_literal(
@@ -178,7 +157,7 @@ def dobinski_rs_literal(
             prev = term
 
     prefactor = Fraction((r - s_exp) ** (s_exp * (n - 1)))
-    return _evaluate(guarded(), prefactor, series)
+    return sum_over_e(guarded(), series, prefactor)
 
 
 def bell_hypergeometric(
@@ -208,4 +187,4 @@ def bell_hypergeometric(
     for j in range(1, r + 1):
         numerator = p * (n - 1) + j if reduced_prefactor else p * (n - 1 + j)
         prefactor *= Fraction(factorial(numerator), factorial(p * j))
-    return _evaluate(hypergeometric_terms(p, r, n), prefactor, series)
+    return sum_over_e(hypergeometric_terms(p, r, n), series, prefactor)

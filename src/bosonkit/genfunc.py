@@ -12,21 +12,18 @@ and is kept only so its failure can be demonstrated (``printed_sign=True``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import factorial
 from typing import Sequence
 
 from .errors import InconclusiveError, OutOfRangeError
-from .numeric import binomial_coefficient
+from .numeric import Check, binomial_coefficient
 from .operator_algebra import monomial_power_rows
 from .stirling import bell_sequence
 
 __all__ = [
     "FormalSeries",
-    "NormalExponentialReport",
-    "OperatorSeries",
     "egf_classic",
     "egf_r1",
     "select_normalization_order",
@@ -187,27 +184,6 @@ def _poly_mul(x: OpPoly, y: OpPoly) -> OpPoly:
     return out
 
 
-@dataclass(frozen=True)
-class OperatorSeries:
-    """Truncated series in lam whose coefficients are operator polynomials."""
-
-    coeffs: tuple[OpPoly, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, m: int) -> OpPoly:
-        return dict(self.coeffs[m])
-
-    def expectation(self, z=1) -> list[Fraction]:
-        """Coherent-state diagonal element per order, for exact real z."""
-        return [
-            sum((c * z ** (i + j) for (i, j), c in poly.items()), Fraction(0))
-            for poly in self.coeffs
-        ]
-
-
 def _op_series_exp(f: Sequence[OpPoly]) -> list[OpPoly]:
     # Same ODE recurrence as FormalSeries.exp, over the polynomial ring.
     if f[0]:
@@ -223,7 +199,7 @@ def _op_series_exp(f: Sequence[OpPoly]) -> list[OpPoly]:
     return out
 
 
-def _normal_ordered_power_series(r: int, order: int) -> OperatorSeries:
+def _normal_ordered_power_series(r: int, order: int) -> list[OpPoly]:
     # Left side: exact normal ordering, coeff[m] = NF[((a+)^r a)^m] / m!,
     # where row m holds the coefficient of a+^(m(r-1)+k) a^k at k.
     coeffs: list[OpPoly] = [{(0, 0): Fraction(1)}]
@@ -231,12 +207,12 @@ def _normal_ordered_power_series(r: int, order: int) -> OperatorSeries:
         coeffs.append(
             {((r - 1) * m + k, k): Fraction(c, factorial(m)) for k, c in enumerate(row) if c}
         )
-    return OperatorSeries(tuple(coeffs))
+    return coeffs
 
 
 def _double_dot_exponential_series(
     r: int, order: int, printed_sign: bool
-) -> OperatorSeries:
+) -> list[OpPoly]:
     # Right side: expand the double-dot exponential with commuting symbols and
     # read each monomial a+^i a^j as already normally ordered.
     exponent: list[OpPoly] = [{} for _ in range(order + 1)]
@@ -252,32 +228,10 @@ def _double_dot_exponential_series(
             if scalar:
                 # lam^m carries a+^((r-1)m) from the binomial, times a+ a.
                 exponent[m] = {((r - 1) * m + 1, 1): scalar}
-    return OperatorSeries(tuple(_op_series_exp(exponent)))
+    return _op_series_exp(exponent)
 
 
-@dataclass(frozen=True)
-class NormalExponentialReport:
-    """Order-by-order comparison of the two expansions of e^{lam (a+)^r a}."""
-
-    r: int
-    order: int
-    printed_sign: bool
-    ok: bool
-    first_mismatch: int | None
-    lhs_at_mismatch: OpPoly | None
-    rhs_at_mismatch: OpPoly | None
-
-    def summary(self) -> str:
-        if self.ok:
-            return f"r={self.r}: match through order {self.order}"
-        return (
-            f"r={self.r}: mismatch at order {self.first_mismatch}; "
-            f"normal ordering gives {_poly_str(self.lhs_at_mismatch)}, "
-            f"double-dot expansion gives {_poly_str(self.rhs_at_mismatch)}"
-        )
-
-
-def _poly_str(poly: OpPoly | None) -> str:
+def _poly_str(poly: OpPoly) -> str:
     if not poly:
         return "0"
     parts = []
@@ -291,46 +245,30 @@ def _poly_str(poly: OpPoly | None) -> str:
     return " + ".join(parts)
 
 
-def verify_normal_exponential(
-    r: int, order: int, *, printed_sign: bool = False
-) -> NormalExponentialReport:
+def verify_normal_exponential(r: int, order: int, *, printed_sign: bool = False) -> Check:
     """Compare exact normal ordering of e^{lam (a+)^r a} with its closed form.
 
     The left side normal orders each power with the contraction engine; the
     right side expands the double-dot exponential formally.  Equality must
-    hold order by order as exact operator-coefficient identity.
+    hold order by order as exact operator-coefficient identity; the check's
+    detail names the first order where it does not.
     """
     if r < 1 or order < 1:
         raise OutOfRangeError("need r >= 1 and order >= 1")
+    name = f"normal-ordered exponential r={r} order<={order}"
+    if printed_sign:
+        name += " (printed sign)"
     lhs = _normal_ordered_power_series(r, order)
     rhs = _double_dot_exponential_series(r, order, printed_sign)
-    for m in range(order + 1):
-        if lhs.coeffs[m] != rhs.coeffs[m]:
-            return NormalExponentialReport(
-                r=r,
-                order=order,
-                printed_sign=printed_sign,
-                ok=False,
-                first_mismatch=m,
-                lhs_at_mismatch=lhs.coefficient(m),
-                rhs_at_mismatch=rhs.coefficient(m),
+    for m, (left, right) in enumerate(zip(lhs, rhs)):
+        if left != right:
+            return Check(
+                name,
+                False,
+                f"r={r}: mismatch at order {m}; normal ordering gives {_poly_str(left)}, "
+                f"double-dot expansion gives {_poly_str(right)}",
             )
-    return NormalExponentialReport(
-        r=r,
-        order=order,
-        printed_sign=printed_sign,
-        ok=True,
-        first_mismatch=None,
-        lhs_at_mismatch=None,
-        rhs_at_mismatch=None,
-    )
-
-
-def double_dot_exponential_series(r: int, order: int) -> OperatorSeries:
-    """Public accessor for the double-dot expansion (corrected exponent)."""
-    if r < 1 or order < 0:
-        raise OutOfRangeError("need r >= 1 and order >= 0")
-    return _double_dot_exponential_series(r, order, printed_sign=False)
+    return Check(name, True, f"r={r}: match through order {order}")
 
 
 def _choose_t(values: Sequence[int], *, t_max: int = 6) -> int:

@@ -10,7 +10,8 @@ bound, the Bessel series carries a truncation bound, and the quadrature tail
 past the cutoff is bounded analytically.  Only the quadrature error on the
 finite interval is an estimate (two runs at different precision plus the
 integrator's own estimate); tests pin it against a fully certified series
-expansion of the same integral.
+expansion of the same integral.  ``verify_moments`` reports each comparison
+as a ``Check``.
 """
 
 from __future__ import annotations
@@ -30,19 +31,12 @@ from .errors import (
     UnsupportedFamilyError,
     UnsupportedMomentError,
 )
-from .numeric import (
-    DEFAULT_BITS,
-    ErrorBoundedReal,
-    SeriesSpec,
-    quotient_by_e,
-    sum_with_tail_bound,
-)
+from .numeric import DEFAULT_BITS, Check, ErrorBoundedReal, SeriesSpec, sum_over_e
 from .stirling import bell_sequence
 
 __all__ = [
     "ContinuousDensity",
     "DiscreteMeasure",
-    "MomentCheck",
     "MomentReport",
     "bessel_i",
     "continuous_moment_series",
@@ -52,13 +46,6 @@ __all__ = [
     "verify_moments",
     "weight_2r_r",
 ]
-
-
-def _sum_over_e(terms: Iterator[Fraction], series: SeriesSpec, *, min_terms: int = 0):
-    partial, tail, _ = sum_with_tail_bound(
-        terms, series.target / 2, min_terms=min_terms
-    )
-    return quotient_by_e(partial, tail, series)
 
 
 @dataclass(frozen=True)
@@ -100,7 +87,7 @@ class DiscreteMeasure:
             k += 1
 
     def mass(self, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedReal:
-        return _sum_over_e(self.scaled_moment_terms(0), series)
+        return sum_over_e(self.scaled_moment_terms(0), series)
 
 
 def dirac_comb() -> DiscreteMeasure:
@@ -234,7 +221,7 @@ def continuous_moment_series(
     """Certified series value of the n-th moment of weight_2r_r(r); n = 0 gives the mass."""
     if r < 1 or n < 0:
         raise OutOfRangeError("need r >= 1 and n >= 0")
-    return _sum_over_e(_weight_moment_terms(r, n), series)
+    return sum_over_e(_weight_moment_terms(r, n), series)
 
 
 def _quadrature_cutoff(a: int, target) -> tuple[int, object]:
@@ -303,7 +290,7 @@ def moment(measure, n: int, target_error=1e-12, *, bits: int = DEFAULT_BITS):
             raise UnsupportedMomentError(
                 f"{measure.label} has mass != 1; its n = 0 'moment' is not B(0)"
             )
-        return _sum_over_e(measure.scaled_moment_terms(n), series)
+        return sum_over_e(measure.scaled_moment_terms(n), series)
     if isinstance(measure, ContinuousDensity):
         if n == 0:
             raise UnsupportedMomentError(
@@ -314,18 +301,9 @@ def moment(measure, n: int, target_error=1e-12, *, bits: int = DEFAULT_BITS):
 
 
 @dataclass(frozen=True)
-class MomentCheck:
-    name: str
-    ok: bool
-    detail: str
-
-
-@dataclass(frozen=True)
 class MomentReport:
-    r: int
-    s: int
     family: str
-    checks: tuple[MomentCheck, ...]
+    checks: tuple[Check, ...]
 
     @property
     def ok(self) -> bool:
@@ -345,7 +323,7 @@ def _moment_checks(measure, r: int, s: int, n_max: int, tol, bits: int):
         value = moment(measure, n, target_error=min(float(tol), 1e-10), bits=bits)
         ok = _close(value, expected, tol)
         checks.append(
-            MomentCheck(
+            Check(
                 name=f"moment n={n}",
                 ok=ok,
                 detail=f"got {value}, expected B_{{{r},{s}}}({n}) = {expected}",
@@ -373,14 +351,14 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
     if n_max < 1:
         raise OutOfRangeError("need n_max >= 1")
     series = SeriesSpec(working_precision=bits, target_abs_error=1e-14)
-    checks: list[MomentCheck] = []
+    checks: list[Check] = []
     if (r, s) == (1, 1):
         comb = dirac_comb()
         family = comb.label
         checks += _moment_checks(comb, 1, 1, n_max, tol, bits)
         mass = comb.mass(series)
         checks.append(
-            MomentCheck(
+            Check(
                 name="mass",
                 ok=_close(mass, 1, mp.mpf(1e-12)),
                 detail=f"got {mass}, expected 1 (k = 0 atom included)",
@@ -388,16 +366,16 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
         )
         comb.check_atoms(64)
         checks.append(
-            MomentCheck(name="atom positivity", ok=True, detail="first 64 atoms > 0, increasing")
+            Check(name="atom positivity", ok=True, detail="first 64 atoms > 0, increasing")
         )
     elif r == s:
         comb = rarefied_comb(r)
         family = comb.label
         checks += _moment_checks(comb, r, s, n_max, tol, bits)
         mass = comb.mass(series)
-        expected_mass = _sum_over_e(_mass_closed_form_terms(r), series)
+        expected_mass = sum_over_e(_mass_closed_form_terms(r), series)
         checks.append(
-            MomentCheck(
+            Check(
                 name="mass",
                 ok=bool(mass.agrees_with(expected_mass)),
                 detail=(
@@ -408,7 +386,7 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
         )
         comb.check_atoms(64)
         checks.append(
-            MomentCheck(name="atom positivity", ok=True, detail="first 64 atoms > 0, increasing")
+            Check(name="atom positivity", ok=True, detail="first 64 atoms > 0, increasing")
         )
     elif r == 2 * s:
         density = weight_2r_r(s)
@@ -432,13 +410,13 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
         else:
             mass_ok = True
             mass_detail = f"series mass {mass} (reported; < 1 by construction)"
-        checks.append(MomentCheck(name="mass", ok=mass_ok, detail=mass_detail))
+        checks.append(Check(name="mass", ok=mass_ok, detail=mass_detail))
         if s == 1:
             for n in range(1, min(n_max, 4) + 1):
                 quad = moment(density, n, target_error=min(float(tol), 1e-10), bits=bits)
                 srs = dobinski_rs(2, 1, n, SeriesSpec(working_precision=bits, target_abs_error=1e-14))
                 checks.append(
-                    MomentCheck(
+                    Check(
                         name=f"series vs quadrature n={n}",
                         ok=bool(quad.agrees_with(srs)),
                         detail=f"quadrature {quad} vs series {srs}",
@@ -454,7 +432,7 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
             if w.value - w.abs_error > 0:
                 positive += 1
         checks.append(
-            MomentCheck(
+            Check(
                 name="positivity sample",
                 ok=positive == points,
                 detail=f"{positive}/{points} log-spaced points in [1e-6, 1e3] strictly positive",
@@ -465,4 +443,4 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
             f"no measure implemented for (r, s) = ({r}, {s}); "
             "supported: (1,1), r = s, r = 2s"
         )
-    return MomentReport(r=r, s=s, family=family, checks=tuple(checks))
+    return MomentReport(family=family, checks=tuple(checks))

@@ -27,6 +27,15 @@ _INV_E_UPPER = Fraction(37, 100)
 
 
 @dataclass(frozen=True)
+class Check:
+    """One verification outcome: a named pass or fail with the reason."""
+
+    name: str
+    ok: bool
+    detail: str
+
+
+@dataclass(frozen=True)
 class SeriesSpec:
     """Precision policy: working precision in bits and an absolute error target."""
 
@@ -183,6 +192,20 @@ def quotient_by_e(q: Fraction, tail: Fraction, series: SeriesSpec) -> ErrorBound
                 f"{series.max_precision} bits"
             )
         bits = min(2 * bits, series.max_precision)
+
+
+def sum_over_e(
+    terms: Iterator[Fraction], series: SeriesSpec, prefactor: Fraction = Fraction(1)
+) -> ErrorBoundedReal:
+    """(prefactor / e) * sum of a positive series, with a certified bound.
+
+    The tail contributes prefactor * tail / e to the value; stopping once
+    terms drop below target / (2 * prefactor) keeps that within half the
+    budget, and quotient_by_e accounts for the rest.
+    """
+    stop_below = series.target / (2 * max(prefactor, Fraction(1)))
+    partial, tail, _ = sum_with_tail_bound(terms, stop_below)
+    return quotient_by_e(prefactor * partial, prefactor * tail, series)
 
 
 def binomial_coefficient(alpha: Fraction, m: int) -> Fraction:

@@ -104,7 +104,7 @@ def test_usage_errors_exit_one(capsys):
         ("stirling", "--r", "1", "--s", "1", "--n", "0"),
         ("stirling", "--r", "1", "--s", "1"),
         ("bell", "--r", "1", "--s", "1", "--max", "3", "--bogus"),
-        ("verify", "norm", "--bits", "8"),
+        ("verify", "dobinski", "--bits", "8"),
         ("bell", "--r", "1", "--s", "1", "--max", "3", "--bits", "64"),
         ("stirling", "--r", "1", "--s", "1", "--n", "3", "--bits", "64"),
         ("verify", "dobinski", "--n", "3"),
@@ -115,6 +115,11 @@ def test_usage_errors_exit_one(capsys):
         ("verify", "norm", "--printed-sign"),
         ("verify", "moments", "--s", "1"),
         ("verify", "dobinski", "--tol", "-1"),
+        # Flags the suite does not read.
+        ("verify", "egf", "--printed-b5", "--tol", "5", "--s", "9"),
+        ("verify", "moments", "--r", "1", "--s", "1", "--printed-sign", "--order", "3"),
+        ("verify", "norm", "--max", "2", "--bits", "64"),
+        ("verify", "egf", "--order", "0"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -198,7 +203,7 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_bits_environment_fallback(capsys, monkeypatch):
-    argv = ("verify", "norm", "--r", "1", "--order", "1")
+    argv = ("verify", "dobinski", "--r", "1", "--s", "1", "--max", "1")
     monkeypatch.setenv("BOSONKIT_BITS", "128")
     _, record = json_record(capsys, *argv)
     assert record["parameters"]["bits"] == "128"
@@ -260,10 +265,36 @@ def test_help_exits_zero(capsys):
 
 def test_verify_parameters_echoed(capsys):
     _, record = json_record(
-        capsys, "verify", "norm", "--r", "2", "--order", "4", "--tol", "1e-10"
+        capsys, "verify", "dobinski", "--r", "2", "--s", "1", "--max", "2", "--tol", "1e-10"
     )
     params = record["parameters"]
-    assert params["suite"] == "norm"
-    assert params["r"] == "2"
-    assert params["order"] == "4"
-    assert params["tol"] == "1e-10"
+    assert params == {
+        "suite": "dobinski", "bits": "256", "tol": "1e-10", "r": "2", "s": "1", "max": "2"
+    }
+    # Only the flags a suite reads are echoed; norm reads neither bits nor tol.
+    _, record = json_record(capsys, "verify", "norm", "--r", "2", "--order", "4")
+    assert record["parameters"] == {"suite": "norm", "r": "2", "order": "4"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "dobinski"),
+        ("verify", "egf"),
+        ("verify", "norm"),
+        ("verify", "norm", "--r", "2", "--order", "3", "--printed-sign"),
+    ],
+)
+def test_check_rows_share_one_shape(capsys, argv):
+    _, record = json_record(capsys, *argv)
+    json_rows = record["checks"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    csv_rows = list(csv.DictReader(io.StringIO(out.split("\n\n")[-1])))
+    assert csv_rows == json_rows
+    for row in json_rows:
+        assert list(row) == ["name", "status", "detail"]
+        assert row["status"] in ("pass", "fail")
+    passed = sum(row["status"] == "pass" for row in json_rows)
+    code, out, _ = run(capsys, *argv)
+    assert out.splitlines()[-1] == f"summary: {passed}/{len(json_rows)} checks passed"
+    assert code == (0 if passed == len(json_rows) else 3)

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from bosonkit.dobinski import dobinski_classic
 from bosonkit.errors import (
     DomainError,
     OutOfRangeError,
@@ -55,6 +56,16 @@ def test_dirac_comb_moments_are_bell_numbers():
     comb = dirac_comb()
     for n in range(1, 9):
         assert moment(comb, n).to_integer() == oracle(1, 1, n)
+
+
+def test_dirac_comb_moment_is_the_classic_dobinski_series():
+    # The n-th moment of the comb and Dobinski's series for B(n) sum the
+    # same exact terms k^n / k!, so their enclosures are identical.
+    for n in (1, 10, 30):
+        comb_value = moment(dirac_comb(), n)
+        series_value = dobinski_classic(n)
+        assert comb_value.value == series_value.value
+        assert comb_value.abs_error == series_value.abs_error
 
 
 def test_rarefied_comb_r1_shifts_the_integer_comb():
