@@ -34,7 +34,6 @@ from .operator_algebra import (
     normal_order_word,
 )
 from .stirling import (
-    BellValue,
     StirlingTable,
     bell,
     bell_sequence,
@@ -51,7 +50,6 @@ from .dobinski import (
     dobinski_rs_literal,
 )
 from .genfunc import (
-    FormalSeries,
     egf_classic,
     egf_r1,
     select_normalization_order,
@@ -75,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ANNIHILATE",
     "CREATE",
-    "BellValue",
     "BosonKitError",
     "BosonWord",
     "Check",
@@ -85,7 +82,6 @@ __all__ = [
     "DivergentSeriesError",
     "DomainError",
     "ErrorBoundedReal",
-    "FormalSeries",
     "InconclusiveError",
     "MomentReport",
     "MonomialSpec",

@@ -14,9 +14,10 @@ precision, reported on one line.
 Output is plain text by default; ``--format json`` emits a versioned record
 whose integers are decimal strings (arbitrary precision survives any JSON
 parser) and whose reals carry an explicit error bound.  ``--format csv``
-emits flat tables.  The ``--printed-sign`` and ``--printed-b5`` flags run
-variants of two identities in forms that do not hold, so the corrections the
-library applies stay visible and reproducible; expect exit code 3 from them.
+emits flat tables, each headed by the union of its rows' keys.  The
+``--printed-sign`` and ``--printed-b5`` flags run variants of two identities
+in forms that do not hold, so the corrections the library applies stay
+visible and reproducible; expect exit code 3 from them.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ class OutputRecord:
         for index, rows in enumerate(sections):
             if index:
                 buf.write("\n")
-            header = list(rows[0])
+            # Rows of one section may differ in keys; the header is their union.
+            header = list(dict.fromkeys(col for row in rows for col in row))
             writer.writerow(header)
             for row in rows:
                 writer.writerow([row.get(col, "") for col in header])

@@ -121,15 +121,13 @@ def sum_with_tail_bound(
     terms: Iterator[Fraction],
     stop_below: Fraction,
     *,
-    min_terms: int = 0,
     max_terms: int = 100000,
 ) -> tuple[Fraction, Fraction, int]:
     """Sum a positive series with eventually non-increasing term ratios.
 
-    Stops once at least ``min_terms`` terms are summed, the last summed term is
-    below ``stop_below`` and the next/last ratio is below 1/2.  Because the
-    ratios only decrease from there, the omitted tail is bounded by the
-    geometric series with the observed ratio.
+    Stops once the last summed term is below ``stop_below`` and the next/last
+    ratio is below 1/2.  Because the ratios only decrease from there, the
+    omitted tail is bounded by the geometric series with the observed ratio.
 
     Returns (partial_sum, tail_bound, terms_summed).
     """
@@ -141,7 +139,7 @@ def sum_with_tail_bound(
     for term in terms:
         if term < 0:
             raise ValueError("series terms must be non-negative")
-        if prev is not None and prev > 0 and count >= min_terms and prev < stop_below:
+        if prev is not None and 0 < prev < stop_below:
             ratio = term / prev
             if ratio < _HALF:
                 tail = term / (1 - ratio)

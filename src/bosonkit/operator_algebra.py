@@ -37,6 +37,7 @@ __all__ = [
     "MonomialSpec",
     "NormalForm",
     "coherent_expectation",
+    "format_terms",
     "monomial_power_normal_form",
     "monomial_power_rows",
     "multiply",
@@ -175,23 +176,30 @@ class NormalForm:
         return NotImplemented
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for (i, j), c in sorted(self._terms.items(), reverse=True):
-            factors = []
-            if c != 1 or (i == 0 and j == 0):
-                factors.append(str(c))
-            if i:
-                factors.append("a+" if i == 1 else f"a+^{i}")
-            if j:
-                factors.append("a" if j == 1 else f"a^{j}")
-            parts.append(" ".join(factors))
-        return " + ".join(parts)
+        return format_terms(self._terms.items())
 
     def __repr__(self) -> str:
         inner = ", ".join(f"({i}, {j}): {c}" for (i, j), c in sorted(self._terms.items()))
         return f"NormalForm({{{inner}}})"
+
+
+def format_terms(items: Iterable[tuple[tuple[int, int], object]]) -> str:
+    """Print ((i, j), c) pairs as "c a+^i a^j + ...", highest (i, j) first.
+
+    Zero coefficients are left out, a coefficient 1 is left out of a
+    non-constant term, and no terms at all print as "0".
+    """
+    parts = []
+    for (i, j), c in sorted(((key, c) for key, c in items if c), reverse=True):
+        factors = []
+        if c != 1 or (i == 0 and j == 0):
+            factors.append(str(c))
+        if i:
+            factors.append("a+" if i == 1 else f"a+^{i}")
+        if j:
+            factors.append("a" if j == 1 else f"a^{j}")
+        parts.append(" ".join(factors))
+    return " + ".join(parts) or "0"
 
 
 def normal_order_word(

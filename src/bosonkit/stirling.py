@@ -19,7 +19,6 @@ from .errors import NonIntegerResultError, OutOfRangeError
 from .operator_algebra import MonomialSpec, monomial_power_rows
 
 __all__ = [
-    "BellValue",
     "StirlingTable",
     "bell",
     "bell_sequence",
@@ -98,25 +97,11 @@ def stirling_table(spec: MonomialSpec) -> StirlingTable:
     return StirlingTable(spec=spec, values=values)
 
 
-@dataclass(frozen=True)
-class BellValue:
-    """B_{r,s}(n), the row sum of the Stirling table; 1 at n = 0 by convention."""
-
-    spec: MonomialSpec
-    value: int
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __index__(self) -> int:
-        return self.value
-
-
-def bell(spec: MonomialSpec) -> BellValue:
-    """Generalized Bell number B_{r,s}(n)."""
+def bell(spec: MonomialSpec) -> int:
+    """Generalized Bell number B_{r,s}(n), the row sum; 1 at n = 0 by convention."""
     if spec.n == 0:
-        return BellValue(spec=spec, value=1)
-    return BellValue(spec=spec, value=stirling_table(spec).row_sum())
+        return 1
+    return stirling_table(spec).row_sum()
 
 
 def bell_sequence(r: int, s: int, n_max: int) -> list[int]:

@@ -43,7 +43,7 @@ def report(capsys, index, ok, note):
 
 
 def oracle(r, s, n):
-    return int(bell(MonomialSpec(r, s, n)))
+    return bell(MonomialSpec(r, s, n))
 
 
 def test_acceptance_01_oracle_self_consistency(capsys):

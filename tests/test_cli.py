@@ -73,7 +73,7 @@ def test_bell_stream_matches_per_n_bell(capsys, r, s):
     code, record = json_record(capsys, "bell", "--r", str(r), "--s", str(s), "--max", "7")
     assert code == 0
     got = [int(row["value"]) for row in record["results"]]
-    assert got == [int(bell(MonomialSpec(r, s, n))) for n in range(8)]
+    assert got == [bell(MonomialSpec(r, s, n)) for n in range(8)]
 
 
 def test_json_round_trips(capsys):
@@ -256,6 +256,25 @@ def test_csv_verify_has_two_sections(capsys):
     assert "normalization_order" in results[0]
     checks = list(csv.DictReader(io.StringIO(sections[1])))
     assert {c["status"] for c in checks} == {"pass"}
+
+
+def test_csv_header_is_union_of_row_keys():
+    # `verify all` appends normalization rows and then moments rows with a
+    # `measure` column; the header must carry every key, in first-seen order.
+    record = cli.OutputRecord(
+        command="verify all",
+        parameters={},
+        results=[
+            {"family": "(1,1)", "normalization_order": "0", "kind": "heuristic"},
+            {"family": "(1,1)", "measure": "dirac-comb", "kind": "exact"},
+        ],
+    )
+    rows = list(csv.reader(io.StringIO(record.to_csv())))
+    assert rows == [
+        ["family", "normalization_order", "kind", "measure"],
+        ["(1,1)", "0", "heuristic", ""],
+        ["(1,1)", "", "exact", "dirac-comb"],
+    ]
 
 
 def test_help_exits_zero(capsys):

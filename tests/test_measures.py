@@ -30,7 +30,7 @@ from bosonkit.stirling import bell
 
 
 def oracle(r, s, n):
-    return int(bell(MonomialSpec(r, s, n)))
+    return bell(MonomialSpec(r, s, n))
 
 
 def test_dirac_comb_atoms():

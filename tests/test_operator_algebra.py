@@ -1,5 +1,6 @@
 """Rewriting engine versus contraction-rule multiplication, exact only."""
 
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -14,6 +15,7 @@ from bosonkit.operator_algebra import (
     MonomialSpec,
     NormalForm,
     coherent_expectation,
+    format_terms,
     monomial_power_normal_form,
     monomial_power_rows,
     multiply,
@@ -104,6 +106,18 @@ def test_normal_form_drops_zero_terms():
     nf = NormalForm({(1, 1): 0, (2, 0): 5})
     assert len(nf) == 1
     assert nf.coefficient(1, 1) == 0
+
+
+def test_normal_form_prints_through_format_terms():
+    nf = NormalForm({(2, 2): 1, (1, 1): 3, (0, 0): 1})
+    assert str(nf) == "a+^2 a^2 + 3 a+ a + 1"
+    assert str(nf) == format_terms(nf.items())
+    assert str(NormalForm()) == "0"
+    # Rational coefficients print as Fractions; zero ones are left out.
+    assert format_terms([((3, 1), Fraction(1, 2)), ((2, 0), Fraction(0)), ((4, 2), Fraction(1))]) == (
+        "a+^4 a^2 + 1/2 a+^3 a"
+    )
+    assert format_terms([((1, 1), Fraction(0))]) == "0"
 
 
 def test_normal_form_rejects_negative_exponents():
