@@ -1,0 +1,6 @@
+"""``python -m bosonkit``: the ``bosonkit`` command, with the same exit codes."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

@@ -6,7 +6,9 @@ normally ordered monomials a+^i a^j.  This module computes that canonical
 form by two independent routes:
 
 * a letter-by-letter rewriting engine applying a a+ -> a+ a + 1 until no
-  defect remains (exponential in word length, used as the cross-check oracle);
+  defect remains, used as the cross-check oracle: it expands pending words
+  in decreasing (length, inversion count) order, so each distinct word is
+  expanded exactly once, with its coefficient already merged;
 * a closed contraction rule
   a^j a+^i = sum_l C(j, l) C(i, l) l!  a+^(i-l) a^(j-l)
   giving polynomial-cost products of normal forms.
@@ -207,31 +209,46 @@ def normal_order_word(
 ) -> NormalForm:
     """Normal order a word by exhaustive application of a a+ -> a+ a + 1.
 
+    Rewriting a defect a a+ turns a word into two: the swap a+ a keeps the
+    length and lowers the inversion count (pairs of an a before an a+) by
+    exactly one, and the contraction shortens the word by two.  Pending words
+    sit in buckets keyed by (length, inversions) and the largest key is
+    expanded first, so every word that can produce a given word is expanded
+    before it.  Coefficients merge when a word arrives, and each distinct word
+    is expanded exactly once, with its full coefficient.
+
     ``strategy`` picks which adjacent defect is rewritten first ("leftmost" or
     "rightmost"); the result is independent of that choice, which the test
     suite uses as a confluence check.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    scan = range if strategy == "leftmost" else (lambda n: range(n - 1, -1, -1))
-    pending: dict[tuple[Letter, ...], int] = {_as_letters(word): 1}
+    find = str.find if strategy == "leftmost" else str.rfind
+    # One character per letter, "+" for a+ and "a" for a, so a defect is the
+    # substring "a+".
+    start = "".join("+" if x is CREATE else "a" for x in _as_letters(word))
+    inversions = sum(start.count("a", 0, pos) for pos, x in enumerate(start) if x == "+")
+    buckets: dict[tuple[int, int], dict[str, int]] = {(len(start), inversions): {start: 1}}
     done: dict[tuple[int, int], int] = {}
-    while pending:
-        w, c = pending.popitem()
-        defect = None
-        for pos in scan(len(w) - 1):
-            if w[pos] is ANNIHILATE and w[pos + 1] is CREATE:
-                defect = pos
-                break
-        if defect is None:
-            # Defect-free words have the shape a+^i a^j.
-            key = (sum(x is CREATE for x in w), sum(x is ANNIHILATE for x in w))
-            done[key] = done.get(key, 0) + c
-        else:
-            swapped = w[:defect] + (CREATE, ANNIHILATE) + w[defect + 2 :]
-            contracted = w[:defect] + w[defect + 2 :]
-            for nxt in (swapped, contracted):
-                pending[nxt] = pending.get(nxt, 0) + c
+    for length in range(len(start), -1, -2):
+        for inv in range(inversions, -1, -1):
+            for w, c in buckets.pop((length, inv), {}).items():
+                pos = find(w, "a+")
+                if pos < 0:
+                    # Defect-free words have the shape a+^i a^j.
+                    key = (w.count("+"), w.count("a"))
+                    done[key] = done.get(key, 0) + c
+                    continue
+                # The contraction removes the a at pos, inverted with every a+
+                # after it, and the a+ at pos + 1, inverted with every a
+                # before it; the removed pair itself is counted in both.
+                lost = w.count("+", pos + 1) + w.count("a", 0, pos + 1) - 1
+                for nxt, key in (
+                    (w[:pos] + "+a" + w[pos + 2 :], (length, inv - 1)),
+                    (w[:pos] + w[pos + 2 :], (length - 2, inv - lost)),
+                ):
+                    bucket = buckets.setdefault(key, {})
+                    bucket[nxt] = bucket.get(nxt, 0) + c
     return NormalForm(done)
 
 

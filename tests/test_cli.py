@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
+import bosonkit
 from bosonkit import cli
 from bosonkit.cli import main
 from bosonkit.errors import DivergentSeriesError
@@ -151,6 +156,20 @@ def test_printed_sign_egf_fails(capsys):
     code, out, _ = run(capsys, "verify", "egf", "--r", "2", "--printed-sign")
     assert code == 3
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("module", ["bosonkit", "bosonkit.cli"])
+def test_python_m_entry_points_keep_exit_codes(module):
+    src = str(Path(bosonkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def exit_code(*argv):
+        command = [sys.executable, "-m", module, *argv]
+        return subprocess.run(command, env=env, capture_output=True, timeout=120).returncode
+
+    assert exit_code("verify", "egf", "--r", "2", "--printed-sign") == 3
+    assert exit_code("verify", "egf", "--tol", "5") == 1
 
 
 def test_default_dobinski_grid_passes(capsys):

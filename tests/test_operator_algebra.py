@@ -1,7 +1,9 @@
 """Rewriting engine versus contraction-rule multiplication, exact only."""
 
+import random
 from fractions import Fraction
 from itertools import islice
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings
@@ -66,7 +68,7 @@ def test_iterated_cubic_creation_monomial():
     assert dict(nf.items()) == {(6, 2): 1, (5, 1): 3}
 
 
-@given(st.lists(letters, max_size=10))
+@given(st.lists(letters, max_size=20))
 @settings(max_examples=120, deadline=None)
 def test_strategies_confluent(raw):
     word = BosonWord(tuple(raw))
@@ -75,11 +77,51 @@ def test_strategies_confluent(raw):
     )
 
 
-@given(st.lists(letters, max_size=10))
+@given(st.lists(letters, max_size=20))
 @settings(max_examples=120, deadline=None)
 def test_rewriting_matches_contraction(raw):
     word = BosonWord(tuple(raw))
     assert normal_order_word(word) == contraction_route(word)
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_ladder_closed_form_past_float_range(strategy):
+    # a^m a+^m = sum_k k! C(m, k)^2 a+^(m-k) a^(m-k); at m = 20 the
+    # coefficients pass 2^53.
+    for m in range(21):
+        nf = normal_order_word([ANNIHILATE] * m + [CREATE] * m, strategy=strategy)
+        expected = {(m - k, m - k): factorial(k) * comb(m, k) ** 2 for k in range(m + 1)}
+        assert dict(nf.items()) == expected
+    assert max(expected.values()) > 2**53
+
+
+def fock_action(word, k):
+    """Coefficient c of word . x^k = c x^(k + d), reading a+ = x and a = d/dx."""
+    coeff, degree = 1, k
+    for letter in reversed(word):
+        if letter is CREATE:
+            degree += 1
+        else:
+            coeff *= degree
+            degree -= 1
+    return coeff
+
+
+@pytest.mark.parametrize("excess", [3, 1, 0, -2, -4])
+def test_rewriting_matches_fock_action(excess):
+    # A term a+^i a^j sends x^k to k!/(k-j)! x^(k+i-j); the word's letters
+    # act on x^k directly, right to left.  Values at k = 0..len(word) fix a
+    # polynomial in k of degree at most len(word), so they fix the form.
+    rng = random.Random(1000 + excess)
+    for _ in range(12):
+        length = rng.randrange(abs(excess), 17, 2)
+        word = [CREATE] * ((length + excess) // 2) + [ANNIHILATE] * ((length - excess) // 2)
+        rng.shuffle(word)
+        for strategy in ("leftmost", "rightmost"):
+            nf = normal_order_word(word, strategy=strategy)
+            assert all(i - j == excess for (i, j), _ in nf.items())
+            for k in range(len(word) + 1):
+                assert sum(c * perm(k, j) for (_, j), c in nf.items()) == fock_action(word, k)
 
 
 @given(st.lists(letters, max_size=6), st.lists(letters, max_size=6))
