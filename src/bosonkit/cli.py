@@ -202,6 +202,8 @@ def _verify_dobinski(ns, results: list):
     if (ns.r is None) != (ns.s is None):
         raise _UsageError("give both --r and --s, or neither")
     n_max = ns.max if ns.max is not None else 5
+    if n_max < 1:
+        raise _UsageError("--max must be >= 1")
     if ns.r is not None:
         MonomialSpec(r=ns.r, s=ns.s, n=1)  # family validation only
         if ns.printed_b5 and ns.r <= ns.s:

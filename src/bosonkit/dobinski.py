@@ -1,22 +1,27 @@
 """Dobinski-type series for classical and generalized Bell numbers.
 
-Each B_{r,s}(n) admits a representation (prefactor/e) * sum_k t_k with exact
-rational terms t_k.  Terms are generated exactly, summed with a certified
-geometric tail bound, and only the final division by e is rounded, so every
-series value is an ErrorBoundedReal that provably rounds to the integer the
-rewriting oracle produces.
+With a+ = x and a = d/dx, the monomial (a+)^r a^s sends x^k to
+k!/(k-s)! x^(k+d), where d = r - s, so its n-th power sends x^k to
+N_k x^(k+nd) and the coherent-state matrix element of that power is one
+series for every family:
 
-The r > s series carries a 1/k! factor in each term; without it the k-sum has
-non-decaying terms and a divergence guard rejects it (see
-``dobinski_rs_literal``).  Gamma-function ratios G(n+x)/G(1+x) are reduced to
-the rising product prod_{m=1}^{n-1} (x + m), so no transcendental function
-other than e enters at all.
+    B_{r,s}(n) = (1/e) sum_k N_k / k!,   N_k = prod_{j<n} (k+jd)! / (k+jd-s)!.
+
+The classical case (1,1) and r = s are its d = 0 cases, N_k = (k!/(k-s)!)^n.
+Terms are exact rationals, summed with a certified geometric tail bound, and
+only the final division by e is rounded, so every series value is an
+ErrorBoundedReal that provably rounds to the integer the rewriting oracle
+produces.  Without the 1/k! factor the k-sum has non-decaying terms and a
+divergence guard rejects it (see ``dobinski_rs_literal``).  The
+hypergeometric form keeps its own terms as an independent cross-check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate, count
+from math import factorial, prod
+from operator import mul
 from typing import Iterator
 
 from .errors import DivergentSeriesError, OutOfRangeError, UnsupportedError
@@ -24,64 +29,41 @@ from .numeric import ErrorBoundedReal, SeriesSpec, sum_over_e
 
 __all__ = [
     "bell_hypergeometric",
-    "classic_terms",
     "dobinski_classic",
     "dobinski_rr",
     "dobinski_rs",
     "dobinski_rs_literal",
+    "dobinski_terms",
     "hypergeometric_terms",
-    "rr_terms",
-    "rs_terms",
 ]
 
 
-def classic_terms(n: int) -> Iterator[Fraction]:
-    """Terms k^n / k! of the classical series for B(n)."""
-    kfact = 1
-    k = 0
-    while True:
-        yield Fraction(k**n, kfact)
-        k += 1
-        kfact *= k
+def _numerators(r: int, s: int, n: int) -> Iterator[int]:
+    """N_k = prod_{j<n} (k+jd)!/(k+jd-s)! for k = 0, 1, 2, ..., with d = r - s >= 0.
 
-
-def rr_terms(r: int, n: int) -> Iterator[Fraction]:
-    """Terms [(k+r)!/k!]^(n-1) / k! of the series for B_{r,r}(n)."""
-    kfact = 1
-    k = 0
-    while True:
-        rising = 1
-        for i in range(1, r + 1):
-            rising *= k + i
-        yield Fraction(rising ** (n - 1), kfact)
-        k += 1
-        kfact *= k
-
-
-def rs_terms(r: int, s_exp: int, n: int) -> Iterator[Fraction]:
-    """Terms of the corrected r > s series, including the 1/k! factor.
-
-    t_k = (1/k!) prod_{j=1}^{s} prod_{m=1}^{n-1} ((k+j)/(r-s) + m).
+    ``falling[x]`` holds x!/(x-s)!, zero below x = s; each new entry is the
+    last times x, divided exactly by x - s.
     """
-    kfact = 1
-    for k, term in enumerate(_rs_literal_terms(r, s_exp, n)):
-        if k:
-            kfact *= k
-        yield term / kfact
+    d = r - s
+    falling = [0] * s + [factorial(s)]
+    for k in count():
+        top = k + (n - 1) * d
+        for x in range(len(falling), top + 1):
+            falling.append(falling[-1] * x // (x - s))
+        yield falling[k] ** n if d == 0 else prod(falling[k : top + 1 : d])
 
 
-def _rs_literal_terms(r: int, s_exp: int, n: int) -> Iterator[Fraction]:
-    # The series as printed: no 1/k! damping.
-    d = r - s_exp
-    k = 0
-    while True:
-        prod = Fraction(1)
-        for j in range(1, s_exp + 1):
-            x = Fraction(k + j, d)
-            for m in range(1, n):
-                prod *= x + m
-        yield prod
-        k += 1
+def dobinski_terms(r: int, s: int, n: int) -> Iterator[Fraction]:
+    """Terms N_k / k! of the Dobinski series for B_{r,s}(n), r >= s >= 1.
+
+    They are zero for k < s and positive from k = s on, where the ratio of
+    consecutive terms, prod_{j<n} prod_{i<s} (1 + 1/(k+jd-i)) / (k+1), does
+    not increase in k: the premise of the summation's geometric tail bound.
+    """
+    if not r >= s >= 1 or n < 1:
+        raise OutOfRangeError(f"need r >= s >= 1 and n >= 1, got ({r}, {s}, {n})")
+    kfact = accumulate(count(1), mul, initial=1)
+    return (Fraction(numer, denom) for numer, denom in zip(_numerators(r, s, n), kfact))
 
 
 def hypergeometric_terms(p: int, r: int, n: int) -> Iterator[Fraction]:
@@ -102,50 +84,47 @@ def dobinski_classic(n: int, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedR
     """(1/e) sum_k k^n / k!, which rounds to the classical Bell number B(n)."""
     if n < 1:
         raise OutOfRangeError("need n >= 1")
-    return sum_over_e(classic_terms(n), series)
+    return sum_over_e(dobinski_terms(1, 1, n), series)
 
 
 def dobinski_rr(r: int, n: int, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedReal:
-    """(1/e) sum_k [(k+r)!/k!]^(n-1) / k!, rounding to B_{r,r}(n)."""
+    """(1/e) sum_k [k!/(k-r)!]^n / k!, rounding to B_{r,r}(n)."""
     if r < 1 or n < 1:
         raise OutOfRangeError("need r >= 1 and n >= 1")
-    return sum_over_e(rr_terms(r, n), series)
+    return sum_over_e(dobinski_terms(r, r, n), series)
+
+
+def _check_rs(r: int, s_exp: int, n: int) -> None:
+    if s_exp < 1 or r <= s_exp:
+        raise UnsupportedError(f"need r > s >= 1, got ({r}, {s_exp})")
+    if n < 1:
+        raise OutOfRangeError("need n >= 1")
 
 
 def dobinski_rs(
     r: int, s_exp: int, n: int, series: SeriesSpec = SeriesSpec()
 ) -> ErrorBoundedReal:
-    """Corrected r > s series, rounding to B_{r,s}(n).
-
-    [(r-s)^(s(n-1)) / e] sum_k (1/k!) prod_{j<=s} prod_{m<n} ((k+j)/(r-s)+m).
-    """
-    if s_exp < 1 or r <= s_exp:
-        raise UnsupportedError(f"need r > s >= 1, got ({r}, {s_exp})")
-    if n < 1:
-        raise OutOfRangeError("need n >= 1")
-    prefactor = Fraction((r - s_exp) ** (s_exp * (n - 1)))
-    return sum_over_e(rs_terms(r, s_exp, n), series, prefactor)
+    """(1/e) sum_k N_k / k! for r > s, rounding to B_{r,s}(n)."""
+    _check_rs(r, s_exp, n)
+    return sum_over_e(dobinski_terms(r, s_exp, n), series)
 
 
 def dobinski_rs_literal(
     r: int, s_exp: int, n: int, series: SeriesSpec = SeriesSpec()
 ) -> ErrorBoundedReal:
-    """The r > s series exactly as printed, without the 1/k! factor.
+    """The r > s series with the 1/k! factor dropped, as printed: (1/e) sum_k N_k.
 
     Kept so the discrepancy is reproducible: the terms never decay, a
     divergence guard trips after 16 consecutive non-decreasing terms, and
     DivergentSeriesError is raised.
     """
-    if s_exp < 1 or r <= s_exp:
-        raise UnsupportedError(f"need r > s >= 1, got ({r}, {s_exp})")
-    if n < 1:
-        raise OutOfRangeError("need n >= 1")
+    _check_rs(r, s_exp, n)
 
     def guarded() -> Iterator[Fraction]:
         nondecreasing = 0
-        prev: Fraction | None = None
-        for term in _rs_literal_terms(r, s_exp, n):
-            if prev is not None and prev > 0 and term >= prev:
+        prev = 0
+        for term in _numerators(r, s_exp, n):
+            if prev > 0 and term >= prev:
                 nondecreasing += 1
                 if nondecreasing >= 16:
                     raise DivergentSeriesError(
@@ -153,11 +132,10 @@ def dobinski_rs_literal(
                     )
             else:
                 nondecreasing = 0
-            yield term
+            yield Fraction(term)
             prev = term
 
-    prefactor = Fraction((r - s_exp) ** (s_exp * (n - 1)))
-    return sum_over_e(guarded(), series, prefactor)
+    return sum_over_e(guarded(), series)
 
 
 def bell_hypergeometric(

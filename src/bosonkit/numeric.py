@@ -1,10 +1,10 @@
 """High-precision plumbing: error-bounded reals and certified series summation.
 
-Every infinite sum handled here has positive terms whose successive-term
-ratios are non-increasing (each term is a fixed rational function of k divided
-by k!), so a geometric bound on the omitted tail becomes valid as soon as the
-observed ratio drops below 1/2.  Partial sums are accumulated in exact
-rational arithmetic; the only rounding happens in the final division by e.
+Every infinite sum handled here has non-negative terms, zero only before the
+first positive one, whose successive-term ratios are non-increasing from there
+(each term is a fixed rational function of k divided by k!), so a geometric
+bound on the omitted tail becomes valid once the observed ratio drops below
+1/2.  Partial sums are exact rationals; only the final division by e rounds.
 """
 
 from __future__ import annotations
@@ -123,11 +123,11 @@ def sum_with_tail_bound(
     *,
     max_terms: int = 100000,
 ) -> tuple[Fraction, Fraction, int]:
-    """Sum a positive series with eventually non-increasing term ratios.
+    """Sum non-negative terms, zero only before the first positive one.
 
-    Stops once the last summed term is below ``stop_below`` and the next/last
-    ratio is below 1/2.  Because the ratios only decrease from there, the
-    omitted tail is bounded by the geometric series with the observed ratio.
+    Stops once the last summed term is positive, below ``stop_below``, and the
+    next/last ratio is below 1/2.  With ratios non-increasing from the first
+    positive term on, the geometric series of that ratio bounds the tail.
 
     Returns (partial_sum, tail_bound, terms_summed).
     """
@@ -195,7 +195,7 @@ def quotient_by_e(q: Fraction, tail: Fraction, series: SeriesSpec) -> ErrorBound
 def sum_over_e(
     terms: Iterator[Fraction], series: SeriesSpec, prefactor: Fraction = Fraction(1)
 ) -> ErrorBoundedReal:
-    """(prefactor / e) * sum of a positive series, with a certified bound.
+    """(prefactor / e) * the sum of ``terms``, with a certified bound.
 
     The tail contributes prefactor * tail / e to the value; stopping once
     terms drop below target / (2 * prefactor) keeps that within half the

@@ -125,11 +125,15 @@ def test_usage_errors_exit_one(capsys):
         ("verify", "moments", "--r", "1", "--s", "1", "--printed-sign", "--order", "3"),
         ("verify", "norm", "--max", "2", "--bits", "64"),
         ("verify", "egf", "--order", "0"),
+        ("verify", "dobinski", "--r", "2", "--s", "1", "--max", "0"),
+        ("verify", "dobinski", "--r", "2", "--s", "1", "--max", "-2"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert "error" in err
+        if argv[:2] == ("verify", "dobinski") and "--max" in argv:
+            assert "--max must be >= 1" in err, argv
 
 
 def test_negative_power_exits_one(capsys):

@@ -10,14 +10,12 @@ from mpmath import mp
 
 from bosonkit.dobinski import (
     bell_hypergeometric,
-    classic_terms,
     dobinski_classic,
     dobinski_rr,
     dobinski_rs,
     dobinski_rs_literal,
+    dobinski_terms,
     hypergeometric_terms,
-    rr_terms,
-    rs_terms,
 )
 from bosonkit.errors import (
     DivergentSeriesError,
@@ -82,7 +80,7 @@ def test_rs_validation():
 
 def test_literal_series_diverges():
     # Without the 1/k! damping the printed series cannot converge.
-    for r, s in ((2, 1), (3, 1), (3, 2)):
+    for r, s in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 3)):
         for n in (1, 2):
             with pytest.raises(DivergentSeriesError):
                 dobinski_rs_literal(r, s, n)
@@ -123,26 +121,30 @@ def test_hypergeometric_validation():
 
 
 def test_term_ratios_eventually_non_increasing():
-    # The tail bound only holds if next/last ratios do not grow; probe the
-    # first 60 terms of every family used above.
-    generators = [
-        classic_terms(5),
-        rr_terms(2, 3),
-        rr_terms(3, 4),
-        rs_terms(3, 2, 4),
-        rs_terms(2, 1, 5),
-        hypergeometric_terms(2, 2, 3),
-    ]
-    for gen in generators:
-        terms = list(itertools.islice(gen, 60))
-        positive = [t for t in terms if t > 0]
-        ratios = [b / a for a, b in zip(positive, positive[1:])]
-        assert all(x >= y for x, y in zip(ratios, ratios[1:]))
+    # The tail bound holds only if the terms are zero before the first
+    # positive one and their next/last ratios do not grow from there; probe
+    # 80 terms of every Dobinski family up to r = 5, n = 6.
+    for r in range(1, 6):
+        for s in range(1, r + 1):
+            for n in range(1, 7):
+                terms = list(itertools.islice(dobinski_terms(r, s, n), 80))
+                assert all(t == 0 for t in terms[:s]) and all(t > 0 for t in terms[s:])
+                ratios = [b / a for a, b in zip(terms[s:], terms[s + 1 :])]
+                assert all(x >= y for x, y in zip(ratios, ratios[1:])), (r, s, n)
+    terms = list(itertools.islice(hypergeometric_terms(2, 2, 3), 80))
+    ratios = [b / a for a, b in zip(terms, terms[1:])]
+    assert all(x >= y for x, y in zip(ratios, ratios[1:]))
+
+
+def test_terms_validation():
+    for args in ((1, 2, 3), (2, 0, 3), (2, 1, 0)):
+        with pytest.raises(OutOfRangeError):
+            dobinski_terms(*args)
 
 
 def test_partial_sum_brackets_truth():
     # sum_k k/k! = e exactly; the returned enclosure must contain it.
-    partial, tail, count = sum_with_tail_bound(classic_terms(1), Fraction(1, 10**15))
+    partial, tail, count = sum_with_tail_bound(dobinski_terms(1, 1, 1), Fraction(1, 10**15))
     with mp.workprec(120):
         truth = mp.e
         low = mp.mpf(partial.numerator) / partial.denominator
@@ -152,8 +154,8 @@ def test_partial_sum_brackets_truth():
 
 
 def test_tail_bound_shrinks_with_more_terms():
-    _, tail_short, n_short = sum_with_tail_bound(classic_terms(5), Fraction(1, 10**9))
-    _, tail_long, n_long = sum_with_tail_bound(classic_terms(5), Fraction(1, 10**15))
+    _, tail_short, n_short = sum_with_tail_bound(dobinski_terms(1, 1, 5), Fraction(1, 10**9))
+    _, tail_long, n_long = sum_with_tail_bound(dobinski_terms(1, 1, 5), Fraction(1, 10**15))
     assert n_long > n_short
     assert tail_long < tail_short
 
@@ -164,7 +166,7 @@ def test_sum_guards():
     with pytest.raises(ValueError):
         sum_with_tail_bound(iter([Fraction(-1), Fraction(1)]), Fraction(1))
     with pytest.raises(ValueError):
-        sum_with_tail_bound(classic_terms(2), Fraction(0))
+        sum_with_tail_bound(dobinski_terms(1, 1, 2), Fraction(0))
     with pytest.raises(PrecisionExhaustedError):
         sum_with_tail_bound(
             itertools.repeat(Fraction(1)), Fraction(1, 10), max_terms=50
@@ -245,9 +247,13 @@ BIG_SERIES = [
     pytest.param(dobinski_classic, (1, 1), 23, 73, id="classic"),
     pytest.param(lambda n: dobinski_rr(2, n), (2, 2), 12, 37, id="rr-2"),
     pytest.param(lambda n: dobinski_rr(3, n), (3, 3), 8, 25, id="rr-3"),
+    pytest.param(lambda n: dobinski_rr(4, n), (4, 4), 6, 19, id="rr-4"),
     pytest.param(lambda n: dobinski_rs(2, 1, n), (2, 1), 17, 55, id="rs-2-1"),
     pytest.param(lambda n: dobinski_rs(3, 1, n), (3, 1), 15, 49, id="rs-3-1"),
     pytest.param(lambda n: dobinski_rs(3, 2, n), (3, 2), 10, 31, id="rs-3-2"),
+    pytest.param(lambda n: dobinski_rs(4, 1, n), (4, 1), 14, 46, id="rs-4-1"),
+    pytest.param(lambda n: dobinski_rs(4, 3, n), (4, 3), 7, 22, id="rs-4-3"),
+    pytest.param(lambda n: dobinski_rs(5, 2, n), (5, 2), 8, 26, id="rs-5-2"),
     pytest.param(lambda n: bell_hypergeometric(1, 1, n), (2, 1), 17, 55, id="hyp-1-1"),
     pytest.param(lambda n: bell_hypergeometric(1, 2, n), (3, 2), 10, 31, id="hyp-1-2"),
     pytest.param(lambda n: bell_hypergeometric(2, 1, n), (4, 2), 9, 28, id="hyp-2-1"),
@@ -269,6 +275,43 @@ def test_rounds_past_float_and_working_precision(series, family, n_float, n_wide
         assert value.to_integer() == target
         assert value.contains(target) and not value.contains(target + 1)
         assert float(value.abs_error) < 1e-6
+
+
+# (value.man_exp, abs_error.man_exp) at the default SeriesSpec, frozen so the
+# midpoints and bounds that series values print cannot drift unnoticed.
+FROZEN_ENCLOSURES = [
+    pytest.param(
+        lambda: dobinski_classic(73),
+        (6219037475876635312905671894446080138538834816097502676678349191969960417398695481746797890556928428478113357257358204988953206289842829902494347839760013, -254),
+        (629095680923958399751515846110947536410309716480743548410680131955630005002130100066194606928276769131750530181222546604919944723800062767653803950000251, -560),
+        id="classic-73",
+    ),
+    pytest.param(
+        lambda: dobinski_rr(3, 25),
+        (4145913358173752297926769776482431967987020218117238210314295145907991819922808851268033902113196289181762678729105844606665225903206111896355579210320555, -249),
+        (10135165881445069055245833089063440562851396223473825656404565259661711473380607532126572260695635976984645957687300758550237278625436784813857478232444227, -563),
+        id="rr-3-25",
+    ),
+    pytest.param(
+        lambda: dobinski_rs(2, 1, 55),
+        (1058845244269069176204257259587114809490800608899862436771839512954278195506881920343008650841536798276481641731032438398617924983919217727436074628736601, -251),
+        (3768171085999827183488704558049417476732786032133118516410103623269630227159343757338882184431457122212032750889231553780997007397000893943954701929284097, -559),
+        id="rs-2-1-55",
+    ),
+    pytest.param(
+        lambda: dobinski_rs(3, 2, 31),
+        (1340236018883062900993519230421874193256760426289731568122907029900266480933273043086653719424821140863562481530241220617350154488820084386833779516227163, -249),
+        (9306043000701194656320461474504422031596103632900044332200291258414070469115835914346578328433348147038291067464808085461371599960344896290147554626839599, -562),
+        id="rs-3-2-31",
+    ),
+]
+
+
+@pytest.mark.parametrize("series, value, abs_error", FROZEN_ENCLOSURES)
+def test_enclosures_are_frozen(series, value, abs_error):
+    got = series()
+    assert got.value.man_exp == value
+    assert got.abs_error.man_exp == abs_error
 
 
 def test_rounding_ignores_ambient_precision():
