@@ -251,6 +251,8 @@ def _normalization_row(results: list, r: int, s: int, probe_n: int, expected: in
 
 
 def _verify_egf(ns, results: list):
+    if ns.max is not None and ns.max < 0:
+        raise _UsageError("--max must be >= 0")
     if ns.r is not None:
         r = ns.r
         if r < 1:
@@ -288,6 +290,8 @@ def _verify_norm(ns, results: list):
 def _verify_moments(ns, results: list):
     if (ns.r is None) != (ns.s is None):
         raise _UsageError("give both --r and --s, or neither")
+    if ns.max is not None and ns.max < 1:
+        raise _UsageError("--max must be >= 1")
     if ns.r is not None:
         grid = [(ns.r, ns.s, ns.max if ns.max is not None else 5)]
     else:

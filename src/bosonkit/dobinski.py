@@ -8,8 +8,9 @@ series for every family:
     B_{r,s}(n) = (1/e) sum_k N_k / k!,   N_k = prod_{j<n} (k+jd)! / (k+jd-s)!.
 
 The classical case (1,1) and r = s are its d = 0 cases, N_k = (k!/(k-s)!)^n.
-Terms are exact rationals, summed with a certified geometric tail bound, and
-only the final division by e is rounded, so every series value is an
+Terms are exact integer pairs (N_k, k!), summed over a running common
+denominator with a certified geometric tail bound, and only the final
+division by e is rounded, so every series value is an
 ErrorBoundedReal that provably rounds to the integer the rewriting oracle
 produces.  Without the 1/k! factor the k-sum has non-decaying terms and a
 divergence guard rejects it (see ``dobinski_rs_literal``).  The
@@ -53,31 +54,33 @@ def _numerators(r: int, s: int, n: int) -> Iterator[int]:
         yield falling[k] ** n if d == 0 else prod(falling[k : top + 1 : d])
 
 
-def dobinski_terms(r: int, s: int, n: int) -> Iterator[Fraction]:
+def dobinski_terms(r: int, s: int, n: int) -> Iterator[tuple[int, int]]:
     """Terms N_k / k! of the Dobinski series for B_{r,s}(n), r >= s >= 1.
 
-    They are zero for k < s and positive from k = s on, where the ratio of
+    Each is yielded as the integer pair (N_k, k!).  They are zero for k < s and positive from k = s on, where the ratio of
     consecutive terms, prod_{j<n} prod_{i<s} (1 + 1/(k+jd-i)) / (k+1), does
     not increase in k: the premise of the summation's geometric tail bound.
     """
     if not r >= s >= 1 or n < 1:
         raise OutOfRangeError(f"need r >= s >= 1 and n >= 1, got ({r}, {s}, {n})")
     kfact = accumulate(count(1), mul, initial=1)
-    return (Fraction(numer, denom) for numer, denom in zip(_numerators(r, s, n), kfact))
+    return zip(_numerators(r, s, n), kfact)
 
 
-def hypergeometric_terms(p: int, r: int, n: int) -> Iterator[Fraction]:
-    """Terms of rFr(pn+1, ..., pn+1+p(r-1); 1+p, ..., 1+p+p(r-1); 1)."""
+def hypergeometric_terms(p: int, r: int, n: int) -> Iterator[tuple[int, int]]:
+    """Terms of rFr(pn+1, ..., pn+1+p(r-1); 1+p, ..., 1+p+p(r-1); 1).
+
+    Each term is an unreduced pair (numerator, denominator) of running
+    products: the k-th is prod_j (a_j)_k / (k! prod_j (b_j)_k), so every
+    denominator divides the next.
+    """
     upper = [p * n + 1 + p * (j - 1) for j in range(1, r + 1)]
     lower = [1 + p * j for j in range(1, r + 1)]
-    term = Fraction(1)
-    k = 0
-    while True:
-        yield term
-        for a, b in zip(upper, lower):
-            term *= Fraction(a + k, b + k)
-        term /= k + 1
-        k += 1
+    numer = denom = 1
+    for k in count():
+        yield numer, denom
+        numer *= prod(a + k for a in upper)
+        denom *= prod(b + k for b in lower) * (k + 1)
 
 
 def dobinski_classic(n: int, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedReal:
@@ -120,7 +123,7 @@ def dobinski_rs_literal(
     """
     _check_rs(r, s_exp, n)
 
-    def guarded() -> Iterator[Fraction]:
+    def guarded() -> Iterator[tuple[int, int]]:
         nondecreasing = 0
         prev = 0
         for term in _numerators(r, s_exp, n):
@@ -132,7 +135,7 @@ def dobinski_rs_literal(
                     )
             else:
                 nondecreasing = 0
-            yield Fraction(term)
+            yield term, 1
             prev = term
 
     return sum_over_e(guarded(), series)

@@ -5,9 +5,9 @@ non-negative integers and reproduces the classical Bell numbers; its rarefied
 variant puts atoms at x_k = (k+r)!/k! and reproduces B_{r,r}(n); the family
 (2r, r) has a continuous density on (0, inf) built from the modified Bessel
 function I_r.  Verification is numeric but certified where we can make it so:
-discrete moments are partial sums of exact rationals with a geometric tail
-bound, the Bessel series carries a truncation bound, and the quadrature tail
-past the cutoff is bounded analytically.  Only the quadrature error on the
+discrete moments are partial sums of exact integer-pair terms with a
+geometric tail bound, the Bessel series carries a truncation bound, and the
+quadrature tail past the cutoff is bounded analytically.  Only the quadrature error on the
 finite interval is an estimate (two runs at different precision plus the
 integrator's own estimate); tests pin it against a fully certified series
 expansion of the same integral.  ``verify_moments`` reports each comparison
@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, count, repeat
 from math import factorial
+from operator import mul
 from typing import Callable, Iterator
 
 from mpmath import mp
@@ -52,39 +54,35 @@ __all__ = [
 class DiscreteMeasure:
     """Atoms (x_k, w_k), k = 0, 1, ...; weights carry a common factor 1/e.
 
-    The atom callable returns the exact rational pair (x_k, e * w_k); the
+    The atom callable returns integers (x_k, q_k) with e * w_k = 1 / q_k; the
     single division by e is deferred to mass()/moment() so everything before
-    the final rounding stays in Fraction arithmetic.
+    the final rounding stays in exact integer arithmetic.
     """
 
     label: str
     unit_mass: bool
-    _atom: Callable[[int], tuple[Fraction, Fraction]] = field(
-        compare=False, repr=False
-    )
+    _atom: Callable[[int], tuple[int, int]] = field(compare=False, repr=False)
 
     def atoms(self, count: int) -> list[tuple[Fraction, Fraction]]:
         """First ``count`` atoms as exact (location, e * weight) pairs."""
-        return [self._atom(k) for k in range(count)]
+        return [(Fraction(x), Fraction(1, q)) for x, q in map(self._atom, range(count))]
 
     def check_atoms(self, count: int) -> None:
         """Positivity and strict ordering of the first ``count`` atoms."""
         previous = None
         for k in range(count):
-            x, w = self._atom(k)
-            if w <= 0:
-                raise DomainError(f"{self.label}: weight at k={k} is {w}")
+            x, q = self._atom(k)
+            if q <= 0:
+                raise DomainError(f"{self.label}: weight at k={k} is 1/{q}")
             if previous is not None and x <= previous:
                 raise DomainError(f"{self.label}: locations not increasing at k={k}")
             previous = x
 
-    def scaled_moment_terms(self, n: int) -> Iterator[Fraction]:
-        """Yields e * w_k * x_k^n; exact, for the tail-bounded summation."""
-        k = 0
-        while True:
-            x, w = self._atom(k)
-            yield w * x**n
-            k += 1
+    def scaled_moment_terms(self, n: int) -> Iterator[tuple[int, int]]:
+        """Yields e * w_k * x_k^n as the integer pair (x_k^n, q_k)."""
+        for k in count():
+            x, q = self._atom(k)
+            yield x**n, q
 
     def mass(self, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedReal:
         return sum_over_e(self.scaled_moment_terms(0), series)
@@ -98,8 +96,8 @@ def dirac_comb() -> DiscreteMeasure:
     no moment of order n >= 1 changes.
     """
 
-    def atom(k: int) -> tuple[Fraction, Fraction]:
-        return Fraction(k), Fraction(1, factorial(k))
+    def atom(k: int) -> tuple[int, int]:
+        return k, factorial(k)
 
     return DiscreteMeasure(label="dirac-comb", unit_mass=True, _atom=atom)
 
@@ -114,9 +112,9 @@ def rarefied_comb(r: int) -> DiscreteMeasure:
     if r < 1:
         raise OutOfRangeError("need r >= 1")
 
-    def atom(k: int) -> tuple[Fraction, Fraction]:
-        x = Fraction(factorial(k + r), factorial(k))
-        return x, Fraction(1, factorial(k)) / x
+    def atom(k: int) -> tuple[int, int]:
+        top = factorial(k + r)
+        return top // factorial(k), top
 
     return DiscreteMeasure(label=f"rarefied-comb(r={r})", unit_mass=False, _atom=atom)
 
@@ -205,14 +203,15 @@ def weight_2r_r(r: int) -> ContinuousDensity:
     return ContinuousDensity(r=r)
 
 
-def _weight_moment_terms(r: int, n: int) -> Iterator[Fraction]:
+def _weight_moment_terms(r: int, n: int) -> Iterator[tuple[int, int]]:
     # Expanding I_r under the integral termwise and using
     # int_0^inf u^{2q+1} exp(-u^2) du = q!/2 gives the exact series
     # (1/e) sum_m (rn+m)! / (m! (m+r)!) for the n-th moment.
-    m = 0
-    while True:
-        yield Fraction(factorial(r * n + m), factorial(m) * factorial(m + r))
-        m += 1
+    numer, denom = factorial(r * n), factorial(r)
+    for m in count(1):
+        yield numer, denom
+        numer *= r * n + m
+        denom *= m * (m + r)
 
 
 def continuous_moment_series(
@@ -332,13 +331,10 @@ def _moment_checks(measure, r: int, s: int, n_max: int, tol, bits: int):
     return checks
 
 
-def _mass_closed_form_terms(r: int) -> Iterator[Fraction]:
+def _mass_closed_form_terms(r: int) -> Iterator[tuple[int, int]]:
     # (1/e) sum_k 1/(k+r)!; equals both the rarefied-comb mass and the
     # continuous mass for the same r (and (e-1)/e at r = 1).
-    k = 0
-    while True:
-        yield Fraction(1, factorial(k + r))
-        k += 1
+    return zip(repeat(1), accumulate(count(r + 1), mul, initial=factorial(r)))
 
 
 def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_BITS) -> MomentReport:

@@ -1,10 +1,14 @@
 """High-precision plumbing: error-bounded reals and certified series summation.
 
-Every infinite sum handled here has non-negative terms, zero only before the
-first positive one, whose successive-term ratios are non-increasing from there
-(each term is a fixed rational function of k divided by k!), so a geometric
-bound on the omitted tail becomes valid once the observed ratio drops below
-1/2.  Partial sums are exact rationals; only the final division by e rounds.
+Every infinite sum handled here has non-negative rational terms, zero only
+before the first positive one, whose successive-term ratios are
+non-increasing from there (each term is a fixed rational function of k
+divided by k!), so a geometric bound on the omitted tail becomes valid once
+the observed ratio drops below 1/2.  Each term arrives as an integer pair
+(p_k, q_k), q_k > 0, meaning p_k / q_k; the partial sum is one unreduced
+integer fraction over a running common denominator, and the stopping rule is
+decided by integer cross-multiplication, so no rational is reduced per term.
+Partial sums are exact; only the final division by e rounds.
 """
 
 from __future__ import annotations
@@ -118,34 +122,46 @@ class ErrorBoundedReal:
 
 
 def sum_with_tail_bound(
-    terms: Iterator[Fraction],
+    terms: Iterator[tuple[int, int]],
     stop_below: Fraction,
     *,
     max_terms: int = 100000,
 ) -> tuple[Fraction, Fraction, int]:
-    """Sum non-negative terms, zero only before the first positive one.
+    """Sum terms p_k / q_k given as integer pairs, p_k >= 0 and q_k > 0.
 
-    Stops once the last summed term is positive, below ``stop_below``, and the
-    next/last ratio is below 1/2.  With ratios non-increasing from the first
-    positive term on, the geometric series of that ratio bounds the tail.
+    Terms must be zero only before the first positive one.  The partial sum
+    is kept as one unreduced fraction T / D: when D divides q_k (the running
+    denominators k!, (k+r)!, ... of every series here) the new term costs one
+    multiply-add, T = T * (q_k // D) + p_k; otherwise T and D cross-multiply.
 
-    Returns (partial_sum, tail_bound, terms_summed).
+    Stops once the last summed term P / Q is positive and below
+    ``stop_below`` = sn / sd (P * sd < sn * Q) and the next term p / q has
+    ratio below 1/2 to it (2 * p * Q < P * q).  With ratios non-increasing
+    from the first positive term on, the geometric series of that ratio
+    bounds the tail by p * P / (q * P - p * Q).
+
+    Returns (partial_sum, tail_bound, terms_summed), both rationals reduced.
     """
     if stop_below <= 0:
         raise ValueError("stop_below must be positive")
-    total = Fraction(0)
-    prev: Fraction | None = None
+    sn, sd = stop_below.as_integer_ratio()
+    total, denom = 0, 1
+    prev_p, prev_q = 0, 1
     count = 0
-    for term in terms:
-        if term < 0:
+    for p, q in terms:
+        if p < 0:
             raise ValueError("series terms must be non-negative")
-        if prev is not None and 0 < prev < stop_below:
-            ratio = term / prev
-            if ratio < _HALF:
-                tail = term / (1 - ratio)
-                return total, tail, count
-        total += term
-        prev = term
+        if q <= 0:
+            raise ValueError("series term denominators must be positive")
+        if prev_p and prev_p * sd < sn * prev_q and 2 * p * prev_q < prev_p * q:
+            tail = Fraction(p * prev_p, q * prev_p - p * prev_q)
+            return Fraction(total, denom), tail, count
+        scale, rem = divmod(q, denom)
+        if rem:
+            total, denom = total * q + p * denom, denom * q
+        else:
+            total, denom = total * scale + p, q
+        prev_p, prev_q = p, q
         count += 1
         if count > max_terms:
             raise PrecisionExhaustedError(
@@ -193,9 +209,9 @@ def quotient_by_e(q: Fraction, tail: Fraction, series: SeriesSpec) -> ErrorBound
 
 
 def sum_over_e(
-    terms: Iterator[Fraction], series: SeriesSpec, prefactor: Fraction = Fraction(1)
+    terms: Iterator[tuple[int, int]], series: SeriesSpec, prefactor: Fraction = Fraction(1)
 ) -> ErrorBoundedReal:
-    """(prefactor / e) * the sum of ``terms``, with a certified bound.
+    """(prefactor / e) * the sum of ``terms`` (integer pairs), with a certified bound.
 
     The tail contributes prefactor * tail / e to the value; stopping once
     terms drop below target / (2 * prefactor) keeps that within half the

@@ -127,13 +127,18 @@ def test_usage_errors_exit_one(capsys):
         ("verify", "egf", "--order", "0"),
         ("verify", "dobinski", "--r", "2", "--s", "1", "--max", "0"),
         ("verify", "dobinski", "--r", "2", "--s", "1", "--max", "-2"),
+        ("verify", "egf", "--r", "2", "--max", "-3"),
+        ("verify", "egf", "--max", "-1"),
+        ("verify", "moments", "--max", "0"),
+        ("verify", "moments", "--r", "1", "--s", "1", "--max", "-1"),
     ]
+    max_floor = {"dobinski": 1, "egf": 0, "moments": 1}
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert "error" in err
-        if argv[:2] == ("verify", "dobinski") and "--max" in argv:
-            assert "--max must be >= 1" in err, argv
+        if argv[1] in max_floor and "--max" in argv:
+            assert f"--max must be >= {max_floor[argv[1]]}" in err, argv
 
 
 def test_negative_power_exits_one(capsys):

@@ -1,7 +1,9 @@
 """Certified series evaluation against the exact rewriting oracle."""
 
 import itertools
+import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,14 @@ from bosonkit.numeric import (
     quotient_by_e,
     sum_with_tail_bound,
 )
-from bosonkit.measures import continuous_moment_series, dirac_comb, moment, rarefied_comb
+from bosonkit.measures import (
+    _mass_closed_form_terms,
+    _weight_moment_terms,
+    continuous_moment_series,
+    dirac_comb,
+    moment,
+    rarefied_comb,
+)
 from bosonkit.operator_algebra import MonomialSpec
 from bosonkit.stirling import bell, bell_sequence
 
@@ -127,11 +136,11 @@ def test_term_ratios_eventually_non_increasing():
     for r in range(1, 6):
         for s in range(1, r + 1):
             for n in range(1, 7):
-                terms = list(itertools.islice(dobinski_terms(r, s, n), 80))
+                terms = [Fraction(*t) for t in itertools.islice(dobinski_terms(r, s, n), 80)]
                 assert all(t == 0 for t in terms[:s]) and all(t > 0 for t in terms[s:])
                 ratios = [b / a for a, b in zip(terms[s:], terms[s + 1 :])]
                 assert all(x >= y for x, y in zip(ratios, ratios[1:])), (r, s, n)
-    terms = list(itertools.islice(hypergeometric_terms(2, 2, 3), 80))
+    terms = [Fraction(*t) for t in itertools.islice(hypergeometric_terms(2, 2, 3), 80)]
     ratios = [b / a for a, b in zip(terms, terms[1:])]
     assert all(x >= y for x, y in zip(ratios, ratios[1:]))
 
@@ -162,15 +171,72 @@ def test_tail_bound_shrinks_with_more_terms():
 
 def test_sum_guards():
     with pytest.raises(ValueError):
-        sum_with_tail_bound(iter([Fraction(1)]), Fraction(1))
-    with pytest.raises(ValueError):
-        sum_with_tail_bound(iter([Fraction(-1), Fraction(1)]), Fraction(1))
+        sum_with_tail_bound(iter([(1, 1)]), Fraction(1))
+    for bad in ((-1, 1), (1, 0), (1, -2)):
+        with pytest.raises(ValueError):
+            sum_with_tail_bound(iter([bad, (1, 1)]), Fraction(1))
     with pytest.raises(ValueError):
         sum_with_tail_bound(dobinski_terms(1, 1, 2), Fraction(0))
     with pytest.raises(PrecisionExhaustedError):
-        sum_with_tail_bound(
-            itertools.repeat(Fraction(1)), Fraction(1, 10), max_terms=50
-        )
+        sum_with_tail_bound(itertools.repeat((1, 1)), Fraction(1, 10), max_terms=50)
+
+
+def reference_sum(terms, stop_below):
+    """The stopping rule of sum_with_tail_bound in plain Fraction arithmetic."""
+    total, prev, count = Fraction(0), None, 0
+    for term in itertools.starmap(Fraction, terms):
+        if prev is not None and 0 < prev < stop_below and term / prev < Fraction(1, 2):
+            return total, term / (1 - term / prev), count
+        total += term
+        prev = term
+        count += 1
+    raise AssertionError("terms exhausted")
+
+
+def _coprime_terms():
+    # 2^k / (k! (2k+1)): ratios 2(2k+1)/((k+1)(2k+3)) decrease, but from
+    # k = 1 on no denominator divides the next, so each step cross-multiplies.
+    return ((2**k, math.factorial(k) * (2 * k + 1)) for k in itertools.count())
+
+
+def _slow_ratio_terms():
+    # 10^k / (k! 10^60): below either stop from the start, so the ratio test
+    # alone decides, and it fails until k = 19.
+    return ((10**k, math.factorial(k) * 10**60) for k in itertools.count())
+
+
+def _boundary_terms():
+    # 1 / (4^k k! 10^60): the first term equals the smaller stop exactly.
+    return ((1, 4**k * math.factorial(k) * 10**60) for k in itertools.count())
+
+
+def _reduced_dobinski_terms(r, s, n):
+    # The same rationals as reduced pairs, whose denominators rarely divide.
+    for p, q in dobinski_terms(r, s, n):
+        f = Fraction(p, q)
+        yield f.numerator, f.denominator
+
+
+def test_kernel_matches_fraction_reference():
+    qs = [q for _, q in itertools.islice(_coprime_terms(), 30)]
+    assert all(nxt % q for q, nxt in zip(qs[1:], qs[2:]))
+    makers = [
+        partial(dobinski_terms, r, s, n)
+        for r in range(1, 5)
+        for s in range(1, r + 1)
+        for n in range(1, 6)
+    ]
+    makers.append(partial(hypergeometric_terms, 2, 2, 3))
+    makers += [partial(_weight_moment_terms, r, n) for r in (1, 2, 3) for n in range(6)]
+    makers += [partial(_mass_closed_form_terms, r) for r in (1, 2, 3)]
+    combs = [dirac_comb(), rarefied_comb(1), rarefied_comb(2), rarefied_comb(3)]
+    makers += [partial(comb.scaled_moment_terms, n) for comb in combs for n in (0, 1, 5)]
+    makers += [_coprime_terms, _slow_ratio_terms, _boundary_terms]
+    makers += [partial(_reduced_dobinski_terms, *rsn) for rsn in ((1, 1, 4), (3, 2, 3), (4, 1, 2))]
+    for make in makers:
+        for stop_below in (Fraction(1, 2 * 10**12), Fraction(1, 10**60)):
+            got = sum_with_tail_bound(make(), stop_below)
+            assert got == reference_sum(make(), stop_below), (make, stop_below)
 
 
 def test_quotient_by_e_escalates_precision():

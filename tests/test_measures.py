@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from bosonkit.dobinski import dobinski_classic
+from bosonkit.dobinski import dobinski_classic, dobinski_rr
 from bosonkit.errors import (
     DomainError,
     OutOfRangeError,
@@ -66,6 +66,17 @@ def test_dirac_comb_moment_is_the_classic_dobinski_series():
         series_value = dobinski_classic(n)
         assert comb_value.value == series_value.value
         assert comb_value.abs_error == series_value.abs_error
+
+
+def test_rarefied_comb_moment_is_the_rr_dobinski_series():
+    # x_k^{n-1} / k! with x_k = (k+r)!/k! is the (r, r) Dobinski term at
+    # k + r, after its r leading zeros, so both sum the same rational.
+    for r in (1, 2, 3):
+        for n in (1, 5, 20):
+            comb_value = moment(rarefied_comb(r), n)
+            series_value = dobinski_rr(r, n)
+            assert comb_value.value == series_value.value
+            assert comb_value.abs_error == series_value.abs_error
 
 
 def test_rarefied_comb_r1_shifts_the_integer_comb():
