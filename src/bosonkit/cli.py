@@ -326,9 +326,10 @@ def _given(value) -> bool:
 
 
 def _cmd_stirling(ns) -> OutputRecord:
-    spec = MonomialSpec(r=ns.r, s=ns.s, n=ns.n)
+    MonomialSpec(r=ns.r, s=ns.s, n=1)  # family validation only
     if ns.n < 1:
         raise _UsageError("--n must be >= 1")
+    spec = MonomialSpec(r=ns.r, s=ns.s, n=ns.n)
     table = stirling_table(spec)
     record = OutputRecord(
         command="stirling",

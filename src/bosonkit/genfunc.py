@@ -8,30 +8,32 @@ double-dot exponential :exp{a+ a g(lam a+^(r-1))}:, where
 
 Both levels of the identity are one series.  With g = sum_m g_m x^m and y
 standing for a+ a, the coefficient F_m of lam^m in exp{y g} obeys
-m F_m = y sum_i i g_i F_(m-i).  Row F_m[j] is the coefficient of
-a+^((r-1)m+j) a^j, so F_m lines up index for index with row m of
-``monomial_power_rows(r, 1)``, the normal form of ((a+)^r a)^m:
-``verify_normal_exponential`` compares engine row m / m! with F_m.  At
-a+ = a = 1 (the coherent-state diagonal) the row sums are the exponential
-generating function of B_{r,1}(n), which ``egf_classic`` and ``egf_r1``
-return as a tuple of Fractions.  Everything here is exact; no floating point
-enters this module.
+m F_m = y sum_i i g_i F_(m-i).  On G_m = m! F_m this is an integer recurrence,
+G_m[j+1] = sum_i C(m-1, i-1) h_i G_(m-i)[j] with h_i = i! g_i =
+prod_{t<i} (sigma + t(r-1)) and sigma = +1 at every r >= 1.  Row G_m[j] is m!
+times the coefficient of a+^((r-1)m+j) a^j, so G_m lines up index for index
+with row m of ``monomial_power_rows(r, 1)``, the normal form of ((a+)^r a)^m,
+and ``verify_normal_exponential`` compares the two integer lists.  At
+a+ = a = 1 (the coherent-state diagonal) the row sums over m! are the
+exponential generating function of B_{r,1}(n), which ``egf_classic`` and
+``egf_r1`` return as a tuple of Fractions.  Everything here is exact.
 
 The sign variant that a naive reading suggests (exponent +1/(r-1) at r >= 2,
-g(x) = e^-x - 1 at r = 1) produces alternating coefficients (exp(-lam) at
-r = 2) and is kept only so its failure can be demonstrated
-(``printed_sign=True``).
+g(x) = e^-x - 1 at r = 1) is sigma = -1.  It produces alternating
+coefficients (exp(-lam) at r = 2) and is kept only so its failure can be
+demonstrated (``printed_sign=True``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import factorial
+from math import comb, factorial
+from operator import add
 from typing import Sequence
 
 from .errors import InconclusiveError, OutOfRangeError
-from .numeric import Check, binomial_coefficient
+from .numeric import Check
 from .operator_algebra import format_terms, monomial_power_rows
 from .stirling import bell_sequence
 
@@ -46,36 +48,34 @@ __all__ = [
 _T_MAX = 6
 
 
-def _exponent(r: int, order: int, printed_sign: bool) -> list[Fraction]:
-    """g_1..g_order, the coefficients of g in the double-dot exponent."""
-    if r == 1:
-        sign = -1 if printed_sign else 1
-        return [Fraction(sign**m, factorial(m)) for m in range(1, order + 1)]
-    alpha = Fraction(1 if printed_sign else -1, r - 1)
-    return [binomial_coefficient(alpha, m) * (1 - r) ** m for m in range(1, order + 1)]
-
-
-def _exp_rows(r: int, order: int, printed_sign: bool) -> list[list[Fraction]]:
-    """Rows F_0..F_order of exp{y g}; F_m[j] is the coefficient of y^j lam^m."""
-    g = _exponent(r, order, printed_sign)
-    rows = [[Fraction(1)]]
+def _exp_rows(r: int, order: int, printed_sign: bool) -> list[list[int]]:
+    """Rows G_0..G_order of exp{y g}; G_m[j] is m! times the coefficient of y^j lam^m."""
+    sigma = -1 if printed_sign else 1
+    h = [1]  # h[i] = prod_{t<i} (sigma + t(r-1)), which is i! g_i for i >= 1
+    for t in range(order):
+        h.append(h[-1] * (sigma + t * (r - 1)))
+    rows = [[1]]
     for m in range(1, order + 1):
-        acc = [Fraction(0)] * (m + 1)
-        for i, g_i in enumerate(g[:m], start=1):
-            if g_i:
-                weight = i * g_i
-                # Multiplying by y moves entry j to j + 1.
-                for j, c in enumerate(rows[m - i]):
-                    acc[j + 1] += weight * c
-        rows.append([c / m for c in acc])
+        acc = [0] * (m + 1)
+        for i in range(1, m + 1):
+            weight = comb(m - 1, i - 1) * h[i]
+            # Multiplying by y moves entry j to j + 1; G_(m-i) has m - i + 1 entries.
+            acc[1 : m - i + 2] = map(add, acc[1 : m - i + 2], [weight * c for c in rows[m - i]])
+        rows.append(acc)
     return rows
+
+
+def _egf(r: int, order: int, printed_sign: bool) -> tuple[Fraction, ...]:
+    return tuple(
+        Fraction(sum(row), factorial(m)) for m, row in enumerate(_exp_rows(r, order, printed_sign))
+    )
 
 
 def egf_classic(order: int) -> tuple[Fraction, ...]:
     """exp(e^lam - 1) through lam^order; n! times coefficient n is B(n)."""
     if order < 0:
         raise OutOfRangeError("order must be >= 0")
-    return tuple(sum(row) for row in _exp_rows(1, order, False))
+    return _egf(1, order, False)
 
 
 def egf_r1(r: int, order: int, *, printed_sign: bool = False) -> tuple[Fraction, ...]:
@@ -88,22 +88,22 @@ def egf_r1(r: int, order: int, *, printed_sign: bool = False) -> tuple[Fraction,
         raise OutOfRangeError("need r >= 2 (r = 1 is the classical EGF)")
     if order < 0:
         raise OutOfRangeError("order must be >= 0")
-    return tuple(sum(row) for row in _exp_rows(r, order, printed_sign))
+    return _egf(r, order, printed_sign)
 
 
-def _row_str(r: int, m: int, row: list[Fraction]) -> str:
-    # Entry j of row m is the coefficient of a+^((r-1)m+j) a^j.
-    return format_terms((((r - 1) * m + j, j), c) for j, c in enumerate(row))
+def _row_str(r: int, m: int, row: list[int]) -> str:
+    # Entry j of row m is m! times the coefficient of a+^((r-1)m+j) a^j.
+    return format_terms((((r - 1) * m + j, j), Fraction(c, factorial(m))) for j, c in enumerate(row))
 
 
 def verify_normal_exponential(r: int, order: int, *, printed_sign: bool = False) -> Check:
     """Compare exact normal ordering of e^{lam (a+)^r a} with its closed form.
 
     Row m of the contraction engine divided by m! is the normal form of the
-    lam^m coefficient; the double-dot expansion gives the same row through
-    the exp recurrence.  Equality must hold order by order as an exact
-    operator identity; the check's detail names the first order where it
-    does not.
+    lam^m coefficient; the double-dot expansion gives m! times the same row
+    through the integer exp recurrence.  Equality must hold order by order as
+    an exact operator identity; the check's detail names the first order
+    where it does not.
     """
     if r < 1 or order < 1:
         raise OutOfRangeError("need r >= 1 and order >= 1")
@@ -112,12 +112,11 @@ def verify_normal_exponential(r: int, order: int, *, printed_sign: bool = False)
         name += " (printed sign)"
     expansion = _exp_rows(r, order, printed_sign)
     for m, row in enumerate(islice(monomial_power_rows(r, 1), order), start=1):
-        left = [Fraction(c, factorial(m)) for c in row]
-        if left != expansion[m]:
+        if row != expansion[m]:
             return Check(
                 name,
                 False,
-                f"r={r}: mismatch at order {m}; normal ordering gives {_row_str(r, m, left)}, "
+                f"r={r}: mismatch at order {m}; normal ordering gives {_row_str(r, m, row)}, "
                 f"double-dot expansion gives {_row_str(r, m, expansion[m])}",
             )
     return Check(name, True, f"r={r}: match through order {order}")

@@ -221,12 +221,3 @@ def sum_over_e(
     partial, tail, _ = sum_with_tail_bound(terms, stop_below)
     return quotient_by_e(prefactor * partial, prefactor * tail, series)
 
-
-def binomial_coefficient(alpha: Fraction, m: int) -> Fraction:
-    """Generalized binomial coefficient alpha over m for rational alpha."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    result = Fraction(1)
-    for i in range(m):
-        result = result * (alpha - i) / (i + 1)
-    return result

@@ -17,7 +17,8 @@ Powers of the monomial a+^r a^s come from one streaming engine,
 ``monomial_power_rows``: every term of [(a+)^r a^s]^n has the same excess
 n(r - s) of creation over annihilation, so the power is a single row of
 coefficients indexed by k, and one application of the contraction rule takes
-the row from n to n + 1.  All coefficients are arbitrary-precision integers.
+the row from n to n + 1 in r + 1 whole-list passes, one per number of
+contractions.  All coefficients are arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import islice
-from math import comb, factorial
+from math import comb, factorial, perm
+from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -296,21 +298,25 @@ def monomial_power_rows(r: int, s: int) -> Iterator[list[int]]:
     Row n is a list of length ns + 1 whose entry k is the coefficient of
     a+^(n(r-s)+k) a^k; entries below k = s are zero.  Each step multiplies by
     a+^r a^s on the right: a^k a+^r = sum_l C(k, l) C(r, l) l! a+^(r-l) a^(k-l)
-    moves k!/(k-l)! C(r, l) times the entry at k to k - l + s.  Only the
-    current row is held.  (r, s) is validated when the first row is drawn.
+    moves W_l[k] = C(r, l) k!/(k-l)! times the entry at k to k - l + s, so the
+    next row is the row shifted by s plus, per l = 1..r, one list pass adding
+    row[l:] times W_l[l:] in from index s.  Only the current row and the
+    small-integer lists W_l, grown with the row, are held.  (r, s) is
+    validated when the first row is drawn.
     """
     MonomialSpec(r=r, s=s, n=1)
-    weights = [comb(r, l) for l in range(r + 1)]
+    weights: list[list[int]] = [[] for _ in range(r)]  # weights[l - 1] is W_l
     row = [0] * s + [1]
     while True:
         yield row
-        nxt = [0] * (len(row) + s)
-        for k, c in enumerate(row):
-            if not c:
-                continue
-            for l in range(min(k, r) + 1):
-                nxt[k - l + s] += c * weights[l]
-                c *= k - l
+        for k in range(len(weights[0]), len(row)):
+            for l, w in enumerate(weights, start=1):
+                w.append(comb(r, l) * perm(k, l))
+        nxt = [0] * s + row
+        # The entry at k contracts at most k annihilators, so l < len(row).
+        for l, w in enumerate(weights[: len(row) - 1], start=1):
+            end = len(row) - l + s
+            nxt[s:end] = map(add, nxt[s:end], map(mul, row[l:], w[l:]))
         row = nxt
 
 

@@ -3,10 +3,11 @@
 S_{r,s}(n, k) is the coefficient of a+^(n(r-s)+k) a^k in the normal ordering
 of [(a+)^r a^s]^n, with k running over s..ns; B_{r,s}(n) is the row sum.
 Rows come from the streaming contraction engine ``monomial_power_rows`` in
-operator_algebra.  The one exception is a single (2, 1) row, which the
-unsigned Lah numbers give faster than the engine can advance n steps; Bell
-sweeps read the engine for every family, (2, 1) included.  The r = s closed
-form is kept as an independent cross-check and is not on any dispatch path.
+operator_algebra, which advances a whole row per list pass.  The one
+exception is a single (2, 1) row, which the unsigned Lah numbers give faster
+than n engine steps; Bell sweeps read the engine for every family, (2, 1)
+included.  The r = s closed form is kept as an independent cross-check and
+is not on any dispatch path.
 """
 
 from __future__ import annotations

@@ -58,9 +58,10 @@ def test_stirling_rows_plain_and_csv(capsys):
 
 
 def test_stirling_rejects_r_below_s(capsys):
-    code, _, err = run(capsys, "stirling", "--r", "2", "--s", "3", "--n", "2")
-    assert code == 2
-    assert "unsupported" in err
+    for n in ("2", "0", "-1"):
+        code, _, err = run(capsys, "stirling", "--r", "2", "--s", "3", "--n", n)
+        assert code == 2
+        assert "unsupported" in err
 
 
 def test_bell_rows(capsys):
@@ -107,6 +108,7 @@ def test_usage_errors_exit_one(capsys):
     cases = [
         ("bell", "--r", "1", "--s", "1", "--max", "-1"),
         ("stirling", "--r", "1", "--s", "1", "--n", "0"),
+        ("stirling", "--r", "1", "--s", "1", "--n", "-1"),
         ("stirling", "--r", "1", "--s", "1"),
         ("bell", "--r", "1", "--s", "1", "--max", "3", "--bogus"),
         ("verify", "dobinski", "--bits", "8"),
@@ -139,6 +141,8 @@ def test_usage_errors_exit_one(capsys):
         assert "error" in err
         if argv[1] in max_floor and "--max" in argv:
             assert f"--max must be >= {max_floor[argv[1]]}" in err, argv
+        if argv[0] == "stirling" and "--n" in argv and int(argv[argv.index("--n") + 1]) < 1:
+            assert "--n must be >= 1" in err, argv
 
 
 def test_negative_power_exits_one(capsys):

@@ -29,7 +29,6 @@ from bosonkit.errors import (
 from bosonkit.numeric import (
     ErrorBoundedReal,
     SeriesSpec,
-    binomial_coefficient,
     quotient_by_e,
     sum_with_tail_bound,
 )
@@ -288,15 +287,6 @@ def test_agrees_with_is_symmetric_overlap():
     c = ErrorBoundedReal(value=mp.mpf("2.0"), abs_error=mp.mpf("0.1"))
     assert a.agrees_with(b) and b.agrees_with(a)
     assert not a.agrees_with(c)
-
-
-def test_generalized_binomial():
-    assert binomial_coefficient(Fraction(3), 2) == 3
-    assert binomial_coefficient(Fraction(1, 2), 2) == Fraction(-1, 8)
-    assert binomial_coefficient(Fraction(-1), 3) == -1
-    assert binomial_coefficient(Fraction(7, 3), 0) == 1
-    with pytest.raises(ValueError):
-        binomial_coefficient(Fraction(1), -1)
 
 
 def test_tighter_target_tightens_bound():

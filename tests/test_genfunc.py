@@ -1,6 +1,7 @@
 """Generating functions, operator exponentials, and the growth-rate heuristic."""
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -8,12 +9,13 @@ import pytest
 from bosonkit.errors import InconclusiveError, OutOfRangeError
 from bosonkit.genfunc import (
     _choose_t,
+    _exp_rows,
     egf_classic,
     egf_r1,
     select_normalization_order,
     verify_normal_exponential,
 )
-from bosonkit.operator_algebra import MonomialSpec
+from bosonkit.operator_algebra import MonomialSpec, monomial_power_rows
 from bosonkit.stirling import bell, bell_sequence
 
 
@@ -62,6 +64,56 @@ def test_egf_validation():
         egf_r1(2, -1)
     with pytest.raises(OutOfRangeError):
         egf_classic(-1)
+
+
+def generalized_binomial(alpha, m):
+    result = Fraction(1)
+    for i in range(m):
+        result = result * (alpha - i) / (i + 1)
+    return result
+
+
+def reference_rows(r, order, printed_sign):
+    """The exp recurrence in Fractions, the form the integer one replaced.
+
+    F_m[j] is the coefficient of (a+ a)^j lam^m in exp{a+ a g}, built from
+    m F_m = y sum_i i g_i F_(m-i) with g_i read off the generalized binomial
+    (or e^(+-x) at r = 1).
+    """
+    if r == 1:
+        g = [Fraction((-1 if printed_sign else 1) ** m, factorial(m)) for m in range(1, order + 1)]
+    else:
+        alpha = Fraction(1 if printed_sign else -1, r - 1)
+        g = [generalized_binomial(alpha, m) * (1 - r) ** m for m in range(1, order + 1)]
+    rows = [[Fraction(1)]]
+    for m in range(1, order + 1):
+        acc = [Fraction(0)] * (m + 1)
+        for i, g_i in enumerate(g[:m], start=1):
+            for j, c in enumerate(rows[m - i]):
+                acc[j + 1] += i * g_i * c
+        rows.append([c / m for c in acc])
+    return rows
+
+
+@pytest.mark.parametrize("printed_sign", [False, True])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_integer_recurrence_matches_fraction_reference(r, printed_sign):
+    expected = reference_rows(r, 20, printed_sign)
+    for order in (0, 1, 7, 20):
+        if r >= 2:
+            series = egf_r1(r, order, printed_sign=printed_sign)
+        elif not printed_sign:
+            series = egf_classic(order)
+        else:
+            continue  # egf_classic has no printed variant
+        assert series == tuple(sum(row) for row in expected[: order + 1])
+        assert all(isinstance(c, Fraction) for c in series)
+    rows = _exp_rows(r, 20, printed_sign)
+    assert [[Fraction(c, factorial(m)) for c in row] for m, row in enumerate(rows)] == expected
+    engine = list(islice(monomial_power_rows(r, 1), 20))
+    scaled = [[c * factorial(m) for c in expected[m]] for m in range(1, 21)]
+    assert (engine == scaled) == (not printed_sign)
+    assert verify_normal_exponential(r, 20, printed_sign=printed_sign).ok == (not printed_sign)
 
 
 def test_operator_exponential_identity_holds():

@@ -182,6 +182,34 @@ def test_monomial_power_rows_classical_row():
     assert rows[3] == [0, 1, 7, 6, 1]
 
 
+def reference_rows(r, s):
+    """The contraction step entry by entry: the engine's earlier form, kept as a reference."""
+    weights = [comb(r, l) for l in range(r + 1)]
+    row = [0] * s + [1]
+    while True:
+        yield row
+        nxt = [0] * (len(row) + s)
+        for k, c in enumerate(row):
+            for l in range(min(k, r) + 1):
+                nxt[k - l + s] += c * weights[l]
+                c *= k - l
+        row = nxt
+
+
+@pytest.mark.parametrize(
+    "r, s, n_max",
+    [(r, s, 40) for r in range(1, 6) for s in range(1, r + 1)] + [(2, 1, 300), (3, 2, 150)],
+)
+def test_monomial_power_rows_match_entrywise_step(r, s, n_max):
+    # The whole-row passes against the per-entry step; (2, 1) to n = 300 and
+    # (3, 2) to n = 150 take the entries past 2^256.
+    pairs = islice(zip(monomial_power_rows(r, s), reference_rows(r, s)), n_max)
+    for n, (row, expected) in enumerate(pairs, start=1):
+        assert row == expected, (r, s, n)
+    if n_max > 40:
+        assert max(row) > 2**256
+
+
 def test_monomial_power_rows_shape():
     # Row n has length ns + 1, zeros below k = s and positive entries from
     # k = s on; the normal form carries the same coefficients.

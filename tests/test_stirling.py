@@ -1,5 +1,7 @@
 """Closed forms and dispatch against the row engine and the rewriting oracle."""
 
+import sys
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -162,6 +164,25 @@ def test_bell_spot_values():
     assert bell(MonomialSpec(3, 2, 4)) == 16333
     assert bell(MonomialSpec(3, 3, 2)) == 34
     assert bell(MonomialSpec(4, 2, 2)) == 21
+
+
+def deep_size(xs):
+    return sys.getsizeof(xs) + sum(sys.getsizeof(x) for x in xs)
+
+
+def test_bell_sweep_memory_stays_bounded():
+    # The engine holds one row, its successor and the list-pass temporaries
+    # (about 3.5 final rows at the peak); keeping every row would take about
+    # 100.  The bound leaves room for allocator noise.
+    final_row = engine_row(2, 1, 300)
+    tracemalloc.start()
+    try:
+        values = bell_sequence(2, 1, 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values[-1] == sum(final_row.values())
+    assert peak <= 6 * deep_size(list(final_row.values())) + deep_size(values)
 
 
 def test_bell_value_is_indexable():
