@@ -24,21 +24,17 @@ from .numeric import DEFAULT_BITS, Check, ErrorBoundedReal, SeriesSpec
 from .operator_algebra import (
     ANNIHILATE,
     CREATE,
-    BosonWord,
     MonomialSpec,
     NormalForm,
-    coherent_expectation,
     monomial_power_normal_form,
     monomial_power_rows,
     multiply,
     normal_order_word,
 )
 from .stirling import (
-    StirlingTable,
     bell,
     bell_sequence,
     lah,
-    stirling,
     stirling_rr_closed,
     stirling_table,
 )
@@ -74,7 +70,6 @@ __all__ = [
     "ANNIHILATE",
     "CREATE",
     "BosonKitError",
-    "BosonWord",
     "Check",
     "ContinuousDensity",
     "DEFAULT_BITS",
@@ -90,7 +85,6 @@ __all__ = [
     "OutOfRangeError",
     "PrecisionExhaustedError",
     "SeriesSpec",
-    "StirlingTable",
     "UnsupportedError",
     "UnsupportedFamilyError",
     "UnsupportedMomentError",
@@ -98,7 +92,6 @@ __all__ = [
     "bell_hypergeometric",
     "bell_sequence",
     "bessel_i",
-    "coherent_expectation",
     "continuous_moment_series",
     "dirac_comb",
     "dobinski_classic",
@@ -115,7 +108,6 @@ __all__ = [
     "normal_order_word",
     "rarefied_comb",
     "select_normalization_order",
-    "stirling",
     "stirling_rr_closed",
     "stirling_table",
     "verify_moments",

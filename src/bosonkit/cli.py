@@ -6,10 +6,10 @@ suite (dobinski, egf, norm, moments, or all) over a default grid or over one
 family given explicitly.  Each suite reads only some of the ``verify`` flags
 and rejects any other with a usage error, so no flag is accepted and then
 ignored; ``parameters`` echo the flags the suite read.  Exit codes: 0 all
-checks passed, 1 usage error, 2 unsupported parameter combination, 3 at
-least one verification check failed (a value that does not round to its
-integer is a failed check), 4 any other BosonKitError, such as exhausted
-precision, reported on one line.
+checks passed, 1 usage error or an ``--out`` file that cannot be written,
+2 unsupported parameter combination, 3 at least one verification check
+failed (a value that does not round to its integer is a failed check), 4 any
+other BosonKitError, such as exhausted precision, reported on one line.
 
 Output is plain text by default; ``--format json`` emits a versioned record
 whose integers are decimal strings (arbitrary precision survives any JSON
@@ -29,7 +29,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from math import factorial
+from math import factorial, isfinite
 
 from .dobinski import (
     bell_hypergeometric,
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .genfunc import egf_classic, egf_r1, select_normalization_order, verify_normal_exponential
 from .measures import verify_moments
-from .numeric import DEFAULT_BITS, Check, ErrorBoundedReal, SeriesSpec
+from .numeric import DEFAULT_BITS, MAX_BITS, Check, ErrorBoundedReal, SeriesSpec
 from .operator_algebra import MonomialSpec
 from .stirling import bell_sequence, stirling_table
 
@@ -131,6 +131,8 @@ def _resolve_bits(value: int | None) -> int:
             raise _UsageError(f"BOSONKIT_BITS must be an integer, got {raw!r}")
     if value < 16:
         raise _UsageError("--bits must be at least 16")
+    if value > MAX_BITS:
+        raise _UsageError(f"--bits must be at most {MAX_BITS}")
     return value
 
 
@@ -275,7 +277,11 @@ def _verify_egf(ns, results: list):
 
 def _verify_norm(ns, results: list):
     order = ns.order if ns.order is not None else 5
+    if order < 1:
+        raise _UsageError("--order must be >= 1")
     if ns.r is not None:
+        if ns.r < 1:
+            raise _UsageError("--r must be >= 1")
         yield verify_normal_exponential(ns.r, order, printed_sign=ns.printed_sign)
         return
     if ns.printed_sign:
@@ -330,14 +336,14 @@ def _cmd_stirling(ns) -> OutputRecord:
     if ns.n < 1:
         raise _UsageError("--n must be >= 1")
     spec = MonomialSpec(r=ns.r, s=ns.s, n=ns.n)
-    table = stirling_table(spec)
+    row = stirling_table(spec)
     record = OutputRecord(
         command="stirling",
         parameters={"r": str(ns.r), "s": str(ns.s), "n": str(ns.n)},
     )
     for k in range(spec.s, spec.n * spec.s + 1):
         record.results.append(
-            {"k": str(k), "value": str(table.values[k]), "kind": "exact"}
+            {"k": str(k), "value": str(row[k]), "kind": "exact"}
         )
     return record
 
@@ -365,6 +371,8 @@ def _cmd_verify(ns) -> OutputRecord:
         ns.bits = _resolve_bits(ns.bits)
     if "tol" in reads:
         ns.tol = 1e-9 if ns.tol is None else ns.tol
+        if not isfinite(ns.tol):
+            raise _UsageError("--tol must be finite")
         if ns.tol <= 0:
             raise _UsageError("--tol must be positive")
     parameters = {"suite": ns.suite}
@@ -449,8 +457,13 @@ def main(argv=None) -> int:
         return 4
     text = record.render(ns.format)
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(ns.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"bosonkit: error: cannot write {ns.out}: {reason}", file=sys.stderr)
+            return 1
     else:
         print(text)
     return 0 if all(c.ok for c in record.checks) else 3

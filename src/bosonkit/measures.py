@@ -10,14 +10,15 @@ geometric tail bound, the Bessel series carries a truncation bound, and the
 quadrature tail past the cutoff is bounded analytically.  Only the quadrature error on the
 finite interval is an estimate (two runs at different precision plus the
 integrator's own estimate); tests pin it against a fully certified series
-expansion of the same integral.  ``verify_moments`` reports each comparison
-as a ``Check``.
+expansion of the same integral.  A discrete measure is read only through
+its integer moment terms, its mass and its positivity check.
+``verify_moments`` reports each comparison as a ``Check`` in a
+``MomentReport``; the family passes when every check does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate, count, repeat
 from math import factorial
 from operator import mul
@@ -62,10 +63,6 @@ class DiscreteMeasure:
     label: str
     unit_mass: bool
     _atom: Callable[[int], tuple[int, int]] = field(compare=False, repr=False)
-
-    def atoms(self, count: int) -> list[tuple[Fraction, Fraction]]:
-        """First ``count`` atoms as exact (location, e * weight) pairs."""
-        return [(Fraction(x), Fraction(1, q)) for x, q in map(self._atom, range(count))]
 
     def check_atoms(self, count: int) -> None:
         """Positivity and strict ordering of the first ``count`` atoms."""
@@ -303,10 +300,6 @@ def moment(measure, n: int, target_error=1e-12, *, bits: int = DEFAULT_BITS):
 class MomentReport:
     family: str
     checks: tuple[Check, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
 
 
 def _close(value: ErrorBoundedReal, expected, tol) -> bool:

@@ -8,7 +8,8 @@ the observed ratio drops below 1/2.  Each term arrives as an integer pair
 (p_k, q_k), q_k > 0, meaning p_k / q_k; the partial sum is one unreduced
 integer fraction over a running common denominator, and the stopping rule is
 decided by integer cross-multiplication, so no rational is reduced per term.
-Partial sums are exact; only the final division by e rounds.
+Partial sums are exact; only the final division by e rounds, starting at the
+working precision and doubling up to the fixed ceiling MAX_BITS = 4096.
 """
 
 from __future__ import annotations
@@ -45,15 +46,14 @@ class SeriesSpec:
 
     working_precision: int = DEFAULT_BITS
     target_abs_error: float = 1e-12
-    max_precision: int = MAX_BITS
 
     def __post_init__(self) -> None:
         if self.working_precision < 16:
             raise ValueError("working_precision must be at least 16 bits")
+        if self.working_precision > MAX_BITS:
+            raise ValueError(f"working_precision must be at most {MAX_BITS} bits")
         if not self.target_abs_error > 0:
             raise ValueError("target_abs_error must be positive")
-        if self.max_precision < self.working_precision:
-            raise ValueError("max_precision must be >= working_precision")
 
     @property
     def target(self) -> Fraction:
@@ -107,10 +107,6 @@ class ErrorBoundedReal:
                 f"enclosure {self} excludes every integer"
             )
         return nearest
-
-    def contains(self, x) -> bool:
-        """Whether x lies within abs_error of the value."""
-        return abs(_exact(self.value) - _exact(x)) <= _exact(self.abs_error)
 
     def agrees_with(self, other: "ErrorBoundedReal") -> bool:
         """Whether the two enclosures overlap."""
@@ -178,7 +174,7 @@ def quotient_by_e(q: Fraction, tail: Fraction, series: SeriesSpec) -> ErrorBound
     """Evaluate q/e where the exact numerator lies in [q - tail, q + tail].
 
     The reported bound covers the tail and all rounding; the working precision
-    is doubled (up to series.max_precision) until the bound meets the target.
+    is doubled (up to MAX_BITS) until the bound meets the target.
     """
     if tail < 0:
         raise ValueError("tail must be non-negative")
@@ -200,12 +196,11 @@ def quotient_by_e(q: Fraction, tail: Fraction, series: SeriesSpec) -> ErrorBound
             result = ErrorBoundedReal(value=+value, abs_error=+err)
         if ok:
             return result
-        if bits >= series.max_precision:
+        if bits >= MAX_BITS:
             raise PrecisionExhaustedError(
-                f"target {series.target_abs_error} unreachable at "
-                f"{series.max_precision} bits"
+                f"target {series.target_abs_error} unreachable at {MAX_BITS} bits"
             )
-        bits = min(2 * bits, series.max_precision)
+        bits = min(2 * bits, MAX_BITS)
 
 
 def sum_over_e(

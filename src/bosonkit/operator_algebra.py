@@ -13,6 +13,11 @@ form by two independent routes:
   a^j a+^i = sum_l C(j, l) C(i, l) l!  a+^(i-l) a^(j-l)
   giving polynomial-cost products of normal forms.
 
+A word is any iterable of ``Letter`` members.  A ``NormalForm`` is an
+immutable map (i, j) -> coefficient, read through ``items()`` and compared
+with ``==``; it has no arithmetic of its own, and products go through
+``multiply``.
+
 Powers of the monomial a+^r a^s come from one streaming engine,
 ``monomial_power_rows``: every term of [(a+)^r a^s]^n has the same excess
 n(r - s) of creation over annihilation, so the power is a single row of
@@ -28,7 +33,6 @@ from dataclasses import dataclass
 from itertools import islice
 from math import comb, factorial, perm
 from operator import add, mul
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import OutOfRangeError, UnsupportedError
@@ -36,11 +40,9 @@ from .errors import OutOfRangeError, UnsupportedError
 __all__ = [
     "ANNIHILATE",
     "CREATE",
-    "BosonWord",
     "Letter",
     "MonomialSpec",
     "NormalForm",
-    "coherent_expectation",
     "format_terms",
     "monomial_power_normal_form",
     "monomial_power_rows",
@@ -60,38 +62,11 @@ CREATE = Letter.CREATE
 ANNIHILATE = Letter.ANNIHILATE
 
 
-@dataclass(frozen=True)
-class BosonWord:
-    """Finite product of boson letters; the empty word is the identity."""
-
-    letters: tuple[Letter, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if any(not isinstance(x, Letter) for x in self.letters):
-            raise TypeError("letters must be Letter members")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
-
-    def __mul__(self, other: "BosonWord") -> "BosonWord":
-        return BosonWord(self.letters + other.letters)
-
-
-def _as_letters(word: "BosonWord | Iterable[Letter]") -> tuple[Letter, ...]:
-    if isinstance(word, BosonWord):
-        return word.letters
-    return BosonWord(tuple(word)).letters
-
-
 class NormalForm:
     """Integer combination of normally ordered monomials a+^i a^j.
 
-    Immutable once built; zero coefficients are never stored.  {} is the zero
-    operator and {(0, 0): 1} the identity.
+    Immutable once built; zero coefficients are never stored and repeated
+    keys are summed.  {} is the zero operator and {(0, 0): 1} the identity.
     """
 
     __slots__ = ("_terms",)
@@ -116,67 +91,15 @@ class NormalForm:
                 data.pop(key, None)
         object.__setattr__(self, "_terms", data)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("NormalForm is immutable")
-
-    @classmethod
-    def identity(cls) -> "NormalForm":
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, coeff: int = 1) -> "NormalForm":
-        return cls({(i, j): coeff})
-
-    @property
-    def terms(self) -> Mapping[tuple[int, int], int]:
-        return MappingProxyType(self._terms)
 
     def items(self):
         return self._terms.items()
 
-    def coefficient(self, i: int, j: int) -> int:
-        return self._terms.get((i, j), 0)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, NormalForm):
             return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "NormalForm") -> "NormalForm":
-        merged = dict(self._terms)
-        for key, c in other._terms.items():
-            new = merged.get(key, 0) + c
-            if new:
-                merged[key] = new
-            else:
-                merged.pop(key, None)
-        return NormalForm(merged)
-
-    def __neg__(self) -> "NormalForm":
-        return NormalForm({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "NormalForm") -> "NormalForm":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, NormalForm):
-            return multiply(self, other)
-        if isinstance(other, int):
-            return NormalForm({k: c * other for k, c in self._terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
         return NotImplemented
 
     def __str__(self) -> str:
@@ -206,9 +129,7 @@ def format_terms(items: Iterable[tuple[tuple[int, int], object]]) -> str:
     return " + ".join(parts) or "0"
 
 
-def normal_order_word(
-    word: BosonWord | Iterable[Letter], *, strategy: str = "leftmost"
-) -> NormalForm:
+def normal_order_word(word: Iterable[Letter], *, strategy: str = "leftmost") -> NormalForm:
     """Normal order a word by exhaustive application of a a+ -> a+ a + 1.
 
     Rewriting a defect a a+ turns a word into two: the swap a+ a keeps the
@@ -226,9 +147,12 @@ def normal_order_word(
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     find = str.find if strategy == "leftmost" else str.rfind
+    letters = tuple(word)
+    if any(not isinstance(x, Letter) for x in letters):
+        raise TypeError("letters must be Letter members")
     # One character per letter, "+" for a+ and "a" for a, so a defect is the
     # substring "a+".
-    start = "".join("+" if x is CREATE else "a" for x in _as_letters(word))
+    start = "".join("+" if x is CREATE else "a" for x in letters)
     inversions = sum(start.count("a", 0, pos) for pos, x in enumerate(start) if x == "+")
     buckets: dict[tuple[int, int], dict[str, int]] = {(len(start), inversions): {start: 1}}
     done: dict[tuple[int, int], int] = {}
@@ -323,20 +247,7 @@ def monomial_power_rows(r: int, s: int) -> Iterator[list[int]]:
 def monomial_power_normal_form(spec: MonomialSpec) -> NormalForm:
     """Normal form of [(a+)^r a^s]^n; the identity for n = 0."""
     if spec.n == 0:
-        return NormalForm.identity()
+        return NormalForm({(0, 0): 1})
     row = next(islice(monomial_power_rows(spec.r, spec.s), spec.n - 1, None))
     return NormalForm({(spec.excess + k, k): c for k, c in enumerate(row) if c})
 
-
-def coherent_expectation(nf: NormalForm, z):
-    """Diagonal coherent-state matrix element sum_ij c_ij conj(z)^i z^j.
-
-    For the eigenstate |z> of the annihilation operator, a normally ordered
-    monomial a+^i a^j contributes conj(z)^i z^j.  Exact when z is an int,
-    Fraction, or similar exact real type.
-    """
-    z_conj = z.conjugate() if isinstance(z, complex) else z
-    total = 0
-    for (i, j), c in nf.items():
-        total += c * z_conj**i * z**j
-    return total

@@ -2,17 +2,18 @@
 
 S_{r,s}(n, k) is the coefficient of a+^(n(r-s)+k) a^k in the normal ordering
 of [(a+)^r a^s]^n, with k running over s..ns; B_{r,s}(n) is the row sum.
-Rows come from the streaming contraction engine ``monomial_power_rows`` in
-operator_algebra, which advances a whole row per list pass.  The one
-exception is a single (2, 1) row, which the unsigned Lah numbers give faster
-than n engine steps; Bell sweeps read the engine for every family, (2, 1)
+A row is a plain ``list[int]`` of length ns + 1 indexed by k, with zeros
+below k = s: the format of the streaming contraction engine
+``monomial_power_rows`` in operator_algebra, which advances a whole row per
+list pass.  The one exception is a single (2, 1) row, which the unsigned Lah
+numbers give faster than n engine steps, by one small multiply and one exact
+divide per entry; Bell sweeps read the engine for every family, (2, 1)
 included.  The r = s closed form is kept as an independent cross-check and
 is not on any dispatch path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import comb, factorial, perm
 
@@ -20,11 +21,9 @@ from .errors import NonIntegerResultError, OutOfRangeError
 from .operator_algebra import MonomialSpec, monomial_power_rows
 
 __all__ = [
-    "StirlingTable",
     "bell",
     "bell_sequence",
     "lah",
-    "stirling",
     "stirling_rr_closed",
     "stirling_table",
 ]
@@ -59,50 +58,28 @@ def lah(n: int, k: int) -> int:
     return factorial(n) // factorial(k) * comb(n - 1, k - 1)
 
 
-def stirling(spec: MonomialSpec, k: int) -> int:
-    """S_{r,s}(n, k), read off the full row."""
+def stirling_table(spec: MonomialSpec) -> list[int]:
+    """The row k -> S_{r,s}(n, k) of length ns + 1, zero below k = s.
+
+    (2, 1) rows start from lah(n, 1) = n! and step by
+    lah(n, k + 1) = lah(n, k) (n - k) / (k (k + 1)); every other family reads
+    row n of the contraction engine.
+    """
     if spec.n < 1:
         raise OutOfRangeError("need n >= 1")
-    if not spec.s <= k <= spec.n * spec.s:
-        raise OutOfRangeError(
-            f"k = {k} outside [{spec.s}, {spec.n * spec.s}] for {spec}"
-        )
-    return stirling_table(spec).values[k]
-
-
-@dataclass(frozen=True)
-class StirlingTable:
-    """Full coefficient row k -> S_{r,s}(n, k) for one (r, s, n)."""
-
-    spec: MonomialSpec
-    values: dict[int, int]
-
-    def row(self) -> list[int]:
-        """Values in increasing k order."""
-        return [self.values[k] for k in sorted(self.values)]
-
-    def row_sum(self) -> int:
-        return sum(self.values.values())
-
-
-def stirling_table(spec: MonomialSpec) -> StirlingTable:
-    """The full row: Lah numbers for (2, 1), the contraction engine otherwise."""
-    if spec.n < 1:
-        raise OutOfRangeError("need n >= 1")
-    ks = range(spec.s, spec.n * spec.s + 1)
     if (spec.r, spec.s) == (2, 1):
-        values = {k: lah(spec.n, k) for k in ks}
-    else:
-        row = next(islice(monomial_power_rows(spec.r, spec.s), spec.n - 1, None))
-        values = {k: row[k] for k in ks}
-    return StirlingTable(spec=spec, values=values)
+        row = [0, factorial(spec.n)]
+        for k in range(1, spec.n):
+            row.append(row[k] * (spec.n - k) // (k * (k + 1)))
+        return row
+    return next(islice(monomial_power_rows(spec.r, spec.s), spec.n - 1, None))
 
 
 def bell(spec: MonomialSpec) -> int:
     """Generalized Bell number B_{r,s}(n), the row sum; 1 at n = 0 by convention."""
     if spec.n == 0:
         return 1
-    return stirling_table(spec).row_sum()
+    return sum(stirling_table(spec))
 
 
 def bell_sequence(r: int, s: int, n_max: int) -> list[int]:

@@ -134,11 +134,22 @@ def test_usage_errors_exit_one(capsys):
         ("verify", "moments", "--max", "0"),
         ("verify", "moments", "--r", "1", "--s", "1", "--max", "-1"),
     ]
+    # Values the parser accepts but the suites must reject, each by the flag's name.
+    messages = {
+        ("verify", "dobinski", "--tol", "nan"): "--tol must be finite",
+        ("verify", "moments", "--tol", "inf"): "--tol must be finite",
+        ("verify", "dobinski", "--bits", "100000000"): "--bits must be at most 4096",
+        ("verify", "norm", "--order", "0"): "--order must be >= 1",
+        ("verify", "norm", "--r", "0"): "--r must be >= 1",
+    }
+    cases += list(messages)
     max_floor = {"dobinski": 1, "egf": 0, "moments": 1}
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert "error" in err
+        if argv in messages:
+            assert err == f"bosonkit: error: {messages[argv]}\n", argv
         if argv[1] in max_floor and "--max" in argv:
             assert f"--max must be >= {max_floor[argv[1]]}" in err, argv
         if argv[0] == "stirling" and "--n" in argv and int(argv[argv.index("--n") + 1]) < 1:
@@ -234,6 +245,15 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(text)["command"] == "bell"
 
 
+def test_out_file_unwritable(tmp_path, capsys):
+    target = tmp_path / "missing" / "record.txt"
+    code, out, err = run(capsys, "bell", "--r", "1", "--s", "1", "--max", "3", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"bosonkit: error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_bits_environment_fallback(capsys, monkeypatch):
     argv = ("verify", "dobinski", "--r", "1", "--s", "1", "--max", "1")
     monkeypatch.setenv("BOSONKIT_BITS", "128")
@@ -246,6 +266,10 @@ def test_bits_environment_fallback(capsys, monkeypatch):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "BOSONKIT_BITS" in err
+    monkeypatch.setenv("BOSONKIT_BITS", "100000000")
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "--bits must be at most 4096" in err
 
 
 def test_dobinski_past_float_range_passes(capsys):

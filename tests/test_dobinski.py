@@ -27,8 +27,10 @@ from bosonkit.errors import (
     UnsupportedError,
 )
 from bosonkit.numeric import (
+    MAX_BITS,
     ErrorBoundedReal,
     SeriesSpec,
+    _exact,
     quotient_by_e,
     sum_with_tail_bound,
 )
@@ -42,6 +44,11 @@ from bosonkit.measures import (
 )
 from bosonkit.operator_algebra import MonomialSpec
 from bosonkit.stirling import bell, bell_sequence
+
+
+def encloses(value, x):
+    """Whether x lies within value.abs_error of value.value, as exact rationals."""
+    return abs(_exact(value.value) - x) <= _exact(value.abs_error)
 
 
 def oracle(r, s, n):
@@ -240,13 +247,13 @@ def test_kernel_matches_fraction_reference():
 
 def test_quotient_by_e_escalates_precision():
     # 16 working bits cannot hit 1e-30; doubling to 256 can.
-    tight = SeriesSpec(working_precision=16, target_abs_error=1e-30, max_precision=256)
+    tight = SeriesSpec(working_precision=16, target_abs_error=1e-30)
     value = quotient_by_e(Fraction(1), Fraction(0), tight)
     with mp.workprec(200):
         assert abs(value.value - mp.exp(-1)) <= value.abs_error
-    capped = SeriesSpec(working_precision=16, target_abs_error=1e-30, max_precision=32)
-    with pytest.raises(PrecisionExhaustedError):
-        quotient_by_e(Fraction(1), Fraction(0), capped)
+    # 2^4000 / e rounds by about 2^-91 at the 4096-bit ceiling, far above 1e-30.
+    with pytest.raises(PrecisionExhaustedError, match=f"at {MAX_BITS} bits"):
+        quotient_by_e(Fraction(2**4000), Fraction(0), tight)
 
 
 def test_quotient_by_e_rejects_hopeless_tail():
@@ -263,7 +270,8 @@ def test_series_spec_validation():
     with pytest.raises(ValueError):
         SeriesSpec(target_abs_error=0.0)
     with pytest.raises(ValueError):
-        SeriesSpec(working_precision=128, max_precision=64)
+        SeriesSpec(working_precision=MAX_BITS + 1)
+    assert SeriesSpec(working_precision=MAX_BITS).working_precision == MAX_BITS
 
 
 def test_error_bounded_real_rounding():
@@ -277,7 +285,7 @@ def test_error_bounded_real_rounding():
         off.to_integer()
     with pytest.raises(ValueError):
         ErrorBoundedReal(value=mp.mpf(1), abs_error=mp.mpf(-1))
-    assert near.contains(5) and not near.contains(6)
+    assert encloses(near, 5) and not encloses(near, 6)
     assert "+/-" in str(near)
 
 
@@ -329,7 +337,7 @@ def test_rounds_past_float_and_working_precision(series, family, n_float, n_wide
         assert target > limit
         value = series(n)
         assert value.to_integer() == target
-        assert value.contains(target) and not value.contains(target + 1)
+        assert encloses(value, target) and not encloses(value, target + 1)
         assert float(value.abs_error) < 1e-6
 
 
@@ -376,7 +384,6 @@ def test_rounding_ignores_ambient_precision():
         shifted = ErrorBoundedReal(value.value + 1, abs_error=value.abs_error)
     with mp.workprec(20):
         assert value.to_integer() == 4638590332229999353
-        assert value.contains(4638590332229999353)
         assert value.agrees_with(dobinski_rr(1, 25))
         assert not value.agrees_with(shifted)
 
