@@ -153,8 +153,10 @@ def _check_rounds_to(name: str, value: ErrorBoundedReal, expected: int) -> Check
 
 # -- verify suites ----------------------------------------------------------
 #
-# Each suite is a generator of Checks.  It takes the parsed arguments, reads
-# only the flags _SUITES lists for it, and may append rows to ``results``.
+# Each suite takes the parsed arguments, reads only the flags _SUITES lists
+# for it and validates them at once, then returns a generator of Checks that
+# may append rows to ``results``; so ``verify all`` rejects a bad flag of any
+# suite before the first check runs.
 
 
 def _dobinski_family(r: int, s: int, n_max: int, series: SeriesSpec, printed_b5: bool):
@@ -210,10 +212,13 @@ def _verify_dobinski(ns, results: list):
         MonomialSpec(r=ns.r, s=ns.s, n=1)  # family validation only
         if ns.printed_b5 and ns.r <= ns.s:
             raise _UsageError("--printed-b5 applies to families with r > s")
-        yield from _dobinski_family(ns.r, ns.s, n_max, series, ns.printed_b5)
-        return
+        return _dobinski_family(ns.r, ns.s, n_max, series, ns.printed_b5)
     if ns.printed_b5:
         raise _UsageError("--printed-b5 needs an explicit --r/--s family")
+    return _dobinski_grid(n_max, series)
+
+
+def _dobinski_grid(n_max: int, series: SeriesSpec):
     yield from _dobinski_family(1, 1, min(n_max + 5, 10), series, False)
     for r in (2, 3):
         yield from _dobinski_family(r, r, min(n_max, 4), series, False)
@@ -262,13 +267,16 @@ def _verify_egf(ns, results: list):
         if ns.printed_sign and r < 2:
             raise _UsageError("--printed-sign needs r >= 2")
         n_max = ns.max if ns.max is not None else (8 if r == 1 else 6)
-        yield from _egf_family(r, n_max, ns.printed_sign)
-        return
+        return _egf_family(r, n_max, ns.printed_sign)
     if ns.printed_sign:
         raise _UsageError("--printed-sign needs an explicit --r")
-    yield from _egf_family(1, ns.max if ns.max is not None else 8, False)
+    return _egf_grid(ns.max, results)
+
+
+def _egf_grid(n_max: int | None, results: list):
+    yield from _egf_family(1, n_max if n_max is not None else 8, False)
     for r in (2, 3):
-        yield from _egf_family(r, min(ns.max, 6) if ns.max is not None else 6, False)
+        yield from _egf_family(r, min(n_max, 6) if n_max is not None else 6, False)
         yield _egf_printed_sign_rejected(r)
     yield _normalization_row(results, 1, 1, 10, 0)
     yield _normalization_row(results, 2, 1, 8, 0)
@@ -279,13 +287,17 @@ def _verify_norm(ns, results: list):
     order = ns.order if ns.order is not None else 5
     if order < 1:
         raise _UsageError("--order must be >= 1")
-    if ns.r is not None:
-        if ns.r < 1:
-            raise _UsageError("--r must be >= 1")
-        yield verify_normal_exponential(ns.r, order, printed_sign=ns.printed_sign)
-        return
-    if ns.printed_sign:
+    if ns.r is not None and ns.r < 1:
+        raise _UsageError("--r must be >= 1")
+    if ns.r is None and ns.printed_sign:
         raise _UsageError("--printed-sign needs an explicit --r")
+    return _norm_checks(ns.r, order, ns.printed_sign)
+
+
+def _norm_checks(r: int | None, order: int, printed_sign: bool):
+    if r is not None:
+        yield verify_normal_exponential(r, order, printed_sign=printed_sign)
+        return
     for r in (1, 2, 3):
         yield verify_normal_exponential(r, order)
     for r in (1, 2, 3):
@@ -304,8 +316,12 @@ def _verify_moments(ns, results: list):
         grid = [(1, 1, 5), (2, 2, 4), (2, 1, 5)]
         if ns.max is not None:
             grid = [(r, s, min(n, ns.max)) for r, s, n in grid]
+    return _moment_checks(grid, ns.tol, ns.bits, results)
+
+
+def _moment_checks(grid: list, tol: float, bits: int, results: list):
     for r, s, n_max in grid:
-        report = verify_moments(r, s, n_max, ns.tol, bits=ns.bits)
+        report = verify_moments(r, s, n_max, tol, bits=bits)
         results.append({"family": f"({r},{s})", "measure": report.family, "kind": "exact"})
         yield from (replace(c, name=f"({r},{s}) {c.name}") for c in report.checks)
 
@@ -381,8 +397,10 @@ def _cmd_verify(ns) -> OutputRecord:
         if _given(value):
             parameters[flag] = "true" if value is True else repr(value)
     record = OutputRecord(command=f"verify {ns.suite}", parameters=parameters)
-    for suite in suites:
-        record.checks.extend(_SUITES[suite][0](ns, record.results))
+    # Every suite validates its flags here, before the first check runs.
+    runs = [_SUITES[suite][0](ns, record.results) for suite in suites]
+    for checks in runs:
+        record.checks.extend(checks)
     return record
 
 
@@ -422,7 +440,7 @@ def build_parser() -> _Parser:
     p_ve.add_argument("--tol", type=float, default=None,
                       help="verification tolerance (default 1e-9)")
     p_ve.add_argument("--bits", type=int, default=None,
-                      help=f"working precision in bits (default {DEFAULT_BITS}, or BOSONKIT_BITS)")
+                      help=f"minimum significant bits of a series midpoint (default {DEFAULT_BITS}, or BOSONKIT_BITS)")
     p_ve.add_argument("--printed-sign", action="store_true",
                       help="run the sign variant of the closed exponential that does not hold")
     p_ve.add_argument("--printed-b5", action="store_true",

@@ -8,18 +8,23 @@ the observed ratio drops below 1/2.  Each term arrives as an integer pair
 (p_k, q_k), q_k > 0, meaning p_k / q_k; the partial sum is one unreduced
 integer fraction over a running common denominator, and the stopping rule is
 decided by integer cross-multiplication, so no rational is reduced per term.
-Partial sums are exact; only the final division by e rounds, starting at the
-working precision and doubling up to the fixed ceiling MAX_BITS = 4096.
+Partial sums are exact, and so is the final division by e up to one bracket:
+the integers L <= 2^M / e <= U are computed once, on first use, and a
+quotient q / e is enclosed by integer products with L and U shifted to one
+precision, chosen from the target, the bit length of q and the working
+precision before any arithmetic, up to the ceiling MAX_BITS = 4096.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from .errors import NonIntegerResultError, PrecisionExhaustedError
 
@@ -27,8 +32,10 @@ DEFAULT_BITS = 256
 MAX_BITS = 4096
 
 _HALF = Fraction(1, 2)
-# Upper bound on 1/e with slack for its own rounding.
-_INV_E_UPPER = Fraction(37, 100)
+# Fraction bits of the cached bracket of 1/e: MAX_BITS plus 8 + 64 guard bits,
+# so shifting it down to any precision up to MAX_BITS + 8 drops its own width
+# and leaves a bracket at most 2 wide.
+_E_BITS = MAX_BITS + 8 + 64
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,11 @@ class Check:
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Precision policy: working precision in bits and an absolute error target."""
+    """Precision policy: an absolute error target and a working precision in bits.
+
+    A series value's midpoint keeps at least working_precision significant
+    bits; more are used when the target needs them.
+    """
 
     working_precision: int = DEFAULT_BITS
     target_abs_error: float = 1e-12
@@ -55,8 +66,9 @@ class SeriesSpec:
         if not self.target_abs_error > 0:
             raise ValueError("target_abs_error must be positive")
 
-    @property
+    @functools.cached_property
     def target(self) -> Fraction:
+        """target_abs_error as an exact ratio, built once."""
         return Fraction(self.target_abs_error)
 
 
@@ -166,41 +178,90 @@ def sum_with_tail_bound(
     raise ValueError("term iterator exhausted before the stopping rule was met")
 
 
-def _fraction_to_mpf(q: Fraction) -> mpmath.mpf:
-    return mp.mpf(q.numerator) / mp.mpf(q.denominator)
+@functools.lru_cache(maxsize=None)
+def _inv_e_fixed() -> tuple[int, int]:
+    """Integers L <= 2^M / e <= U with M = _E_BITS, from the series of 1/e.
+
+    t_k = floor(2^M / k!) is exact by repeated floor division, and the
+    alternating sum of t_0 .. t_K, where t_(K+1) = 0, differs from 2^M / e by
+    less than one per term for the floors and less than one for the tail
+    beyond K, so widening it by K + 2 brackets 2^M / e.
+    """
+    t, k, total = 1 << _E_BITS, 0, 0
+    while t:
+        total += -t if k & 1 else t
+        k += 1
+        t //= k
+    return total - (k + 1), total + (k + 1)  # k = K + 1 here
+
+
+def _inv_e_bracket(p: int) -> tuple[int, int]:
+    """Integers L_p <= 2^p / e <= U_p with U_p - L_p <= 2, for 0 <= p <= MAX_BITS + 8."""
+    low, high = _inv_e_fixed()
+    shift = _E_BITS - p
+    return low >> shift, -(-high >> shift)
+
+
+def _dyadic(man: int, exp: int) -> mpmath.mpf:
+    """man * 2^exp as an mpf, exactly, whatever the context precision."""
+    return mp.make_mpf(from_man_exp(man, exp))
 
 
 def quotient_by_e(q: Fraction, tail: Fraction, series: SeriesSpec) -> ErrorBoundedReal:
-    """Evaluate q/e where the exact numerator lies in [q - tail, q + tail].
+    """Enclose Q/e for every Q in [q - tail, q + tail], q and tail non-negative.
 
-    The reported bound covers the tail and all rounding; the working precision
-    is doubled (up to MAX_BITS) until the bound meets the target.
+    All of it is integer arithmetic on q = num / den, the tail, the target
+    (exact ratios) and the bracket of 1/e.  The tail's share of the radius,
+    tail / e bounded with the 64-bit bracket, does not depend on precision:
+    if it alone reaches the target no precision helps.  What it leaves of the
+    target is the rounding budget.  The result's number of fraction bits,
+    ``frac``, is chosen once from it: the rounding, at most 2^(1 - frac),
+    takes under a quarter of the budget, and with |q| < 2^mag the midpoint
+    keeps frac + mag >= working_precision significant bits.  A choice past
+    MAX_BITS means the target is unreachable.
+
+    With L_p <= 2^p / e <= U_p at p = frac + mag + 1, lo = floor(q L_p / 2^(mag+1))
+    and hi = ceil(q U_p / 2^(mag+1)) bracket 2^frac q / e and differ by at most
+    2.  The midpoint is (lo + hi) / 2^(frac+1) and the radius
+    (hi - lo + 2 t) / 2^(frac+1), t being the tail's share in units of 2^-frac,
+    rounded up; both convert to mpf exactly, and the radius is checked
+    against the target in integers.
     """
-    if tail < 0:
-        raise ValueError("tail must be non-negative")
-    # The tail part is precision-independent; fail early if it already blows
-    # the budget (a truncation problem, not fixable by more bits).
-    if tail * _INV_E_UPPER > series.target:
+    num, den = q.as_integer_ratio()
+    tail_n, tail_d = tail.as_integer_ratio()
+    if num < 0 or tail_n < 0:
+        raise ValueError("q and tail must be non-negative")
+    goal_n, goal_d = series.target.as_integer_ratio()
+    _, inv_e = _inv_e_bracket(64)  # 1/e <= inv_e / 2^64
+    # The budget slack_n / slack_d = target - tail * inv_e / 2^64.
+    slack_d = goal_d * tail_d << 64
+    slack_n = (goal_n * tail_d << 64) - goal_d * tail_n * inv_e
+    if slack_n <= 0:
         raise PrecisionExhaustedError(
             "truncation tail alone exceeds the target error"
         )
-    bits = series.working_precision
-    while True:
-        with mp.workprec(bits):
-            value = _fraction_to_mpf(q) * mp.exp(-1)
-            # Three roundings (two conversions, one multiply) plus slack.
-            rounding = abs(value) * mp.mpf(2) ** (6 - bits) + mp.mpf(2) ** (-bits)
-            err = _fraction_to_mpf(tail * _INV_E_UPPER) * (1 + mp.mpf(2) ** -20) + rounding
-            target_f = _fraction_to_mpf(series.target)
-            ok = err <= target_f
-            result = ErrorBoundedReal(value=+value, abs_error=+err)
-        if ok:
-            return result
-        if bits >= MAX_BITS:
-            raise PrecisionExhaustedError(
-                f"target {series.target_abs_error} unreachable at {MAX_BITS} bits"
-            )
-        bits = min(2 * bits, MAX_BITS)
+    mag = num.bit_length() - den.bit_length() + 1  # q < 2^mag
+    # 2^-budget_bits < slack, so 2^(1 - frac) < slack / 4.
+    budget_bits = slack_d.bit_length() - slack_n.bit_length() + 1
+    frac = max(series.working_precision - mag, budget_bits + 3, 0)
+    if frac + mag > MAX_BITS:
+        raise PrecisionExhaustedError(
+            f"target {series.target_abs_error} unreachable at {MAX_BITS} bits"
+        )
+    low, high = _inv_e_bracket(frac + mag + 1)
+    # Divide the products by 2^(mag + 1), multiplying instead when mag + 1 < 0.
+    up, down = max(-mag - 1, 0), max(mag + 1, 0)
+    lo = (num * low << up) // (den << down)
+    hi = -(-(num * high << up) // (den << down))
+    share = -(-(tail_n * inv_e << frac) // (tail_d << 64))
+    width = hi - lo + 2 * share
+    if width * goal_d > goal_n << (frac + 1):
+        raise PrecisionExhaustedError(
+            f"target {series.target_abs_error} unreachable at {frac + mag} bits"
+        )
+    return ErrorBoundedReal(
+        value=_dyadic(lo + hi, -frac - 1), abs_error=_dyadic(width, -frac - 1)
+    )
 
 
 def sum_over_e(

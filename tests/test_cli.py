@@ -303,6 +303,26 @@ def test_computation_error_exits_four(capsys, monkeypatch):
     assert err == "bosonkit: failed: DivergentSeriesError: terms do not decay\n"
 
 
+def test_verify_all_rejects_flags_before_any_suite_runs(capsys, monkeypatch):
+    calls = []
+    classic = cli.dobinski_classic
+
+    def counted(n, series):
+        calls.append(n)
+        return classic(n, series)
+
+    monkeypatch.setattr(cli, "dobinski_classic", counted)
+    code, out, err = run(capsys, "verify", "all", "--order", "0", "--max", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "bosonkit: error: --order must be >= 1\n"
+    assert calls == []
+    # The counter sees the suite when it does run.
+    code, _, _ = run(capsys, "verify", "dobinski", "--r", "1", "--s", "1", "--max", "1")
+    assert code == 0
+    assert calls == [1]
+
+
 def test_csv_verify_has_two_sections(capsys):
     code, out, _ = run(capsys, "verify", "egf", "--format", "csv")
     assert code == 0

@@ -1,15 +1,21 @@
 """Certified series evaluation against the exact rewriting oracle."""
 
+import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import bosonkit
 from bosonkit.dobinski import (
     bell_hypergeometric,
     dobinski_classic,
@@ -30,7 +36,11 @@ from bosonkit.numeric import (
     MAX_BITS,
     ErrorBoundedReal,
     SeriesSpec,
+    _E_BITS,
+    _dyadic,
     _exact,
+    _inv_e_bracket,
+    _inv_e_fixed,
     quotient_by_e,
     sum_with_tail_bound,
 )
@@ -246,7 +256,7 @@ def test_kernel_matches_fraction_reference():
 
 
 def test_quotient_by_e_escalates_precision():
-    # 16 working bits cannot hit 1e-30; doubling to 256 can.
+    # 16 working bits cannot hit 1e-30; the precision chosen from the target can.
     tight = SeriesSpec(working_precision=16, target_abs_error=1e-30)
     value = quotient_by_e(Fraction(1), Fraction(0), tight)
     with mp.workprec(200):
@@ -262,6 +272,81 @@ def test_quotient_by_e_rejects_hopeless_tail():
         quotient_by_e(Fraction(1), Fraction(1, 10**6), spec)
     with pytest.raises(ValueError):
         quotient_by_e(Fraction(1), Fraction(-1), spec)
+
+
+def test_inv_e_fixed_point_bracket():
+    low, high = _inv_e_fixed()
+    with mp.workprec(_E_BITS + 128):
+        scaled = _exact(mp.ldexp(mp.exp(-1), _E_BITS))
+    assert low < scaled < high
+    # Narrow enough that every shift by 64 or more bits leaves U_p - L_p <= 2.
+    assert high - low < 2**64
+
+
+@given(st.integers(16, MAX_BITS))
+@settings(max_examples=60, deadline=None)
+def test_inv_e_bracket_holds_and_is_tight(p):
+    low, high = _inv_e_bracket(p)
+    # mpmath at p + 128 bits gives 2^p / e to within 2^-128.
+    with mp.workprec(p + 128):
+        scaled = _exact(mp.ldexp(mp.exp(-1), p))
+    slack = Fraction(1, 2**100)
+    assert low <= scaled - slack and scaled + slack <= high
+    assert high - low <= 2
+
+
+@functools.cache
+def inv_e_rationals():
+    """Two consecutive partial sums of sum (-1)^k / k!; 1/e lies between them."""
+    sums = list(itertools.accumulate(Fraction((-1) ** k, math.factorial(k)) for k in range(702)))
+    return min(sums[-2:]), max(sums[-2:])
+
+
+@given(
+    st.integers(-40, 2999),
+    st.integers(1, 2**64),
+    st.data(),
+    st.integers(0, 1023),
+    st.integers(1, 40),
+    st.integers(16, 1024),
+)
+@settings(max_examples=150, deadline=None)
+def test_quotient_by_e_encloses_exactly(exp2, den, data, tail_fraction, digits, bits):
+    # q in [2^exp2, 2^(exp2 + 1)), so from 2^-40 to 2^3000; the tail runs from
+    # 0 to just under the pre-check's limit tail / e = target.
+    q = Fraction(den + data.draw(st.integers(0, den - 1)), den) * Fraction(2) ** exp2
+    spec = SeriesSpec(working_precision=bits, target_abs_error=10.0**-digits)
+    tail = spec.target * Fraction(27182, 10000) * Fraction(tail_fraction, 1024)
+    value = quotient_by_e(q, tail, spec)
+    mid, radius = _exact(value.value), _exact(value.abs_error)
+    assert radius <= spec.target
+    below, above = inv_e_rationals()
+    for numerator in (q - tail, q + tail):
+        ends = (numerator * below, numerator * above)
+        assert mid - radius <= min(ends) and max(ends) <= mid + radius
+
+
+def test_quotient_by_e_rejects_negative_q():
+    with pytest.raises(ValueError):
+        quotient_by_e(Fraction(-1), Fraction(0), SeriesSpec())
+
+
+def test_import_leaves_the_bracket_uncomputed():
+    src = str(Path(bosonkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import bosonkit, bosonkit.cli; from bosonkit.numeric import _inv_e_fixed; "
+        "print(_inv_e_fixed.cache_info().currsize)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0"
 
 
 def test_series_spec_validation():
@@ -342,28 +427,43 @@ def test_rounds_past_float_and_working_precision(series, family, n_float, n_wide
 
 
 # (value.man_exp, abs_error.man_exp) at the default SeriesSpec, frozen so the
-# midpoints and bounds that series values print cannot drift unnoticed.
+# midpoints and bounds that series values print cannot drift unnoticed, with
+# the family and n of the Bell number each encloses.  The last two pairs are
+# the enclosure the same series gave while the division by e ran in mpf at a
+# doubling precision; the integer division must overlap it.
 FROZEN_ENCLOSURES = [
     pytest.param(
         lambda: dobinski_classic(73),
+        (1, 1, 73),
+        (214834623568478894452765605511928333367140719361291003997161390043701285425833, 0),
+        (1, -43),
         (6219037475876635312905671894446080138538834816097502676678349191969960417398695481746797890556928428478113357257358204988953206289842829902494347839760013, -254),
         (629095680923958399751515846110947536410309716480743548410680131955630005002130100066194606928276769131750530181222546604919944723800062767653803950000251, -560),
         id="classic-73",
     ),
     pytest.param(
         lambda: dobinski_rr(3, 25),
+        (3, 3, 25),
+        (4583015241728789895131027571960579701050194194961592914977071009332851295277273, 0),
+        (1, -43),
         (4145913358173752297926769776482431967987020218117238210314295145907991819922808851268033902113196289181762678729105844606665225903206111896355579210320555, -249),
         (10135165881445069055245833089063440562851396223473825656404565259661711473380607532126572260695635976984645957687300758550237278625436784813857478232444227, -563),
         id="rr-3-25",
     ),
     pytest.param(
         lambda: dobinski_rs(2, 1, 55),
+        (2, 1, 55),
+        (292619712104570605474946344715618629945888031659478262707520281581304692729201, 0),
+        (1, -43),
         (1058845244269069176204257259587114809490800608899862436771839512954278195506881920343008650841536798276481641731032438398617924983919217727436074628736601, -251),
         (3768171085999827183488704558049417476732786032133118516410103623269630227159343757338882184431457122212032750889231553780997007397000893943954701929284097, -559),
         id="rs-2-1-55",
     ),
     pytest.param(
         lambda: dobinski_rs(3, 2, 31),
+        (3, 2, 31),
+        (1481536532823407633456641985738316440305625222530519034575511125318241843955571, 0),
+        (1, -43),
         (1340236018883062900993519230421874193256760426289731568122907029900266480933273043086653719424821140863562481530241220617350154488820084386833779516227163, -249),
         (9306043000701194656320461474504422031596103632900044332200291258414070469115835914346578328433348147038291067464808085461371599960344896290147554626839599, -562),
         id="rs-3-2-31",
@@ -371,11 +471,15 @@ FROZEN_ENCLOSURES = [
 ]
 
 
-@pytest.mark.parametrize("series, value, abs_error", FROZEN_ENCLOSURES)
-def test_enclosures_are_frozen(series, value, abs_error):
+@pytest.mark.parametrize(
+    "series, family, value, abs_error, parent_value, parent_abs_error", FROZEN_ENCLOSURES
+)
+def test_enclosures_are_frozen(series, family, value, abs_error, parent_value, parent_abs_error):
     got = series()
     assert got.value.man_exp == value
     assert got.abs_error.man_exp == abs_error
+    assert encloses(got, oracle(*family))
+    assert got.agrees_with(ErrorBoundedReal(_dyadic(*parent_value), _dyadic(*parent_abs_error)))
 
 
 def test_rounding_ignores_ambient_precision():
