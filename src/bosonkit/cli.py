@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -409,7 +410,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared by every later call."""
     parser = _Parser(prog="bosonkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,6 +8,8 @@ series for every family:
     B_{r,s}(n) = (1/e) sum_k N_k / k!,   N_k = prod_{j<n} (k+jd)! / (k+jd-s)!.
 
 The classical case (1,1) and r = s are its d = 0 cases, N_k = (k!/(k-s)!)^n.
+For d > 0 the numerators come from d running products, one per residue class
+of k mod d, each advanced by one multiply and one exact small divide per term.
 Terms are exact integer pairs (N_k, k!), summed over a running common
 denominator with a certified geometric tail bound, and only the final
 division by e is rounded, so every series value is an
@@ -20,8 +22,8 @@ hypergeometric form keeps its own terms as an independent cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, count
-from math import factorial, prod
+from itertools import accumulate, count, repeat
+from math import factorial, perm, prod
 from operator import mul
 from typing import Iterator
 
@@ -40,18 +42,25 @@ __all__ = [
 
 
 def _numerators(r: int, s: int, n: int) -> Iterator[int]:
-    """N_k = prod_{j<n} (k+jd)!/(k+jd-s)! for k = 0, 1, 2, ..., with d = r - s >= 0.
+    """N_k = prod_{j<n} f(k+jd), k = 0, 1, 2, ..., with f(x) = x!/(x-s)! and d = r - s >= 0.
 
-    ``falling[x]`` holds x!/(x-s)!, zero below x = s; each new entry is the
-    last times x, divided exactly by x - s.
+    N_k is zero for k < s.  At d = 0 it is f(k)^n.  At d > 0 the factors of
+    N_(k+d) are those of N_k shifted by one step of d, so each residue class
+    of k mod d keeps one running product, seeded at k = s .. s+d-1:
+    N_(k+d) = N_k * f(k+nd) // f(k), one multiply and one exact divide by a
+    small integer per term.
     """
     d = r - s
-    falling = [0] * s + [factorial(s)]
-    for k in count():
-        top = k + (n - 1) * d
-        for x in range(len(falling), top + 1):
-            falling.append(falling[-1] * x // (x - s))
-        yield falling[k] ** n if d == 0 else prod(falling[k : top + 1 : d])
+    yield from repeat(0, s)
+    if d == 0:
+        yield from (perm(k, s) ** n for k in count(s))
+        return
+    chains = [prod(perm(k + j * d, s) for j in range(n)) for k in range(s, s + d)]
+    for base in count(s, d):
+        for i, numer in enumerate(chains):
+            yield numer
+            k = base + i
+            chains[i] = numer * perm(k + n * d, s) // perm(k, s)
 
 
 def dobinski_terms(r: int, s: int, n: int) -> Iterator[tuple[int, int]]:
@@ -67,16 +76,19 @@ def dobinski_terms(r: int, s: int, n: int) -> Iterator[tuple[int, int]]:
     return zip(_numerators(r, s, n), kfact)
 
 
-def hypergeometric_terms(p: int, r: int, n: int) -> Iterator[tuple[int, int]]:
-    """Terms of rFr(pn+1, ..., pn+1+p(r-1); 1+p, ..., 1+p+p(r-1); 1).
+def hypergeometric_terms(
+    p: int, r: int, n: int, prefactor: Fraction = Fraction(1)
+) -> Iterator[tuple[int, int]]:
+    """Terms of prefactor * rFr(pn+1, ..., pn+1+p(r-1); 1+p, ..., 1+p+p(r-1); 1).
 
     Each term is an unreduced pair (numerator, denominator) of running
-    products: the k-th is prod_j (a_j)_k / (k! prod_j (b_j)_k), so every
-    denominator divides the next.
+    products, started at the prefactor's integer ratio: the k-th is
+    prefactor * prod_j (a_j)_k / (k! prod_j (b_j)_k), so every denominator
+    divides the next.
     """
     upper = [p * n + 1 + p * (j - 1) for j in range(1, r + 1)]
     lower = [1 + p * j for j in range(1, r + 1)]
-    numer = denom = 1
+    numer, denom = prefactor.as_integer_ratio()
     for k in count():
         yield numer, denom
         numer *= prod(a + k for a in upper)
@@ -153,7 +165,7 @@ def bell_hypergeometric(
 
     (1/e) [prod_{j=1}^{r} (p(n-1+j))!/(pj)!] rFr(pn+1, ..., pn+1+p(r-1);
     1+p, ..., 1+p+p(r-1); 1), summed term by term with the same tail bound
-    as the other series.
+    as the other series; the prefactor is folded into every term.
 
     The prefactor numerator must carry p(n-1+j), not p(n-1)+j: collecting
     the general r > s series for s = pr into blocks of p consecutive
@@ -168,4 +180,4 @@ def bell_hypergeometric(
     for j in range(1, r + 1):
         numerator = p * (n - 1) + j if reduced_prefactor else p * (n - 1 + j)
         prefactor *= Fraction(factorial(numerator), factorial(p * j))
-    return sum_over_e(hypergeometric_terms(p, r, n), series, prefactor)
+    return sum_over_e(hypergeometric_terms(p, r, n, prefactor), series)

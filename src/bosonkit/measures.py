@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, count, repeat
-from math import factorial
+from math import factorial, perm
 from operator import mul
 from typing import Callable, Iterator
 
@@ -110,8 +110,8 @@ def rarefied_comb(r: int) -> DiscreteMeasure:
         raise OutOfRangeError("need r >= 1")
 
     def atom(k: int) -> tuple[int, int]:
-        top = factorial(k + r)
-        return top // factorial(k), top
+        x = perm(k + r, r)
+        return x, factorial(k) * x
 
     return DiscreteMeasure(label=f"rarefied-comb(r={r})", unit_mass=False, _atom=atom)
 

@@ -12,7 +12,10 @@ Partial sums are exact, and so is the final division by e up to one bracket:
 the integers L <= 2^M / e <= U are computed once, on first use, and a
 quotient q / e is enclosed by integer products with L and U shifted to one
 precision, chosen from the target, the bit length of q and the working
-precision before any arithmetic, up to the ceiling MAX_BITS = 4096.
+precision before any arithmetic, up to the ceiling MAX_BITS = 4096.  Rounding
+an enclosure to an integer, or comparing two, is integer arithmetic too: each
+mpf is read as signed mantissa and exponent, and all of them are shifted to
+one common power of two.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .errors import NonIntegerResultError, PrecisionExhaustedError
 DEFAULT_BITS = 256
 MAX_BITS = 4096
 
-_HALF = Fraction(1, 2)
 # Fraction bits of the cached bracket of 1/e: MAX_BITS plus 8 + 64 guard bits,
 # so shifting it down to any precision up to MAX_BITS + 8 drops its own width
 # and leaves a bracket at most 2 wide.
@@ -72,14 +74,10 @@ class SeriesSpec:
         return Fraction(self.target_abs_error)
 
 
-def _exact(x) -> Fraction:
-    """x as a Fraction, without rounding; an mpf converts from its mantissa and exponent."""
-    if isinstance(x, mpmath.mpf):
-        man, exp = x.man_exp  # the magnitude; the sign is not part of it
-        if x < 0:
-            man = -man
-        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return Fraction(x)
+def _signed_man_exp(x: mpmath.mpf) -> tuple[int, int]:
+    """(man, exp) with x = man * 2^exp exactly; man carries the sign, which mpf.man_exp drops."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,8 @@ class ErrorBoundedReal:
 
     The bound covers series truncation and accumulated rounding; rounding to
     an integer is only allowed while the bound stays below 1/2.  Both are
-    finite and compared as exact rationals, at any magnitude and precision.
+    finite and compared exactly, as integers over a common power of two, at
+    any magnitude and precision.
     """
 
     value: mpmath.mpf
@@ -105,25 +104,37 @@ class ErrorBoundedReal:
 
         Requires abs_error < 1/2 (uniqueness) and the nearest integer to
         actually lie within the bound, so a tightly certified non-integer is
-        rejected instead of silently rounded.
+        rejected instead of silently rounded.  Value and radius are read as
+        signed mantissa and exponent and compared as integers in units of one
+        common power of two, 2^e with e <= -1, in which 1/2 is exact.  A value
+        halfway between two integers is 1/2 from both, outside every radius
+        below 1/2, so it needs no tie rule.
         """
-        radius = _exact(self.abs_error)
-        if not radius < _HALF:
+        r_man, r_exp = _signed_man_exp(self.abs_error)
+        v_man, v_exp = _signed_man_exp(self.value)
+        e = min(r_exp, v_exp, -1)
+        radius, half = r_man << (r_exp - e), 1 << (-1 - e)
+        if not radius < half:
             raise PrecisionExhaustedError(
                 f"abs_error {self.abs_error} >= 1/2; cannot round to an integer"
             )
-        value = _exact(self.value)
-        nearest = round(value)
-        if abs(value - nearest) > radius:
+        value = v_man << (v_exp - e)
+        nearest = (value + half) >> -e
+        if abs(value - (nearest << -e)) > radius:
             raise NonIntegerResultError(
                 f"enclosure {self} excludes every integer"
             )
         return nearest
 
     def agrees_with(self, other: "ErrorBoundedReal") -> bool:
-        """Whether the two enclosures overlap."""
-        gap = abs(_exact(self.value) - _exact(other.value))
-        return gap <= _exact(self.abs_error) + _exact(other.abs_error)
+        """Whether the two enclosures overlap, decided in integers as to_integer is."""
+        parts = [
+            _signed_man_exp(x)
+            for x in (self.value, other.value, self.abs_error, other.abs_error)
+        ]
+        e = min(exp for _, exp in parts)
+        a, b, ra, rb = (man << (exp - e) for man, exp in parts)
+        return abs(a - b) <= ra + rb
 
     def __str__(self) -> str:
         return f"{mpmath.nstr(self.value, 20)} +/- {mpmath.nstr(self.abs_error, 3)}"
@@ -264,16 +275,13 @@ def quotient_by_e(q: Fraction, tail: Fraction, series: SeriesSpec) -> ErrorBound
     )
 
 
-def sum_over_e(
-    terms: Iterator[tuple[int, int]], series: SeriesSpec, prefactor: Fraction = Fraction(1)
-) -> ErrorBoundedReal:
-    """(prefactor / e) * the sum of ``terms`` (integer pairs), with a certified bound.
+def sum_over_e(terms: Iterator[tuple[int, int]], series: SeriesSpec) -> ErrorBoundedReal:
+    """(1/e) * the sum of ``terms`` (integer pairs), with a certified bound.
 
-    The tail contributes prefactor * tail / e to the value; stopping once
-    terms drop below target / (2 * prefactor) keeps that within half the
-    budget, and quotient_by_e accounts for the rest.
+    A constant factor of the sum, such as the hypergeometric prefactor, is
+    carried by the terms themselves.  The tail contributes tail / e to the
+    value; stopping once terms drop below target / 2 keeps that within half
+    the budget, and quotient_by_e accounts for the rest.
     """
-    stop_below = series.target / (2 * max(prefactor, Fraction(1)))
-    partial, tail, _ = sum_with_tail_bound(terms, stop_below)
-    return quotient_by_e(prefactor * partial, prefactor * tail, series)
-
+    partial, tail, _ = sum_with_tail_bound(terms, series.target / 2)
+    return quotient_by_e(partial, tail, series)

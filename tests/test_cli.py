@@ -169,11 +169,36 @@ def test_unsupported_moment_family_exits_two(capsys):
 
 
 def test_printed_b5_flag_reports_divergence_as_failure(capsys):
-    code, out, _ = run(
-        capsys, "verify", "dobinski", "--r", "2", "--s", "1", "--max", "2", "--printed-b5"
+    for limit in (("--max", "2"), ()):
+        code, out, err = run(
+            capsys, "verify", "dobinski", "--r", "2", "--s", "1", *limit, "--printed-b5"
+        )
+        assert code == 3
+        assert err == ""
+        assert "diverges" in out
+
+
+def test_parser_is_built_on_first_use_and_reused():
+    src = str(Path(bosonkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, bosonkit, bosonkit.cli as cli\n"
+        "print(cli.build_parser.cache_info().currsize)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['stirling', '--r', '1', '--s', '1', '--n', str(n)]) for n in (2, 3)]\n"
+        "    codes.append(cli.main(['stirling', '--r', '1']))\n"
+        "info = cli.build_parser.cache_info()\n"
+        "print(codes, info.misses, info.hits)"
     )
-    assert code == 3
-    assert "diverges" in out
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["0", "[0, 0, 1] 1 2"]
 
 
 def test_printed_sign_egf_fails(capsys):

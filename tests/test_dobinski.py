@@ -17,6 +17,7 @@ from mpmath import mp
 
 import bosonkit
 from bosonkit.dobinski import (
+    _numerators,
     bell_hypergeometric,
     dobinski_classic,
     dobinski_rr,
@@ -38,7 +39,6 @@ from bosonkit.numeric import (
     SeriesSpec,
     _E_BITS,
     _dyadic,
-    _exact,
     _inv_e_bracket,
     _inv_e_fixed,
     quotient_by_e,
@@ -54,6 +54,14 @@ from bosonkit.measures import (
 )
 from bosonkit.operator_algebra import MonomialSpec
 from bosonkit.stirling import bell, bell_sequence
+
+
+def _exact(x) -> Fraction:
+    """An mpf as a Fraction, without rounding, from its mantissa and exponent."""
+    man, exp = x.man_exp  # the magnitude; the sign is not part of it
+    if x < 0:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def encloses(value, x):
@@ -104,11 +112,32 @@ def test_rs_validation():
 
 
 def test_literal_series_diverges():
-    # Without the 1/k! damping the printed series cannot converge.
+    # Without the 1/k! damping the printed series cannot converge, whether
+    # its numerators run as one chain (d = 1) or as d = 2, 3 chains.
     for r, s in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 3)):
-        for n in (1, 2):
+        for n in (1, 2, 3):
             with pytest.raises(DivergentSeriesError):
                 dobinski_rs_literal(r, s, n)
+
+
+def strided_numerators(r, s, n):
+    """N_k as the strided product of a growing list of falling factorials x!/(x-s)!."""
+    d = r - s
+    falling = [0] * s + [math.factorial(s)]
+    for k in itertools.count():
+        top = k + (n - 1) * d
+        for x in range(len(falling), top + 1):
+            falling.append(falling[-1] * x // (x - s))
+        yield falling[k] ** n if d == 0 else math.prod(falling[k : top + 1 : d])
+
+
+def test_running_numerators_match_strided_products():
+    # d = 0, d = 1 (one chain) and d >= 2 (d chains, one per residue class).
+    for r in range(1, 7):
+        for s in range(1, r + 1):
+            for n in range(1, 9):
+                got = list(itertools.islice(_numerators(r, s, n), 80))
+                assert got == list(itertools.islice(strided_numerators(r, s, n), 80)), (r, s, n)
 
 
 def test_hypergeometric_rounds_to_bell():
@@ -136,6 +165,30 @@ def test_reduced_prefactor_is_not_integral_for_p_two():
     a = bell_hypergeometric(1, 2, 3, reduced_prefactor=True)
     b = bell_hypergeometric(1, 2, 3)
     assert a.value == b.value and a.abs_error == b.abs_error
+
+
+def test_reduced_prefactor_stays_a_certified_non_integer():
+    # Folding a prefactor below 1 into the terms may stop the sum earlier;
+    # the result must still be tight enough to exclude every integer.
+    for n in range(2, 7):
+        value = bell_hypergeometric(2, 1, n, reduced_prefactor=True)
+        assert value.abs_error <= SeriesSpec().target_abs_error
+        with pytest.raises(NonIntegerResultError):
+            value.to_integer()
+
+
+@pytest.mark.parametrize("p, r, n", [(1, 1, 5), (1, 2, 7), (2, 1, 20), (2, 2, 4), (3, 1, 6)])
+def test_folded_prefactor_keeps_stop_partial_and_tail(p, r, n):
+    # With P >= 1, summing P * t_k to target / 2 stops where summing t_k to
+    # target / (2P) did, with P times the partial sum and the tail.
+    prefactor = Fraction(1)
+    for j in range(1, r + 1):
+        prefactor *= Fraction(math.factorial(p * (n - 1 + j)), math.factorial(p * j))
+    assert prefactor >= 1
+    target = SeriesSpec().target
+    folded = sum_with_tail_bound(hypergeometric_terms(p, r, n, prefactor), target / 2)
+    plain, tail, count = sum_with_tail_bound(hypergeometric_terms(p, r, n), target / (2 * prefactor))
+    assert folded == (prefactor * plain, prefactor * tail, count)
 
 
 def test_hypergeometric_validation():
@@ -382,6 +435,70 @@ def test_agrees_with_is_symmetric_overlap():
     assert not a.agrees_with(c)
 
 
+def reference_to_integer(value):
+    """to_integer in Fraction arithmetic, rounding half to even."""
+    radius = _exact(value.abs_error)
+    if not radius < Fraction(1, 2):
+        raise PrecisionExhaustedError("radius")
+    mid = _exact(value.value)
+    nearest = round(mid)
+    if abs(mid - nearest) > radius:
+        raise NonIntegerResultError("non-integer")
+    return nearest
+
+
+def reference_agrees_with(a, b):
+    return abs(_exact(a.value) - _exact(b.value)) <= _exact(a.abs_error) + _exact(b.abs_error)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PrecisionExhaustedError, NonIntegerResultError) as exc:
+        return type(exc)
+
+
+def dyadic(x: Fraction):
+    """A Fraction with a power-of-two denominator as an exact mpf."""
+    num, den = x.as_integer_ratio()
+    return _dyadic(num, 1 - den.bit_length())
+
+
+DYADICS = st.builds(
+    lambda man, exp: Fraction(man) * Fraction(2) ** exp,
+    st.integers(-(2**80), 2**80),
+    st.integers(-200, 200),
+)
+HALF_INTEGERS = st.builds(lambda k: k + Fraction(1, 2), st.integers(-(2**70), 2**70))
+NEAR_INTEGERS = st.builds(
+    lambda k, man, exp: k + Fraction(man) * Fraction(2) ** exp,
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**20), 2**20),
+    st.integers(-200, -1),
+)
+VALUES = st.one_of(DYADICS, HALF_INTEGERS, NEAR_INTEGERS)
+RADII = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(1, 2)),
+    st.builds(lambda k: Fraction(1, 2) - Fraction(1, 2**k), st.integers(2, 200)),
+    st.builds(abs, DYADICS),
+)
+
+
+@given(VALUES, RADII, VALUES, RADII, st.sampled_from([20, 4096]), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_integer_rounding_matches_fraction_reference(v1, r1, v2, r2, prec, touching):
+    # When ``touching``, the second enclosure just meets the first.
+    if touching:
+        v2 = v1 + (r1 + r2) * (1 if v2 >= 0 else -1)
+    with mp.workprec(prec):
+        a = ErrorBoundedReal(dyadic(v1), dyadic(r1))
+        b = ErrorBoundedReal(dyadic(v2), dyadic(r2))
+        assert outcome(a.to_integer) == outcome(reference_to_integer, a)
+        assert outcome(b.to_integer) == outcome(reference_to_integer, b)
+        assert a.agrees_with(b) == b.agrees_with(a) == reference_agrees_with(a, b)
+
+
 def test_tighter_target_tightens_bound():
     loose = dobinski_classic(6, SeriesSpec(target_abs_error=1e-6))
     tight = dobinski_classic(6, SeriesSpec(target_abs_error=1e-20))
@@ -480,6 +597,50 @@ def test_enclosures_are_frozen(series, family, value, abs_error, parent_value, p
     assert got.abs_error.man_exp == abs_error
     assert encloses(got, oracle(*family))
     assert got.agrees_with(ErrorBoundedReal(_dyadic(*parent_value), _dyadic(*parent_abs_error)))
+
+
+# (value.man_exp, abs_error.man_exp) of the hypergeometric (prefactor in the
+# terms), Bessel-moment, rarefied-comb and d = 3 Dobinski series, pinned so
+# that a change in how terms are built cannot move a bit of any of them.
+BIT_IDENTICAL = [
+    pytest.param(
+        lambda: bell_hypergeometric(2, 1, 20),
+        (27180618668310836455134761907963571171813482956176219287669370994407112285483, -86),
+        (176825040537, -86),
+        id="hyp-2-1-20",
+    ),
+    pytest.param(
+        lambda: bell_hypergeometric(1, 2, 25),
+        (32945358743260714520496500909860026517311867800531505286267198348203491589533, -58),
+        (613, -58),
+        id="hyp-1-2-25",
+    ),
+    pytest.param(
+        lambda: continuous_moment_series(2, 10),
+        (44261769848400505452381969144124523033775051428738736417879206105450889878127, -189),
+        (1653015642485775738263268201379785771478417, -189),
+        id="bessel-2-10",
+    ),
+    pytest.param(
+        lambda: moment(rarefied_comb(3), 12),
+        (22324190054032347556466172278814977474352080379232929685981132089727198991453, -156),
+        (11980428277291718097887778843253, -155),
+        id="rarefied-3-12",
+    ),
+    pytest.param(
+        lambda: dobinski_rs(4, 1, 10),
+        (38799537682464310602032648260925057159856682182348455126710884388131882713959, -219),
+        (569574395560689963065906977043631690972934566605047, -219),
+        id="rs-4-1-10",
+    ),
+]
+
+
+@pytest.mark.parametrize("series, value, abs_error", BIT_IDENTICAL)
+def test_series_values_are_bit_identical(series, value, abs_error):
+    got = series()
+    assert got.value.man_exp == value
+    assert got.abs_error.man_exp == abs_error
 
 
 def test_rounding_ignores_ambient_precision():
