@@ -82,7 +82,13 @@ class OutputRecord:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """``json.dumps(self.to_dict(), indent=2)``, byte for byte.
+
+        With ``indent`` set the json module encodes in pure Python, so each
+        field is encoded compactly by the C encoder and indented here.
+        """
+        fields = (f"{_encode_depth2(k)}: {_indented(v)}" for k, v in self.to_dict().items())
+        return "{\n  " + ",\n  ".join(fields) + "\n}"
 
     def to_csv(self) -> str:
         # One flat table per section; most commands populate only one.
@@ -119,6 +125,30 @@ class OutputRecord:
         if fmt == "csv":
             return self.to_csv()
         return self.to_plain()
+
+
+# Compact encoders whose item separator already holds the line break and the
+# indentation that indent=2 puts before a key at depth 2 (the parameters) and
+# at depth 3 (a key of a result or check row).
+_encode_depth2 = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+_encode_depth3 = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
+def _indented(value) -> str:
+    """A top-level field of ``OutputRecord.to_dict`` as indent=2 prints it.
+
+    The field is a scalar, a flat dict or a list of flat dicts.  An encoded
+    string never holds a raw newline, so in a list every "},\n      {" is a
+    row boundary and "{\n      \n    }" can only be an empty row.
+    """
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        body = _encode_depth3(value)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+        return ("[\n    {\n      " + body + "\n    }\n  ]").replace("{\n      \n    }", "{}")
+    if isinstance(value, dict) and value:
+        return "{\n    " + _encode_depth2(value)[1:-1] + "\n  }"
+    return _encode_depth2(value)
 
 
 def _resolve_bits(value: int | None) -> int:

@@ -19,7 +19,7 @@ its integer moment terms, its mass and its positivity check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, islice, repeat
 from math import factorial, perm
 from operator import mul
 from typing import Callable, Iterator
@@ -55,20 +55,20 @@ __all__ = [
 class DiscreteMeasure:
     """Atoms (x_k, w_k), k = 0, 1, ...; weights carry a common factor 1/e.
 
-    The atom callable returns integers (x_k, q_k) with e * w_k = 1 / q_k; the
-    single division by e is deferred to mass()/moment() so everything before
-    the final rounding stays in exact integer arithmetic.
+    The zero-argument ``_atoms`` starts a fresh stream of the integer pairs
+    (x_k, q_k) in order of k, with e * w_k = 1 / q_k; the single division by e
+    is deferred to mass()/moment() so everything before the final rounding
+    stays in exact integer arithmetic.
     """
 
     label: str
     unit_mass: bool
-    _atom: Callable[[int], tuple[int, int]] = field(compare=False, repr=False)
+    _atoms: Callable[[], Iterator[tuple[int, int]]] = field(compare=False, repr=False)
 
     def check_atoms(self, count: int) -> None:
         """Positivity and strict ordering of the first ``count`` atoms."""
         previous = None
-        for k in range(count):
-            x, q = self._atom(k)
+        for k, (x, q) in enumerate(islice(self._atoms(), count)):
             if q <= 0:
                 raise DomainError(f"{self.label}: weight at k={k} is 1/{q}")
             if previous is not None and x <= previous:
@@ -77,8 +77,7 @@ class DiscreteMeasure:
 
     def scaled_moment_terms(self, n: int) -> Iterator[tuple[int, int]]:
         """Yields e * w_k * x_k^n as the integer pair (x_k^n, q_k)."""
-        for k in count():
-            x, q = self._atom(k)
+        for x, q in self._atoms():
             yield x**n, q
 
     def mass(self, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedReal:
@@ -93,10 +92,10 @@ def dirac_comb() -> DiscreteMeasure:
     no moment of order n >= 1 changes.
     """
 
-    def atom(k: int) -> tuple[int, int]:
-        return k, factorial(k)
+    def atoms() -> Iterator[tuple[int, int]]:
+        return zip(count(), accumulate(count(1), mul, initial=1))
 
-    return DiscreteMeasure(label="dirac-comb", unit_mass=True, _atom=atom)
+    return DiscreteMeasure(label="dirac-comb", unit_mass=True, _atoms=atoms)
 
 
 def rarefied_comb(r: int) -> DiscreteMeasure:
@@ -109,11 +108,11 @@ def rarefied_comb(r: int) -> DiscreteMeasure:
     if r < 1:
         raise OutOfRangeError("need r >= 1")
 
-    def atom(k: int) -> tuple[int, int]:
-        x = perm(k + r, r)
-        return x, factorial(k) * x
+    def atoms() -> Iterator[tuple[int, int]]:
+        x = map(perm, count(r), repeat(r))  # q_k = k! x_k = (k + r)!
+        return zip(x, accumulate(count(r + 1), mul, initial=factorial(r)))
 
-    return DiscreteMeasure(label=f"rarefied-comb(r={r})", unit_mass=False, _atom=atom)
+    return DiscreteMeasure(label=f"rarefied-comb(r={r})", unit_mass=False, _atoms=atoms)
 
 
 def bessel_i(nu: int, y, target_error=1e-30, *, bits: int = DEFAULT_BITS):

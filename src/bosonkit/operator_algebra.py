@@ -21,8 +21,8 @@ with ``==``; it has no arithmetic of its own, and products go through
 Powers of the monomial a+^r a^s come from one streaming engine,
 ``monomial_power_rows``: every term of [(a+)^r a^s]^n has the same excess
 n(r - s) of creation over annihilation, so the power is a single row of
-coefficients indexed by k, and one application of the contraction rule takes
-the row from n to n + 1 in r + 1 whole-list passes, one per number of
+coefficients indexed by k, and one contraction a^s a+^m on the left takes
+the row from n to n + 1 in s + 1 whole-list passes, one per number of
 contractions.  All coefficients are arbitrary-precision integers.
 """
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from math import comb, factorial, perm
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping
@@ -220,27 +220,27 @@ def monomial_power_rows(r: int, s: int) -> Iterator[list[int]]:
     """Yield the rows k -> S_{r,s}(n, k) of [(a+)^r a^s]^n for n = 1, 2, ...
 
     Row n is a list of length ns + 1 whose entry k is the coefficient of
-    a+^(n(r-s)+k) a^k; entries below k = s are zero.  Each step multiplies by
-    a+^r a^s on the right: a^k a+^r = sum_l C(k, l) C(r, l) l! a+^(r-l) a^(k-l)
-    moves W_l[k] = C(r, l) k!/(k-l)! times the entry at k to k - l + s, so the
-    next row is the row shifted by s plus, per l = 1..r, one list pass adding
-    row[l:] times W_l[l:] in from index s.  Only the current row and the
-    small-integer lists W_l, grown with the row, are held.  (r, s) is
-    validated when the first row is drawn.
+    a+^m a^k, m = n(r-s) + k; entries below k = s are zero.  Each step
+    multiplies by a+^r a^s on the left (powers commute): a^s a+^m moves
+    W_l[m] = C(s, l) m!/(m-l)! times the entry at k to k + s - l, so the next
+    row is the row shifted by s plus, per l = 1..s, one list pass adding the
+    row times W_l[n(r-s):] in from index s - l; W_l[m] = 0 for m < l.  Only
+    the row and the small-integer lists W_l (nr + 1 entries) are held.  (r, s)
+    is validated when the first row is drawn.
     """
     MonomialSpec(r=r, s=s, n=1)
-    weights: list[list[int]] = [[] for _ in range(r)]  # weights[l - 1] is W_l
+    weights: list[list[int]] = [[] for _ in range(s)]  # weights[l - 1] is W_l
     row = [0] * s + [1]
-    while True:
+    for start in count(r - s, r - s):  # start = n(r - s) for row n
         yield row
-        for k in range(len(weights[0]), len(row)):
+        end = start + len(row)
+        for m in range(len(weights[0]), end):
             for l, w in enumerate(weights, start=1):
-                w.append(comb(r, l) * perm(k, l))
+                w.append(comb(s, l) * perm(m, l))
         nxt = [0] * s + row
-        # The entry at k contracts at most k annihilators, so l < len(row).
-        for l, w in enumerate(weights[: len(row) - 1], start=1):
-            end = len(row) - l + s
-            nxt[s:end] = map(add, nxt[s:end], map(mul, row[l:], w[l:]))
+        for l, w in enumerate(weights, start=1):
+            lo, hi = s - l, s - l + len(row)
+            nxt[lo:hi] = map(add, nxt[lo:hi], map(mul, row, w[start:end]))
         row = nxt
 
 

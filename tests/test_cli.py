@@ -9,13 +9,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import bosonkit
 from bosonkit import cli
 from bosonkit.cli import main
 from bosonkit.errors import DivergentSeriesError
-from bosonkit.numeric import ErrorBoundedReal
+from bosonkit.numeric import Check, ErrorBoundedReal
 from bosonkit.operator_algebra import MonomialSpec
 from bosonkit.stirling import bell
 
@@ -89,6 +91,40 @@ def test_json_round_trips(capsys):
     record = json.loads(out)
     assert record["schema"] == 1
     assert record["command"] == "bell"
+
+
+def reference_json(record):
+    """The pure-Python indent=2 encoding that ``OutputRecord.to_json`` must match."""
+    return json.dumps(record.to_dict(), indent=2)
+
+
+# Strings that can confuse a splice of indentation into compact JSON: quotes,
+# backslashes, raw newlines, non-ASCII and the row boundary itself.
+TRICKY = st.text(
+    st.sampled_from(['"', "\\", "\n", "{", "}", ",", ":", " ", "a", "\u00e9", "\u2603", "\U0001d11e"])
+) | st.sampled_from(["", "},\n      {", '"},\n      {"', "{\n      \n    }"])
+ROWS = st.lists(st.dictionaries(TRICKY, TRICKY, max_size=4), max_size=4)
+
+
+@given(
+    command=TRICKY,
+    parameters=st.dictionaries(TRICKY, TRICKY, max_size=4),
+    results=ROWS,
+    checks=st.lists(st.builds(Check, TRICKY, st.booleans(), TRICKY), max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_to_json_matches_indented_json_dumps(command, parameters, results, checks):
+    record = cli.OutputRecord(command, parameters, results, checks)
+    assert record.to_json() == reference_json(record)
+
+
+def test_to_json_of_empty_sections():
+    for record in (
+        cli.OutputRecord("bell", {}),
+        cli.OutputRecord("bell", {}, [{}], [Check("", True, "")]),
+        cli.OutputRecord("bell", {"r": "1"}, [{}, {"n": "0"}, {}]),
+    ):
+        assert record.to_json() == reference_json(record)
 
 
 def test_integers_are_decimal_strings(capsys):

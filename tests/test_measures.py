@@ -1,6 +1,7 @@
 """Moment measures: combs, the continuous Bessel-type density, quadrature."""
 
 from fractions import Fraction
+from itertools import count, islice, repeat
 
 import mpmath
 import pytest
@@ -35,7 +36,7 @@ def oracle(r, s, n):
 
 def atoms(measure, count):
     """First ``count`` atoms of a discrete measure as exact (location, e * weight) pairs."""
-    return [(Fraction(x), Fraction(1, q)) for x, q in map(measure._atom, range(count))]
+    return [(Fraction(x), Fraction(1, q)) for x, q in islice(measure._atoms(), count)]
 
 
 def test_dirac_comb_atoms():
@@ -114,12 +115,12 @@ def test_rarefied_comb_mass_below_one():
 
 def test_check_atoms_rejects_bad_measures():
     flat = DiscreteMeasure(
-        label="flat", unit_mass=False, _atom=lambda k: (Fraction(1), Fraction(1))
+        label="flat", unit_mass=False, _atoms=lambda: repeat((Fraction(1), Fraction(1)))
     )
     with pytest.raises(DomainError):
         flat.check_atoms(3)
     signed = DiscreteMeasure(
-        label="signed", unit_mass=False, _atom=lambda k: (Fraction(k), Fraction(-1))
+        label="signed", unit_mass=False, _atoms=lambda: zip(map(Fraction, count()), repeat(Fraction(-1)))
     )
     with pytest.raises(DomainError):
         signed.check_atoms(1)

@@ -186,7 +186,12 @@ def test_monomial_power_rows_classical_row():
 
 
 def reference_rows(r, s):
-    """The contraction step entry by entry: the engine's earlier form, kept as a reference."""
+    """The right-multiplied contraction step, entry by entry, kept as a reference.
+
+    Row n times a+^r a^s: a^k a+^r = sum_l C(k, l) C(r, l) l! a+^(r-l) a^(k-l)
+    moves the entry at k to k - l + s, which is r + 1 terms per entry where
+    the engine's left multiplication has s + 1.
+    """
     weights = [comb(r, l) for l in range(r + 1)]
     row = [0] * s + [1]
     while True:
@@ -201,11 +206,13 @@ def reference_rows(r, s):
 
 @pytest.mark.parametrize(
     "r, s, n_max",
-    [(r, s, 40) for r in range(1, 6) for s in range(1, r + 1)] + [(2, 1, 300), (3, 2, 150)],
+    [(r, s, 40) for r in range(1, 7) for s in range(1, r + 1)]
+    + [(2, 1, 300), (3, 2, 150), (4, 1, 200), (5, 3, 80)],
 )
 def test_monomial_power_rows_match_entrywise_step(r, s, n_max):
-    # The whole-row passes against the per-entry step; (2, 1) to n = 300 and
-    # (3, 2) to n = 150 take the entries past 2^256.
+    # The left-multiplied whole-row passes against the right-multiplied
+    # per-entry step; the long runs take the entries past 2^256 and the
+    # weight lists W_l to nr + 1 entries.
     pairs = islice(zip(monomial_power_rows(r, s), reference_rows(r, s)), n_max)
     for n, (row, expected) in enumerate(pairs, start=1):
         assert row == expected, (r, s, n)

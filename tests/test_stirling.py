@@ -171,18 +171,20 @@ def deep_size(xs):
 
 
 def test_bell_sweep_memory_stays_bounded():
-    # The engine holds one row, its successor and the list-pass temporaries
-    # (about 3.5 final rows at the peak); keeping every row would take about
-    # 100.  The bound leaves room for allocator noise.
-    final_row = engine_row(2, 1, 300)
-    tracemalloc.start()
-    try:
-        values = bell_sequence(2, 1, 300)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert values[-1] == sum(final_row.values())
-    assert peak <= 6 * deep_size(list(final_row.values())) + deep_size(values)
+    # The engine holds one row, its successor, the list-pass temporaries and
+    # s weight lists of up to nr + 1 small integers: about 2.4 final rows at
+    # the peak for (2, 1) and 4.3 for (5, 3), where keeping every row would
+    # take about 100 and 28.  The bound leaves room for allocator noise.
+    for r, s, n in ((2, 1, 300), (5, 3, 80)):
+        final_row = engine_row(r, s, n)
+        tracemalloc.start()
+        try:
+            values = bell_sequence(r, s, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values[-1] == sum(final_row.values())
+        assert peak <= 6 * deep_size(list(final_row.values())) + deep_size(values), (r, s)
 
 
 def test_bell_value_is_indexable():
