@@ -1,10 +1,13 @@
 """Moment measures whose power moments are generalized Bell numbers.
 
-Three families are constructed here.  The Dirac comb carries atoms at the
-non-negative integers and reproduces the classical Bell numbers; its rarefied
-variant puts atoms at x_k = (k+r)!/k! and reproduces B_{r,r}(n); the family
-(2r, r) has a continuous density on (0, inf) built from the modified Bessel
-function I_r.  Verification is numeric but certified where we can make it so:
+Two constructions cover three families.  One comb carries atoms at
+x_j = j!/(j-r)! with weight e^{-1}/j! for j >= j0: at r = 1, j0 = 0 it is
+the Dirac comb on the non-negative integers and reproduces the classical
+Bell numbers; at j0 = r it is the rarefied comb and reproduces B_{r,r}(n).
+The family (2s, s) has a continuous density on (0, inf) built from the
+modified Bessel function I_s.  Each measure has mass
+1 - e^{-1} sum_{j<j0} 1/j!, with j0 = s for the density.
+Verification is numeric but certified where we can make it so:
 discrete moments are partial sums of exact integer-pair terms with a
 geometric tail bound, the Bessel series carries a truncation bound, and the
 quadrature tail past the cutoff is bounded analytically.  Only the quadrature error on the
@@ -65,15 +68,18 @@ class DiscreteMeasure:
     unit_mass: bool
     _atoms: Callable[[], Iterator[tuple[int, int]]] = field(compare=False, repr=False)
 
-    def check_atoms(self, count: int) -> None:
-        """Positivity and strict ordering of the first ``count`` atoms."""
+    def check_atoms(self, count: int) -> Check:
+        """Positivity of the weights and strict ordering of the first ``count`` atoms."""
         previous = None
         for k, (x, q) in enumerate(islice(self._atoms(), count)):
             if q <= 0:
-                raise DomainError(f"{self.label}: weight at k={k} is 1/{q}")
+                return Check("atom positivity", False, f"{self.label}: weight at k={k} is 1/{q}")
             if previous is not None and x <= previous:
-                raise DomainError(f"{self.label}: locations not increasing at k={k}")
+                return Check(
+                    "atom positivity", False, f"{self.label}: locations not increasing at k={k}"
+                )
             previous = x
+        return Check("atom positivity", True, f"first {count} weights > 0, locations increasing")
 
     def scaled_moment_terms(self, n: int) -> Iterator[tuple[int, int]]:
         """Yields e * w_k * x_k^n as the integer pair (x_k^n, q_k)."""
@@ -84,6 +90,17 @@ class DiscreteMeasure:
         return sum_over_e(self.scaled_moment_terms(0), series)
 
 
+def _comb(label: str, r: int, j0: int) -> DiscreteMeasure:
+    # Atoms x_j = j!/(j-r)! with q_j = j!, for j >= j0.
+    def atoms() -> Iterator[tuple[int, int]]:
+        return zip(
+            map(perm, count(j0), repeat(r)),
+            accumulate(count(j0 + 1), mul, initial=factorial(j0)),
+        )
+
+    return DiscreteMeasure(label=label, unit_mass=j0 == 0, _atoms=atoms)
+
+
 def dirac_comb() -> DiscreteMeasure:
     """Atoms at x = k >= 0 with weight e^{-1}/k!; moments are B(n), mass 1.
 
@@ -91,11 +108,7 @@ def dirac_comb() -> DiscreteMeasure:
     the comb over k >= 1 has mass (e-1)/e, with it normalization is exact and
     no moment of order n >= 1 changes.
     """
-
-    def atoms() -> Iterator[tuple[int, int]]:
-        return zip(count(), accumulate(count(1), mul, initial=1))
-
-    return DiscreteMeasure(label="dirac-comb", unit_mass=True, _atoms=atoms)
+    return _comb("dirac-comb", 1, 0)
 
 
 def rarefied_comb(r: int) -> DiscreteMeasure:
@@ -107,12 +120,7 @@ def rarefied_comb(r: int) -> DiscreteMeasure:
     """
     if r < 1:
         raise OutOfRangeError("need r >= 1")
-
-    def atoms() -> Iterator[tuple[int, int]]:
-        x = map(perm, count(r), repeat(r))  # q_k = k! x_k = (k + r)!
-        return zip(x, accumulate(count(r + 1), mul, initial=factorial(r)))
-
-    return DiscreteMeasure(label=f"rarefied-comb(r={r})", unit_mass=False, _atoms=atoms)
+    return _comb(f"rarefied-comb(r={r})", r, r)
 
 
 def bessel_i(nu: int, y, target_error=1e-30, *, bits: int = DEFAULT_BITS):
@@ -308,127 +316,91 @@ def _close(value: ErrorBoundedReal, expected, tol) -> bool:
         return bool(gap <= allowance)
 
 
-def _moment_checks(measure, r: int, s: int, n_max: int, tol, bits: int):
-    checks = []
-    for n, expected in enumerate(bell_sequence(r, s, n_max)[1:], start=1):
-        value = moment(measure, n, target_error=min(float(tol), 1e-10), bits=bits)
-        ok = _close(value, expected, tol)
-        checks.append(
-            Check(
-                name=f"moment n={n}",
-                ok=ok,
-                detail=f"got {value}, expected B_{{{r},{s}}}({n}) = {expected}",
-            )
-        )
-    return checks
+def _family(r: int, s: int):
+    """The measure of the family (r, s) and the index j0 of its first atom."""
+    if s >= 1:
+        if (r, s) == (1, 1):
+            return dirac_comb(), 0
+        if r == s:
+            return rarefied_comb(r), r
+        if r == 2 * s:
+            return weight_2r_r(s), s
+    raise UnsupportedFamilyError(
+        f"no measure implemented for (r, s) = ({r}, {s}); "
+        "supported: r = s >= 1, r = 2s >= 2"
+    )
 
 
-def _mass_closed_form_terms(r: int) -> Iterator[tuple[int, int]]:
-    # (1/e) sum_k 1/(k+r)!; equals both the rarefied-comb mass and the
-    # continuous mass for the same r (and (e-1)/e at r = 1).
-    return zip(repeat(1), accumulate(count(r + 1), mul, initial=factorial(r)))
+def _positivity_sample(density: ContinuousDensity, bits: int) -> Check:
+    points = 1000
+    with mp.workprec(64):
+        lo, hi = mp.log(mp.mpf("1e-6")), mp.log(mp.mpf("1e3"))
+        xs = [mp.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points)]
+    positive = 0
+    for x in xs:
+        w = density.evaluate(x, target_error=1e-40, bits=max(bits, 128))
+        if w.value - w.abs_error > 0:
+            positive += 1
+    return Check(
+        name="positivity sample",
+        ok=positive == points,
+        detail=f"{positive}/{points} log-spaced points in [1e-6, 1e3] strictly positive",
+    )
 
 
 def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_BITS) -> MomentReport:
     """Check that a family's measure reproduces its Bell numbers.
 
     Supported families: (1,1) -> Dirac comb; r = s -> rarefied comb;
-    r = 2s -> continuous Bessel-type density.  The report also carries the
-    mass account and a positivity sample.
+    r = 2s -> continuous Bessel-type density; every other (r, s) raises
+    UnsupportedFamilyError.  Every family runs the same checks in this order:
+    the moments n = 1..n_max against the Bell numbers; the mass against the
+    closed form 1 - e^{-1} sum_{j<j0} 1/j! (at s = 1 the density's mass is
+    also measured by quadrature); at s = 1 the density's quadrature moments
+    against their Dobinski series; and the positivity of the measure.
     """
     if n_max < 1:
         raise OutOfRangeError("need n_max >= 1")
+    measure, j0 = _family(r, s)
+    discrete = isinstance(measure, DiscreteMeasure)
     series = SeriesSpec(working_precision=bits, target_abs_error=1e-14)
-    checks: list[Check] = []
-    if (r, s) == (1, 1):
-        comb = dirac_comb()
-        family = comb.label
-        checks += _moment_checks(comb, 1, 1, n_max, tol, bits)
-        mass = comb.mass(series)
+    target = min(float(tol), 1e-10)
+    values = [moment(measure, n, target_error=target, bits=bits) for n in range(1, n_max + 1)]
+    checks = [
+        Check(
+            name=f"moment n={n}",
+            ok=_close(value, expected, tol),
+            detail=f"got {value}, expected B_{{{r},{s}}}({n}) = {expected}",
+        )
+        for n, value, expected in zip(count(1), values, bell_sequence(r, s, n_max)[1:])
+    ]
+    quadrature = not discrete and s == 1
+    routes = {"series": measure.mass(series) if discrete else continuous_moment_series(s, 0, series)}
+    if quadrature:
+        # At s = 1 the u-substituted mass integrand is regular at 0, so the
+        # mass can also be measured by quadrature, independently of the
+        # series expansion.
+        routes["quadrature"] = _continuous_moment(measure, 0, 1e-9, bits)
+    with mp.workprec(160):
+        closed = 1 - mp.fsum(mp.mpf(1) / factorial(j) for j in range(j0)) / mp.e
         checks.append(
             Check(
                 name="mass",
-                ok=_close(mass, 1, mp.mpf(1e-12)),
-                detail=f"got {mass}, expected 1 (k = 0 atom included)",
+                ok=all(_close(mass, closed, 1e-12) for mass in routes.values()),
+                detail=", ".join(f"{route} {mass}" for route, mass in routes.items())
+                + f"; closed form 1 - (1/e) sum_{{j<{j0}}} 1/j! = {mp.nstr(closed, 20)}",
             )
         )
-        comb.check_atoms(64)
-        checks.append(
-            Check(name="atom positivity", ok=True, detail="first 64 atoms > 0, increasing")
-        )
-    elif r == s:
-        comb = rarefied_comb(r)
-        family = comb.label
-        checks += _moment_checks(comb, r, s, n_max, tol, bits)
-        mass = comb.mass(series)
-        expected_mass = sum_over_e(_mass_closed_form_terms(r), series)
-        checks.append(
-            Check(
-                name="mass",
-                ok=bool(mass.agrees_with(expected_mass)),
-                detail=(
-                    f"got {mass}; closed form (1/e) sum 1/(k+{r})! = {expected_mass}; "
-                    "mass < 1 is expected, B(0) = 1 is convention"
-                ),
-            )
-        )
-        comb.check_atoms(64)
-        checks.append(
-            Check(name="atom positivity", ok=True, detail="first 64 atoms > 0, increasing")
-        )
-    elif r == 2 * s:
-        density = weight_2r_r(s)
-        family = f"bessel-density(r={s})"
-        checks += _moment_checks(density, r, s, n_max, tol, bits)
-        mass = continuous_moment_series(s, 0, series)
-        if s == 1:
-            # At s = 1 the u-substituted mass integrand is regular at 0, so
-            # the mass can also be measured by quadrature, independently of
-            # the series expansion.
-            mass_quad = _continuous_moment(density, 0, 1e-9, bits)
-            with mp.workprec(bits):
-                target_mass = (mp.e - 1) / mp.e
-            mass_ok = _close(mass_quad, target_mass, mp.mpf(1e-9)) and bool(
-                mass_quad.agrees_with(mass)
-            )
-            mass_detail = (
-                f"quadrature {mass_quad}, series {mass}, expected (e-1)/e; "
-                "mass < 1 is expected"
-            )
-        else:
-            mass_ok = True
-            mass_detail = f"series mass {mass} (reported; < 1 by construction)"
-        checks.append(Check(name="mass", ok=mass_ok, detail=mass_detail))
-        if s == 1:
-            for n in range(1, min(n_max, 4) + 1):
-                quad = moment(density, n, target_error=min(float(tol), 1e-10), bits=bits)
-                srs = dobinski_rs(2, 1, n, SeriesSpec(working_precision=bits, target_abs_error=1e-14))
-                checks.append(
-                    Check(
-                        name=f"series vs quadrature n={n}",
-                        ok=bool(quad.agrees_with(srs)),
-                        detail=f"quadrature {quad} vs series {srs}",
-                    )
+    if quadrature:
+        for n, quad in enumerate(values[:4], start=1):
+            srs = dobinski_rs(2, 1, n, series)
+            checks.append(
+                Check(
+                    name=f"series vs quadrature n={n}",
+                    ok=bool(quad.agrees_with(srs)),
+                    detail=f"quadrature {quad} vs series {srs}",
                 )
-        positive = 0
-        points = 1000
-        with mp.workprec(64):
-            lo, hi = mp.log(mp.mpf("1e-6")), mp.log(mp.mpf("1e3"))
-            xs = [mp.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points)]
-        for x in xs:
-            w = density.evaluate(x, target_error=1e-40, bits=max(bits, 128))
-            if w.value - w.abs_error > 0:
-                positive += 1
-        checks.append(
-            Check(
-                name="positivity sample",
-                ok=positive == points,
-                detail=f"{positive}/{points} log-spaced points in [1e-6, 1e3] strictly positive",
             )
-        )
-    else:
-        raise UnsupportedFamilyError(
-            f"no measure implemented for (r, s) = ({r}, {s}); "
-            "supported: (1,1), r = s, r = 2s"
-        )
+    checks.append(measure.check_atoms(64) if discrete else _positivity_sample(measure, bits))
+    family = measure.label if discrete else f"bessel-density(r={s})"
     return MomentReport(family=family, checks=tuple(checks))

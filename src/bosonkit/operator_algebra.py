@@ -129,7 +129,7 @@ def format_terms(items: Iterable[tuple[tuple[int, int], object]]) -> str:
     return " + ".join(parts) or "0"
 
 
-def normal_order_word(word: Iterable[Letter], *, strategy: str = "leftmost") -> NormalForm:
+def normal_order_word(word: Iterable[Letter]) -> NormalForm:
     """Normal order a word by exhaustive application of a a+ -> a+ a + 1.
 
     Rewriting a defect a a+ turns a word into two: the swap a+ a keeps the
@@ -138,15 +138,9 @@ def normal_order_word(word: Iterable[Letter], *, strategy: str = "leftmost") -> 
     sit in buckets keyed by (length, inversions) and the largest key is
     expanded first, so every word that can produce a given word is expanded
     before it.  Coefficients merge when a word arrives, and each distinct word
-    is expanded exactly once, with its full coefficient.
-
-    ``strategy`` picks which adjacent defect is rewritten first ("leftmost" or
-    "rightmost"); the result is independent of that choice, which the test
-    suite uses as a confluence check.
+    is expanded exactly once, with its full coefficient.  Each word is
+    rewritten at its leftmost defect.
     """
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    find = str.find if strategy == "leftmost" else str.rfind
     letters = tuple(word)
     if any(not isinstance(x, Letter) for x in letters):
         raise TypeError("letters must be Letter members")
@@ -159,7 +153,7 @@ def normal_order_word(word: Iterable[Letter], *, strategy: str = "leftmost") -> 
     for length in range(len(start), -1, -2):
         for inv in range(inversions, -1, -1):
             for w, c in buckets.pop((length, inv), {}).items():
-                pos = find(w, "a+")
+                pos = w.find("a+")
                 if pos < 0:
                     # Defect-free words have the shape a+^i a^j.
                     key = (w.count("+"), w.count("a"))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import bosonkit
-from bosonkit import cli
+from bosonkit import cli, measures
 from bosonkit.cli import main
 from bosonkit.errors import DivergentSeriesError
 from bosonkit.numeric import Check, ErrorBoundedReal
@@ -199,9 +200,12 @@ def test_negative_power_exits_one(capsys):
 
 
 def test_unsupported_moment_family_exits_two(capsys):
-    code, _, err = run(capsys, "verify", "moments", "--r", "3", "--s", "1")
-    assert code == 2
-    assert "unsupported" in err
+    # r < 1 or s < 1 is an unsupported family, as it is for `verify dobinski`.
+    for r, s in (("3", "1"), ("3", "0"), ("0", "0"), ("-1", "-1")):
+        code, out, err = run(capsys, "verify", "moments", "--r", r, "--s", s)
+        assert code == 2, (r, s)
+        assert out == ""
+        assert err.startswith("bosonkit: unsupported: "), (r, s)
 
 
 def test_printed_b5_flag_reports_divergence_as_failure(capsys):
@@ -292,6 +296,36 @@ def test_moments_quadrature_family(capsys):
     code, record = json_record(capsys, "verify", "moments", "--r", "2", "--s", "1", "--max", "2")
     assert code == 0
     assert any("positivity sample" in c["name"] for c in record["checks"])
+
+
+def test_moments_mass_passes_at_sixteen_bits(capsys):
+    # The mass reference is a closed form at a fixed precision, so a low
+    # --bits does not loosen it into a failure.
+    code, record = json_record(
+        capsys, "verify", "moments", "--r", "2", "--s", "1", "--max", "1", "--bits", "16"
+    )
+    assert code == 0
+    assert [c["name"] for c in record["checks"]] == [
+        "(2,1) moment n=1",
+        "(2,1) mass",
+        "(2,1) series vs quadrature n=1",
+        "(2,1) positivity sample",
+    ]
+    assert all(c["status"] == "pass" for c in record["checks"])
+
+
+def test_bad_atom_is_a_failed_check(capsys, monkeypatch):
+    # Locations 1 and 2 of the Dirac comb swapped: a failed check, not an error.
+    comb = measures.dirac_comb()
+
+    def swapped():
+        return ((3 - x if x in (1, 2) else x, q) for x, q in comb._atoms())
+
+    monkeypatch.setattr(measures, "dirac_comb", lambda: replace(comb, _atoms=swapped))
+    code, out, err = run(capsys, "verify", "moments", "--r", "1", "--s", "1", "--max", "1")
+    assert code == 3
+    assert err == ""
+    assert "FAIL  (1,1) atom positivity: dirac-comb: locations not increasing at k=2" in out
 
 
 def test_out_file(tmp_path, capsys):

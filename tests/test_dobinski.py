@@ -45,7 +45,6 @@ from bosonkit.numeric import (
     sum_with_tail_bound,
 )
 from bosonkit.measures import (
-    _mass_closed_form_terms,
     _weight_moment_terms,
     continuous_moment_series,
     dirac_comb,
@@ -297,7 +296,6 @@ def test_kernel_matches_fraction_reference():
     ]
     makers.append(partial(hypergeometric_terms, 2, 2, 3))
     makers += [partial(_weight_moment_terms, r, n) for r in (1, 2, 3) for n in range(6)]
-    makers += [partial(_mass_closed_form_terms, r) for r in (1, 2, 3)]
     combs = [dirac_comb(), rarefied_comb(1), rarefied_comb(2), rarefied_comb(3)]
     makers += [partial(comb.scaled_moment_terms, n) for comb in combs for n in (0, 1, 5)]
     makers += [_coprime_terms, _slow_ratio_terms, _boundary_terms]

@@ -1,12 +1,14 @@
 """Moment measures: combs, the continuous Bessel-type density, quadrature."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, islice, repeat
 
 import mpmath
 import pytest
 from mpmath import mp
 
+from bosonkit import measures
 from bosonkit.dobinski import dobinski_classic, dobinski_rr
 from bosonkit.errors import (
     DomainError,
@@ -25,7 +27,7 @@ from bosonkit.measures import (
     verify_moments,
     weight_2r_r,
 )
-from bosonkit.numeric import SeriesSpec
+from bosonkit.numeric import ErrorBoundedReal, SeriesSpec
 from bosonkit.operator_algebra import MonomialSpec
 from bosonkit.stirling import bell
 
@@ -46,7 +48,7 @@ def test_dirac_comb_atoms():
         (Fraction(2), Fraction(1, 2)),
         (Fraction(3), Fraction(1, 6)),
     ]
-    dirac_comb().check_atoms(64)
+    assert dirac_comb().check_atoms(64).ok
 
 
 def test_dirac_comb_mass_is_one():
@@ -117,13 +119,15 @@ def test_check_atoms_rejects_bad_measures():
     flat = DiscreteMeasure(
         label="flat", unit_mass=False, _atoms=lambda: repeat((Fraction(1), Fraction(1)))
     )
-    with pytest.raises(DomainError):
-        flat.check_atoms(3)
+    check = flat.check_atoms(3)
+    assert (check.name, check.ok) == ("atom positivity", False)
+    assert "not increasing at k=1" in check.detail
     signed = DiscreteMeasure(
         label="signed", unit_mass=False, _atoms=lambda: zip(map(Fraction, count()), repeat(Fraction(-1)))
     )
-    with pytest.raises(DomainError):
-        signed.check_atoms(1)
+    check = signed.check_atoms(1)
+    assert (check.name, check.ok) == ("atom positivity", False)
+    assert "weight at k=0" in check.detail
 
 
 def test_bessel_series_spot_values():
@@ -175,19 +179,23 @@ def test_density_positive_at_extremes():
         assert w.value - w.abs_error > 0
 
 
+@lru_cache(maxsize=None)
+def quadrature_moment(n):
+    """moment(weight_2r_r(1), n) at the default target, computed once per n."""
+    return moment(weight_2r_r(1), n)
+
+
 def test_quadrature_moments_match_oracle():
-    density = weight_2r_r(1)
     for n in range(1, 6):
-        got = moment(density, n)
+        got = quadrature_moment(n)
         assert got.to_integer() == oracle(2, 1, n)
 
 
 def test_moment_series_agrees_with_quadrature():
     # Two genuinely different routes to the same integrals.
-    density = weight_2r_r(1)
     for n in range(1, 4):
         series_value = continuous_moment_series(1, n)
-        quad_value = moment(density, n)
+        quad_value = quadrature_moment(n)
         assert series_value.agrees_with(quad_value)
         assert series_value.to_integer() == oracle(2, 1, n)
 
@@ -238,16 +246,45 @@ def test_verify_moments_continuous_family():
 
 
 def test_verify_moments_continuous_family_higher_r():
-    # s = 2 exercises the branch without the quadrature mass cross-check.
+    # At s = 2 the series mass is the only route; it is checked against the
+    # closed form 1 - (1/e)(1/0! + 1/1!).
     report = verify_moments(4, 2, 1)
     assert all(c.ok for c in report.checks)
     mass = next(c for c in report.checks if c.name == "mass")
-    assert "reported" in mass.detail
+    assert "closed form 1 - (1/e) sum_{j<2} 1/j!" in mass.detail
+    assert "quadrature" not in mass.detail
+
+
+def test_verify_moments_mass_check_can_fail(monkeypatch):
+    def off_by_a_millionth(r, n, series=SeriesSpec()):
+        value = continuous_moment_series(r, n, series)
+        return ErrorBoundedReal(value.value + mp.mpf("1e-6"), value.abs_error)
+
+    monkeypatch.setattr(measures, "continuous_moment_series", off_by_a_millionth)
+    report = verify_moments(4, 2, 1)
+    mass = next(c for c in report.checks if c.name == "mass")
+    assert mass.ok is False
+    assert all(c.ok for c in report.checks if c.name != "mass")
+
+
+def test_verify_moments_comb_mass_check_can_fail(monkeypatch):
+    def off_by_a_millionth(self, series=SeriesSpec()):
+        value = measures.sum_over_e(self.scaled_moment_terms(0), series)
+        return ErrorBoundedReal(value.value + mp.mpf("1e-6"), value.abs_error)
+
+    monkeypatch.setattr(DiscreteMeasure, "mass", off_by_a_millionth)
+    for r in (1, 2):
+        checks = {c.name: c.ok for c in verify_moments(r, r, 2).checks}
+        assert checks.pop("mass") is False
+        assert all(checks.values())
 
 
 def test_verify_moments_rejects_other_families():
     with pytest.raises(UnsupportedFamilyError):
         verify_moments(3, 1, 4)
+    for r, s in ((0, 0), (-1, -1), (3, 0), (2, 0), (0, 1)):
+        with pytest.raises(UnsupportedFamilyError):
+            verify_moments(r, s, 4)
     with pytest.raises(OutOfRangeError):
         verify_moments(1, 1, 0)
 
