@@ -10,9 +10,9 @@ series for every family:
 The classical case (1,1) and r = s are its d = 0 cases, N_k = (k!/(k-s)!)^n.
 For d > 0 the numerators come from d running products, one per residue class
 of k mod d, each advanced by one multiply and one exact small divide per term.
-Terms are exact integer pairs (N_k, k!), summed over a running common
-denominator with a certified geometric tail bound, and only the final
-division by e is rounded, so every series value is an
+Terms are exact integer pairs (N_k, max(k, 1)), read as N_k / k! with
+k! = (k-1)! k, summed with a certified geometric tail bound, and only the
+final division by e is rounded, so every series value is an
 ErrorBoundedReal that provably rounds to the integer the rewriting oracle
 produces.  Without the 1/k! factor the k-sum has non-decaying terms and a
 divergence guard rejects it (see ``dobinski_rs_literal``).  The
@@ -22,7 +22,7 @@ hypergeometric form keeps its own terms as an independent cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import accumulate, chain, count, repeat
 from math import factorial, perm, prod
 from operator import mul
 from typing import Iterator
@@ -53,7 +53,7 @@ def _numerators(r: int, s: int, n: int) -> Iterator[int]:
     d = r - s
     yield from repeat(0, s)
     if d == 0:
-        yield from (perm(k, s) ** n for k in count(s))
+        yield from map(pow, map(perm, count(s), repeat(s)), repeat(n))
         return
     chains = [prod(perm(k + j * d, s) for j in range(n)) for k in range(s, s + d)]
     for base in count(s, d):
@@ -66,14 +66,14 @@ def _numerators(r: int, s: int, n: int) -> Iterator[int]:
 def dobinski_terms(r: int, s: int, n: int) -> Iterator[tuple[int, int]]:
     """Terms N_k / k! of the Dobinski series for B_{r,s}(n), r >= s >= 1.
 
-    Each is yielded as the integer pair (N_k, k!).  They are zero for k < s and positive from k = s on, where the ratio of
+    Each is yielded as the integer pair (N_k, max(k, 1)), as k! = (k-1)! k.
+    They are zero for k < s and positive from k = s on, where the ratio of
     consecutive terms, prod_{j<n} prod_{i<s} (1 + 1/(k+jd-i)) / (k+1), does
     not increase in k: the premise of the summation's geometric tail bound.
     """
     if not r >= s >= 1 or n < 1:
         raise OutOfRangeError(f"need r >= s >= 1 and n >= 1, got ({r}, {s}, {n})")
-    kfact = accumulate(count(1), mul, initial=1)
-    return zip(_numerators(r, s, n), kfact)
+    return zip(_numerators(r, s, n), chain((1,), count(1)))
 
 
 def hypergeometric_terms(
@@ -81,18 +81,16 @@ def hypergeometric_terms(
 ) -> Iterator[tuple[int, int]]:
     """Terms of prefactor * rFr(pn+1, ..., pn+1+p(r-1); 1+p, ..., 1+p+p(r-1); 1).
 
-    Each term is an unreduced pair (numerator, denominator) of running
-    products, started at the prefactor's integer ratio: the k-th is
-    prefactor * prod_j (a_j)_k / (k! prod_j (b_j)_k), so every denominator
-    divides the next.
+    The k-th term, prefactor * prod_j (a_j)_k / (k! prod_j (b_j)_k) with the
+    prefactor u / v, is yielded as the pair (u prod_j (a_j)_k, m_k) of
+    running products, m_0 = v and m_(k+1) = (k+1) prod_j (b_j + k).
     """
     upper = [p * n + 1 + p * (j - 1) for j in range(1, r + 1)]
     lower = [1 + p * j for j in range(1, r + 1)]
     numer, denom = prefactor.as_integer_ratio()
-    for k in count():
-        yield numer, denom
-        numer *= prod(a + k for a in upper)
-        denom *= prod(b + k for b in lower) * (k + 1)
+    numerators = accumulate(map(prod, zip(*map(count, upper))), mul, initial=numer)
+    multipliers = map(prod, zip(count(1), *map(count, lower)))
+    return zip(numerators, chain((denom,), multipliers))
 
 
 def dobinski_classic(n: int, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedReal:

@@ -22,8 +22,8 @@ its integer moment terms, its mass and its positivity check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, count, islice, repeat
-from math import factorial, perm
+from itertools import accumulate, chain, count, islice, repeat
+from math import factorial, inf, perm
 from operator import mul
 from typing import Callable, Iterator
 
@@ -59,9 +59,9 @@ class DiscreteMeasure:
     """Atoms (x_k, w_k), k = 0, 1, ...; weights carry a common factor 1/e.
 
     The zero-argument ``_atoms`` starts a fresh stream of the integer pairs
-    (x_k, q_k) in order of k, with e * w_k = 1 / q_k; the single division by e
-    is deferred to mass()/moment() so everything before the final rounding
-    stays in exact integer arithmetic.
+    (x_k, m_k) in order of k, with e * w_k = 1 / q_k and q_k = q_(k-1) m_k;
+    the single division by e is deferred to mass()/moment() so everything
+    before the final rounding stays in exact integer arithmetic.
     """
 
     label: str
@@ -71,9 +71,9 @@ class DiscreteMeasure:
     def check_atoms(self, count: int) -> Check:
         """Positivity of the weights and strict ordering of the first ``count`` atoms."""
         previous = None
-        for k, (x, q) in enumerate(islice(self._atoms(), count)):
-            if q <= 0:
-                return Check("atom positivity", False, f"{self.label}: weight at k={k} is 1/{q}")
+        for k, (x, m) in enumerate(islice(self._atoms(), count)):
+            if m <= 0:
+                return Check("atom positivity", False, f"{self.label}: weight at k={k} has factor {m}")
             if previous is not None and x <= previous:
                 return Check(
                     "atom positivity", False, f"{self.label}: locations not increasing at k={k}"
@@ -82,21 +82,17 @@ class DiscreteMeasure:
         return Check("atom positivity", True, f"first {count} weights > 0, locations increasing")
 
     def scaled_moment_terms(self, n: int) -> Iterator[tuple[int, int]]:
-        """Yields e * w_k * x_k^n as the integer pair (x_k^n, q_k)."""
-        for x, q in self._atoms():
-            yield x**n, q
+        """Yields e * w_k * x_k^n as the integer pair (x_k^n, m_k)."""
+        return ((x**n, m) for x, m in self._atoms())
 
     def mass(self, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedReal:
         return sum_over_e(self.scaled_moment_terms(0), series)
 
 
 def _comb(label: str, r: int, j0: int) -> DiscreteMeasure:
-    # Atoms x_j = j!/(j-r)! with q_j = j!, for j >= j0.
+    # Atoms x_j = j!/(j-r)! with q_j = j!, for j >= j0: m_j0 = j0!, m_j = j.
     def atoms() -> Iterator[tuple[int, int]]:
-        return zip(
-            map(perm, count(j0), repeat(r)),
-            accumulate(count(j0 + 1), mul, initial=factorial(j0)),
-        )
+        return zip(map(perm, count(j0), repeat(r)), chain((factorial(j0),), count(j0 + 1)))
 
     return DiscreteMeasure(label=label, unit_mass=j0 == 0, _atoms=atoms)
 
@@ -210,12 +206,11 @@ def weight_2r_r(r: int) -> ContinuousDensity:
 def _weight_moment_terms(r: int, n: int) -> Iterator[tuple[int, int]]:
     # Expanding I_r under the integral termwise and using
     # int_0^inf u^{2q+1} exp(-u^2) du = q!/2 gives the exact series
-    # (1/e) sum_m (rn+m)! / (m! (m+r)!) for the n-th moment.
-    numer, denom = factorial(r * n), factorial(r)
-    for m in count(1):
-        yield numer, denom
-        numer *= r * n + m
-        denom *= m * (m + r)
+    # (1/e) sum_m (rn+m)! / (m! (m+r)!) for the n-th moment; from one term
+    # to the next the denominator grows by the factor m (m + r).
+    numerators = accumulate(count(r * n + 1), mul, initial=factorial(r * n))
+    multipliers = chain((factorial(r),), map(mul, count(1), count(r + 1)))
+    return zip(numerators, multipliers)
 
 
 def continuous_moment_series(
@@ -285,8 +280,8 @@ def moment(measure, n: int, target_error=1e-12, *, bits: int = DEFAULT_BITS):
     """
     if n < 0:
         raise OutOfRangeError("moment order must be >= 0")
-    if target_error <= 0:
-        raise OutOfRangeError("target_error must be positive")
+    if not 0 < target_error < inf:
+        raise OutOfRangeError("target_error must be positive and finite")
     series = SeriesSpec(working_precision=bits, target_abs_error=target_error)
     if isinstance(measure, DiscreteMeasure):
         if n == 0 and not measure.unit_mass:

@@ -5,9 +5,9 @@ before the first positive one, whose successive-term ratios are
 non-increasing from there (each term is a fixed rational function of k
 divided by k!), so a geometric bound on the omitted tail becomes valid once
 the observed ratio drops below 1/2.  Each term arrives as an integer pair
-(p_k, q_k), q_k > 0, meaning p_k / q_k; the partial sum is one unreduced
-integer fraction over a running common denominator, and the stopping rule is
-decided by integer cross-multiplication, so no rational is reduced per term.
+(p_k, m_k), meaning p_k / q_k with q_k = q_(k-1) m_k: the denominators k!,
+(k+r)!, Pochhammer products, ... grow by a small factor m_k > 0 per term, so
+a term costs one multiply-add and no rational is reduced per term.
 Partial sums are exact, and so is the final division by e up to one bracket:
 the integers L <= 2^M / e <= U are computed once, on first use, and a
 quotient q / e is enclosed by integer products with L and U shifted to one
@@ -21,6 +21,7 @@ one common power of two.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -65,13 +66,18 @@ class SeriesSpec:
             raise ValueError("working_precision must be at least 16 bits")
         if self.working_precision > MAX_BITS:
             raise ValueError(f"working_precision must be at most {MAX_BITS} bits")
-        if not self.target_abs_error > 0:
-            raise ValueError("target_abs_error must be positive")
+        if not 0 < self.target_abs_error < math.inf:
+            raise ValueError("target_abs_error must be positive and finite")
 
     @functools.cached_property
     def target(self) -> Fraction:
         """target_abs_error as an exact ratio, built once."""
         return Fraction(self.target_abs_error)
+
+    @functools.cached_property
+    def half_target(self) -> Fraction:
+        """target / 2, the size below which a series may stop adding terms."""
+        return self.target / 2
 
 
 def _signed_man_exp(x: mpmath.mpf) -> tuple[int, int]:
@@ -146,41 +152,41 @@ def sum_with_tail_bound(
     *,
     max_terms: int = 100000,
 ) -> tuple[Fraction, Fraction, int]:
-    """Sum terms p_k / q_k given as integer pairs, p_k >= 0 and q_k > 0.
+    """Sum terms p_k / q_k given as integer pairs (p_k, m_k), p_k >= 0 and m_k > 0.
 
-    Terms must be zero only before the first positive one.  The partial sum
-    is kept as one unreduced fraction T / D: when D divides q_k (the running
-    denominators k!, (k+r)!, ... of every series here) the new term costs one
-    multiply-add, T = T * (q_k // D) + p_k; otherwise T and D cross-multiply.
+    The denominators run as q_k = q_(k-1) * m_k from q_(-1) = 1, and terms
+    must be zero only before the first positive one.  The partial sum is kept
+    as one unreduced fraction T / D with D = q_k, so a term costs one
+    multiply-add: T = T * m_k + p_k and D = D * m_k.
 
-    Stops once the last summed term P / Q is positive and below
-    ``stop_below`` = sn / sd (P * sd < sn * Q) and the next term p / q has
-    ratio below 1/2 to it (2 * p * Q < P * q).  With ratios non-increasing
+    Stops once the last summed term P / D is below ``stop_below`` = sn / sd
+    (P * sd < sn * D) and the next term p / (D m) has ratio below 1/2 to it
+    (2 * p < P * m, which also needs P > 0).  With ratios non-increasing
     from the first positive term on, the geometric series of that ratio
-    bounds the tail by p * P / (q * P - p * Q).
+    bounds the tail by p * P / (D * (m * P - p)).  Bit lengths settle the
+    stop test first for most terms: bl(P) - bl(D) >= bl(sn) - bl(sd) + 2 gives
+    P / D > 2^(bl(P) - 1 - bl(D)) >= 2^(bl(sn) - bl(sd) + 1) > sn / sd.
 
     Returns (partial_sum, tail_bound, terms_summed), both rationals reduced.
     """
     if stop_below <= 0:
         raise ValueError("stop_below must be positive")
     sn, sd = stop_below.as_integer_ratio()
+    screen = sn.bit_length() - sd.bit_length() + 2
     total, denom = 0, 1
-    prev_p, prev_q = 0, 1
+    prev = 0
     count = 0
-    for p, q in terms:
+    for p, m in terms:
         if p < 0:
             raise ValueError("series terms must be non-negative")
-        if q <= 0:
-            raise ValueError("series term denominators must be positive")
-        if prev_p and prev_p * sd < sn * prev_q and 2 * p * prev_q < prev_p * q:
-            tail = Fraction(p * prev_p, q * prev_p - p * prev_q)
+        if m <= 0:
+            raise ValueError("series term multipliers must be positive")
+        near = prev.bit_length() - denom.bit_length() < screen
+        if near and 2 * p < prev * m and prev * sd < sn * denom:
+            tail = Fraction(p * prev, denom * (m * prev - p))
             return Fraction(total, denom), tail, count
-        scale, rem = divmod(q, denom)
-        if rem:
-            total, denom = total * q + p * denom, denom * q
-        else:
-            total, denom = total * scale + p, q
-        prev_p, prev_q = p, q
+        total, denom = total * m + p, denom * m
+        prev = p
         count += 1
         if count > max_terms:
             raise PrecisionExhaustedError(
@@ -276,12 +282,12 @@ def quotient_by_e(q: Fraction, tail: Fraction, series: SeriesSpec) -> ErrorBound
 
 
 def sum_over_e(terms: Iterator[tuple[int, int]], series: SeriesSpec) -> ErrorBoundedReal:
-    """(1/e) * the sum of ``terms`` (integer pairs), with a certified bound.
+    """(1/e) * the sum of ``terms`` (integer pairs (p_k, m_k)), with a certified bound.
 
     A constant factor of the sum, such as the hypergeometric prefactor, is
     carried by the terms themselves.  The tail contributes tail / e to the
     value; stopping once terms drop below target / 2 keeps that within half
     the budget, and quotient_by_e accounts for the rest.
     """
-    partial, tail, _ = sum_with_tail_bound(terms, series.target / 2)
+    partial, tail, _ = sum_with_tail_bound(terms, series.half_target)
     return quotient_by_e(partial, tail, series)

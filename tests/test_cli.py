@@ -319,7 +319,7 @@ def test_bad_atom_is_a_failed_check(capsys, monkeypatch):
     comb = measures.dirac_comb()
 
     def swapped():
-        return ((3 - x if x in (1, 2) else x, q) for x, q in comb._atoms())
+        return ((3 - x if x in (1, 2) else x, m) for x, m in comb._atoms())
 
     monkeypatch.setattr(measures, "dirac_comb", lambda: replace(comb, _atoms=swapped))
     code, out, err = run(capsys, "verify", "moments", "--r", "1", "--s", "1", "--max", "1")

@@ -1,6 +1,7 @@
 """Certified series evaluation against the exact rewriting oracle."""
 
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -197,6 +198,14 @@ def test_hypergeometric_validation():
         bell_hypergeometric(1, 1, 0)
 
 
+def term_values(pairs):
+    """The rationals p_k / q_k of a stream of pairs (p_k, m_k), q_k = q_(k-1) m_k, q_(-1) = 1."""
+    q = 1
+    for p, m in pairs:
+        q *= m
+        yield Fraction(p, q)
+
+
 def test_term_ratios_eventually_non_increasing():
     # The tail bound holds only if the terms are zero before the first
     # positive one and their next/last ratios do not grow from there; probe
@@ -204,11 +213,11 @@ def test_term_ratios_eventually_non_increasing():
     for r in range(1, 6):
         for s in range(1, r + 1):
             for n in range(1, 7):
-                terms = [Fraction(*t) for t in itertools.islice(dobinski_terms(r, s, n), 80)]
+                terms = list(term_values(itertools.islice(dobinski_terms(r, s, n), 80)))
                 assert all(t == 0 for t in terms[:s]) and all(t > 0 for t in terms[s:])
                 ratios = [b / a for a, b in zip(terms[s:], terms[s + 1 :])]
                 assert all(x >= y for x, y in zip(ratios, ratios[1:])), (r, s, n)
-    terms = [Fraction(*t) for t in itertools.islice(hypergeometric_terms(2, 2, 3), 80)]
+    terms = list(term_values(itertools.islice(hypergeometric_terms(2, 2, 3), 80)))
     ratios = [b / a for a, b in zip(terms, terms[1:])]
     assert all(x >= y for x, y in zip(ratios, ratios[1:]))
 
@@ -252,7 +261,7 @@ def test_sum_guards():
 def reference_sum(terms, stop_below):
     """The stopping rule of sum_with_tail_bound in plain Fraction arithmetic."""
     total, prev, count = Fraction(0), None, 0
-    for term in itertools.starmap(Fraction, terms):
+    for term in term_values(terms):
         if prev is not None and 0 < prev < stop_below and term / prev < Fraction(1, 2):
             return total, term / (1 - term / prev), count
         total += term
@@ -261,33 +270,39 @@ def reference_sum(terms, stop_below):
     raise AssertionError("terms exhausted")
 
 
+def chained(fractions):
+    """Pairs (a_k, b_k), each meaning a_k / b_k, as (a_k prod_{j<k} b_j, b_k)."""
+    scale = 1
+    for a, b in fractions:
+        yield a * scale, b
+        scale *= b
+
+
 def _coprime_terms():
-    # 2^k / (k! (2k+1)): ratios 2(2k+1)/((k+1)(2k+3)) decrease, but from
-    # k = 1 on no denominator divides the next, so each step cross-multiplies.
-    return ((2**k, math.factorial(k) * (2 * k + 1)) for k in itertools.count())
+    # 2^k / (k! (2k+1)): ratios 2(2k+1)/((k+1)(2k+3)) decrease, and from
+    # k = 1 on no b_k divides the next, so q_k is far from the least
+    # common denominator.
+    return chained((2**k, math.factorial(k) * (2 * k + 1)) for k in itertools.count())
 
 
 def _slow_ratio_terms():
     # 10^k / (k! 10^60): below either stop from the start, so the ratio test
     # alone decides, and it fails until k = 19.
-    return ((10**k, math.factorial(k) * 10**60) for k in itertools.count())
+    return chained((10**k, math.factorial(k) * 10**60) for k in itertools.count())
 
 
 def _boundary_terms():
     # 1 / (4^k k! 10^60): the first term equals the smaller stop exactly.
-    return ((1, 4**k * math.factorial(k) * 10**60) for k in itertools.count())
+    return chained((1, 4**k * math.factorial(k) * 10**60) for k in itertools.count())
 
 
 def _reduced_dobinski_terms(r, s, n):
-    # The same rationals as reduced pairs, whose denominators rarely divide.
-    for p, q in dobinski_terms(r, s, n):
-        f = Fraction(p, q)
-        yield f.numerator, f.denominator
+    # The same rationals as reduced pairs, chained over their denominators.
+    values = term_values(dobinski_terms(r, s, n))
+    return chained(value.as_integer_ratio() for value in values)
 
 
 def test_kernel_matches_fraction_reference():
-    qs = [q for _, q in itertools.islice(_coprime_terms(), 30)]
-    assert all(nxt % q for q, nxt in zip(qs[1:], qs[2:]))
     makers = [
         partial(dobinski_terms, r, s, n)
         for r in range(1, 5)
@@ -304,6 +319,47 @@ def test_kernel_matches_fraction_reference():
         for stop_below in (Fraction(1, 2 * 10**12), Fraction(1, 10**60)):
             got = sum_with_tail_bound(make(), stop_below)
             assert got == reference_sum(make(), stop_below), (make, stop_below)
+
+
+@st.composite
+def screened_streams(draw):
+    """A stop sn / sd, and a head of zero terms then a first positive term
+    P / D with bl(P) - bl(D) at the kernel's screen limit
+    bl(sn) - bl(sd) + 2 or one bit either side of it, then ratios to the
+    last term that never increase and fall to zero."""
+    stop = Fraction(draw(st.integers(1, 2**200)), draw(st.integers(1, 2**200)))
+    sn, sd = stop.as_integer_ratio()
+    gap = sn.bit_length() - sd.bit_length() + 2 + draw(st.sampled_from([-1, 0, 1]))
+    head = [(0, m) for m in draw(st.lists(st.integers(1, 2**64), max_size=3))]
+    before = math.prod(m for _, m in head)
+    first = draw(st.integers(1, 2**64))
+    first <<= max(0, 1 - gap - (before * first).bit_length())  # so bl(P) >= 1
+    bits = (before * first).bit_length() + gap
+    head.append((draw(st.integers(1 << (bits - 1), (1 << bits) - 1)), first))
+    ratios = draw(
+        st.lists(st.fractions(Fraction(1, 2**20), Fraction(4), max_denominator=2**30), max_size=12)
+    )
+    ratios.sort(reverse=True)
+    last = min(ratios[-1:] + [Fraction(1, 4)])
+    return stop, head, ratios + [last / j for j in range(1, 200)]
+
+
+def stream(head, ratios):
+    """head, then each next term its predecessor times the next ratio u / v: (p u, v)."""
+    yield from head
+    p = head[-1][0]
+    for ratio in ratios:
+        u, v = ratio.as_integer_ratio()
+        p *= u
+        yield p, v
+
+
+@given(screened_streams())
+@settings(max_examples=300, deadline=None)
+def test_kernel_screen_matches_fraction_reference(case):
+    stop, head, ratios = case
+    got = sum_with_tail_bound(stream(head, ratios), stop)
+    assert got == reference_sum(stream(head, ratios), stop)
 
 
 def test_quotient_by_e_escalates_precision():
@@ -403,8 +459,9 @@ def test_import_leaves_the_bracket_uncomputed():
 def test_series_spec_validation():
     with pytest.raises(ValueError):
         SeriesSpec(working_precision=8)
-    with pytest.raises(ValueError):
-        SeriesSpec(target_abs_error=0.0)
+    for target in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SeriesSpec(target_abs_error=target)
     with pytest.raises(ValueError):
         SeriesSpec(working_precision=MAX_BITS + 1)
     assert SeriesSpec(working_precision=MAX_BITS).working_precision == MAX_BITS
@@ -639,6 +696,58 @@ def test_series_values_are_bit_identical(series, value, abs_error):
     got = series()
     assert got.value.man_exp == value
     assert got.abs_error.man_exp == abs_error
+
+
+def golden_grid(spec):
+    """Every series family at n <= 12, each a (label, thunk) computing one ErrorBoundedReal."""
+    bits, target = spec.working_precision, spec.target_abs_error
+    grid = [(f"classic {n}", partial(dobinski_classic, n, spec)) for n in range(1, 13)]
+    for r in range(1, 5):
+        grid += [(f"rr {r} {n}", partial(dobinski_rr, r, n, spec)) for n in range(1, 13)]
+        for s in range(1, r):
+            grid += [(f"rs {r} {s} {n}", partial(dobinski_rs, r, s, n, spec)) for n in range(1, 13)]
+    for p, q, reduced in itertools.product((1, 2, 3), (1, 2), (False, True)):
+        grid += [
+            (f"hyp {p} {q} {n} {reduced}", partial(bell_hypergeometric, p, q, n, spec, reduced_prefactor=reduced))
+            for n in range(1, 13)
+        ]
+    for r in (1, 2, 3):
+        grid += [(f"bessel {r} {n}", partial(continuous_moment_series, r, n, spec)) for n in range(13)]
+    combs = [(0, dirac_comb())] + [(1, rarefied_comb(r)) for r in (1, 2, 3)]
+    for first, comb in combs:
+        grid += [
+            (f"{comb.label} {n}", partial(moment, comb, n, target_error=target, bits=bits))
+            for n in range(first, 13)
+        ]
+        grid.append((f"{comb.label} mass", partial(comb.mass, spec)))
+    return grid
+
+
+def series_digest(spec):
+    """SHA-256 over the signed (mantissa, exponent) of every grid value and bound."""
+    h = hashlib.sha256()
+    for label, thunk in golden_grid(spec):
+        got = thunk()
+        parts = []
+        for x in (got.value, got.abs_error):
+            sign, man, exp, _ = x._mpf_
+            parts.append(f"{-man if sign else man} {exp}")
+        h.update(f"{label}: {' '.join(parts)}\n".encode())
+    return h.hexdigest()
+
+
+# Digests of golden_grid at two specs, computed while each term was still
+# added by dividing its denominator by the running one; a later change to how
+# terms are built or summed must leave every bit of every output in place.
+GOLDEN_DIGESTS = [
+    pytest.param(SeriesSpec(), "ab84e87a2c4f1938187c5f8f3f22bc6ea7d0a47caf60b7a6539ac140dddc88f0", id="default"),
+    pytest.param(SeriesSpec(128, 1e-30), "51098a658181e912305a3154b9e1201c716e6c165c7029cf746c804725ca4128", id="128-bits-1e-30"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", GOLDEN_DIGESTS)
+def test_series_outputs_match_golden_digest(spec, digest):
+    assert series_digest(spec) == digest
 
 
 def test_rounding_ignores_ambient_precision():

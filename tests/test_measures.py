@@ -1,8 +1,9 @@
 """Moment measures: combs, the continuous Bessel-type density, quadrature."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 
 import mpmath
 import pytest
@@ -38,7 +39,11 @@ def oracle(r, s, n):
 
 def atoms(measure, count):
     """First ``count`` atoms of a discrete measure as exact (location, e * weight) pairs."""
-    return [(Fraction(x), Fraction(1, q)) for x, q in islice(measure._atoms(), count)]
+    pairs, q = [], 1
+    for x, m in islice(measure._atoms(), count):
+        q *= m
+        pairs.append((Fraction(x), Fraction(1, q)))
+    return pairs
 
 
 def test_dirac_comb_atoms():
@@ -116,18 +121,20 @@ def test_rarefied_comb_mass_below_one():
 
 
 def test_check_atoms_rejects_bad_measures():
-    flat = DiscreteMeasure(
-        label="flat", unit_mass=False, _atoms=lambda: repeat((Fraction(1), Fraction(1)))
-    )
+    flat = DiscreteMeasure(label="flat", unit_mass=False, _atoms=lambda: repeat((1, 1)))
     check = flat.check_atoms(3)
     assert (check.name, check.ok) == ("atom positivity", False)
     assert "not increasing at k=1" in check.detail
-    signed = DiscreteMeasure(
-        label="signed", unit_mass=False, _atoms=lambda: zip(map(Fraction, count()), repeat(Fraction(-1)))
-    )
+    signed = DiscreteMeasure(label="signed", unit_mass=False, _atoms=lambda: zip(count(), repeat(-1)))
     check = signed.check_atoms(1)
     assert (check.name, check.ok) == ("atom positivity", False)
     assert "weight at k=0" in check.detail
+    # A zero factor m_2 leaves w_2 = w_1 / m_2 undefined, the weights after it too.
+    cut = DiscreteMeasure(label="cut", unit_mass=False, _atoms=lambda: zip(count(), chain((1, 1), repeat(0))))
+    check = cut.check_atoms(3)
+    assert (check.name, check.ok) == ("atom positivity", False)
+    assert "weight at k=2" in check.detail
+    assert cut.check_atoms(2).ok
 
 
 def test_bessel_series_spot_values():
@@ -212,8 +219,9 @@ def test_continuous_mass_not_a_moment():
 def test_moment_guards():
     with pytest.raises(OutOfRangeError):
         moment(dirac_comb(), -1)
-    with pytest.raises(OutOfRangeError):
-        moment(dirac_comb(), 1, target_error=0)
+    for target in (0, math.inf, math.nan):
+        with pytest.raises(OutOfRangeError):
+            moment(dirac_comb(), 3, target_error=target)
     with pytest.raises(TypeError):
         moment("not a measure", 1)
     with pytest.raises(OutOfRangeError):
