@@ -484,6 +484,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # Exact results can run past the interpreter's limit on int-to-str
+    # conversion (4,300 digits by default, Python 3.10.7 on); lift it for
+    # this call only, since main also runs in-process.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -1,12 +1,17 @@
 """Exit codes, output formats, and flag handling of the console entry point."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal
+from functools import cache
+from itertools import islice
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -19,7 +24,7 @@ from bosonkit import cli, measures
 from bosonkit.cli import main
 from bosonkit.errors import DivergentSeriesError
 from bosonkit.numeric import Check, ErrorBoundedReal
-from bosonkit.operator_algebra import MonomialSpec
+from bosonkit.operator_algebra import MonomialSpec, monomial_power_rows
 from bosonkit.stirling import bell
 
 
@@ -83,6 +88,60 @@ def test_bell_stream_matches_per_n_bell(capsys, r, s):
     assert code == 0
     got = [int(row["value"]) for row in record["results"]]
     assert got == [bell(MonomialSpec(r, s, n)) for n in range(8)]
+
+
+# SHA-256 of the `--format json` output of bell and stirling for r = 2s
+# families, computed before the general r = 2s closed forms were added.
+PINNED_JSON = [
+    ("bell", "--max", 2, 1, 300, "143d83c2719b8364817adf86b03f72ce74798333e11da2eca422f395e0f3ec87"),
+    ("bell", "--max", 4, 2, 100, "95c11407f51b735f8c55d22801f039c02709dc7744f6970aa41dd075c7fcc52c"),
+    ("bell", "--max", 6, 3, 60, "2b959b73652702e6872b9447ed7c9079008375cd4f09fd5f9a5fe07ca4440542"),
+    ("stirling", "--n", 2, 1, 300, "6eef5ebeba996004535237c7e5a8c3e36a9461abc53aee0bcc57bab58de0ae72"),
+    ("stirling", "--n", 4, 2, 40, "6a062d24545c94edea3ebd7747a6e016906050fd6195787aecbebf6179379652"),
+    ("stirling", "--n", 6, 3, 30, "3412606f9511650ff21b4afeb32f9c6c25bba571d7ab7a2069689d84182d96fa"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, r, s, n, digest", PINNED_JSON, ids=[f"{c}-{r}-{s}-{n}" for c, _, r, s, n, _ in PINNED_JSON]
+)
+def test_json_bytes_are_pinned(capsys, command, flag, r, s, n, digest):
+    code, out, _ = run(capsys, command, "--r", str(r), "--s", str(s), flag, str(n), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def printed_values(out, fmt):
+    """The value column of a `stirling` or `bell` output, as decimal strings."""
+    if fmt == "json":
+        return [row["value"] for row in json.loads(out)["results"]]
+    if fmt == "csv":
+        return [row["value"] for row in csv.DictReader(io.StringIO(out))]
+    return [line.split("value=")[1].split()[0] for line in out.splitlines() if "value=" in line]
+
+
+def exact(text):
+    # Decimal parses a decimal string of any length; int() of the string stops
+    # at the interpreter's int-to-str digit limit.
+    return int(Decimal(text))
+
+
+@cache
+def engine_bell(r, s, n):
+    return sum(next(islice(monomial_power_rows(r, s), n - 1, None)))
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_values_past_the_int_digit_limit_print(capsys, fmt):
+    # 2000! has 5,736 digits and B_{2,1}(n) passes 4,300 from n = 1,549 on.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "stirling", "--r", "2", "--s", "1", "--n", "2000", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert exact(printed_values(out, fmt)[0]) == factorial(2000)
+    code, out, err = run(capsys, "bell", "--r", "2", "--s", "1", "--max", "1560", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert exact(printed_values(out, fmt)[-1]) == engine_bell(2, 1, 1560)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_json_round_trips(capsys):

@@ -5,7 +5,10 @@ import tracemalloc
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bosonkit.dobinski import bell_hypergeometric, dobinski_rs
 from bosonkit.errors import OutOfRangeError, UnsupportedError
 from bosonkit.operator_algebra import (
     ANNIHILATE,
@@ -79,6 +82,29 @@ def test_lah_matches_engine_past_2_256():
     row = engine_row(2, 1, 300)
     assert max(row.values()) > 2**256
     assert row == {k: lah(300, k) for k in row}
+    assert stirling_table(MonomialSpec(2, 1, 300)) == [0] + list(row.values())
+    assert bell_sequence(2, 1, 300)[-1] == sum(row.values())
+
+
+@given(st.integers(1, 5), st.integers(0, 30))
+@settings(max_examples=60, deadline=None)
+def test_r_2s_closed_forms_match_engine(s, n_max):
+    # Rows S_{2s,s}(n, k) = C(ns, k) (ns - s)!/(k - s)! and sweeps
+    # B_{2s,s}(n) = G(ns - s), G(N) = N! L_N^(s)(-1), against the engine.
+    rows = list(islice(monomial_power_rows(2 * s, s), n_max))
+    assert bell_sequence(2 * s, s, n_max) == [1] + [sum(row) for row in rows]
+    if n_max:
+        assert stirling_table(MonomialSpec(2 * s, s, n_max)) == rows[-1]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_r_2s_sweep_matches_series_routes(s):
+    # Two series routes that share no code with the Laguerre recurrence:
+    # the Dobinski sum over N_k and the hypergeometric form of (2s, s).
+    values = bell_sequence(2 * s, s, 10)
+    for n in range(1, 11):
+        assert dobinski_rs(2 * s, s, n).to_integer() == values[n], (s, n)
+        assert bell_hypergeometric(s, 1, n).to_integer() == values[n], (s, n)
 
 
 def test_lah_row_by_ratio_matches_lah():
@@ -109,10 +135,13 @@ def test_dispatch_equals_oracle():
 
 
 def test_bell_sequence_matches_per_n_bell():
-    # The families of the benchmark's Bell sweeps, at small max.
+    # The families of the benchmark's Bell sweeps, at small max.  For (2, 1)
+    # and (4, 2) both sides are closed forms, so the engine is read as well.
     for r, s in ((1, 1), (2, 2), (2, 1), (3, 2), (4, 2), (5, 3)):
         per_n = [bell(MonomialSpec(r, s, n)) for n in range(9)]
         assert bell_sequence(r, s, 8) == per_n, (r, s)
+        engine = [sum(row) for row in islice(monomial_power_rows(r, s), 8)]
+        assert per_n == [1] + engine, (r, s)
     assert bell_sequence(1, 1, 10) == BELL_CLASSIC
     assert bell_sequence(3, 1, 0) == [1]
     with pytest.raises(UnsupportedError):
@@ -172,10 +201,11 @@ def deep_size(xs):
 
 def test_bell_sweep_memory_stays_bounded():
     # The engine holds one row, its successor, the list-pass temporaries and
-    # s weight lists of up to nr + 1 small integers: about 2.4 final rows at
-    # the peak for (2, 1) and 4.3 for (5, 3), where keeping every row would
-    # take about 100 and 28.  The bound leaves room for allocator noise.
-    for r, s, n in ((2, 1, 300), (5, 3, 80)):
+    # s weight lists of up to nr + 1 small integers: about 3.7 final rows
+    # beyond the output at the peak for (3, 2) and 4.3 for (5, 3), where
+    # keeping every row would take about 52 and 28.  The bound leaves room
+    # for allocator noise.
+    for r, s, n in ((3, 2, 150), (5, 3, 80)):
         final_row = engine_row(r, s, n)
         tracemalloc.start()
         try:
@@ -185,6 +215,24 @@ def test_bell_sweep_memory_stays_bounded():
             tracemalloc.stop()
         assert values[-1] == sum(final_row.values())
         assert peak <= 6 * deep_size(list(final_row.values())) + deep_size(values), (r, s)
+
+
+def test_laguerre_sweep_memory_stays_bounded():
+    # The recurrence holds G(N - 1), G(N) and the three temporaries of one
+    # step, each no larger than the last output, and the output list's
+    # pointer array may be copied once as it grows; about 7.5 final values
+    # beyond the output at (2, 1) and 3.7 at (4, 2).  Keeping all s n values
+    # of G would add, at (4, 2), the half of them that are not output: about
+    # the output again.
+    for r, s, n in ((2, 1, 1000), (4, 2, 300)):
+        tracemalloc.start()
+        try:
+            values = bell_sequence(r, s, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = deep_size(values) + sys.getsizeof(values) + 8 * sys.getsizeof(values[-1])
+        assert peak <= bound, (r, s)
 
 
 def test_bell_value_is_indexable():
