@@ -10,11 +10,12 @@ modified Bessel function I_s.  Each measure has mass
 Verification is numeric but certified where we can make it so:
 discrete moments are partial sums of exact integer-pair terms with a
 geometric tail bound, the Bessel series carries a truncation bound, and the
-quadrature tail past the cutoff is bounded analytically.  Only the quadrature error on the
-finite interval is an estimate (two runs at different precision plus the
-integrator's own estimate); tests pin it against a fully certified series
-expansion of the same integral.  A discrete measure is read only through
-its integer moment terms, its mass and its positivity check.
+quadrature tail past the cutoff is bounded analytically.  The density's
+moments, mass and positivity come from one tanh-sinh pass that evaluates it
+once per node; only the pass's error on the finite interval is an estimate
+(the difference of its last two levels), and tests pin it against a fully
+certified series expansion of the same integral.  A discrete measure is read
+only through its integer moment terms, its mass and its positivity check.
 ``verify_moments`` reports each comparison as a ``Check`` in a
 ``MomentReport``; the family passes when every check does.
 """
@@ -28,6 +29,7 @@ from operator import mul
 from typing import Callable, Iterator
 
 from mpmath import mp
+from mpmath.calculus.quadrature import TanhSinh
 
 from .dobinski import dobinski_rs
 from .errors import (
@@ -184,12 +186,7 @@ class ContinuousDensity:
             u = mp.root(xm, 2 * self.r)
             # x^{(2-3r)/(2r)} = u^{2-3r} and exp(-x^{1/r}) = exp(-u^2).
             scale = u ** (2 - 3 * self.r) * mp.exp(-u * u) / (mp.e * self.r)
-            iv = bessel_i(
-                self.r,
-                2 * u,
-                target_error=mp.mpf(target_error) / (2 * scale),
-                bits=bits,
-            )
+            iv = bessel_i(self.r, 2 * u, target_error=mp.mpf(target_error) / (2 * scale), bits=bits)
             value = scale * iv.value
             # exp and power conditioning: relative error grows with u^2.
             roundoff = abs(value) * (12 + u * u) * mp.mpf(2) ** (1 - bits)
@@ -222,52 +219,74 @@ def continuous_moment_series(
     return sum_over_e(_weight_moment_terms(r, n), series)
 
 
-def _quadrature_cutoff(a: int, target) -> tuple[int, object]:
-    # Past the cutoff, I_r(2u) < exp(2u) bounds the integrand by
-    # g(u) = u^a exp(-u^2 + 2u), whose log-derivative is -c(u) with
-    # c(u) = 2u - 2 - a/u increasing.  Then integral_U^inf g <= g(U)/c(U).
+def _quadrature_cutoff(exponents: list[int], target) -> tuple[int, list]:
+    # Past the cutoff U, I_r(2u) < exp(2u) bounds the integrand
+    # u^a exp(-u^2) I_r(2u) by g(u) = u^a exp(-u^2 + 2u), whose log-derivative
+    # is -(2u - 2 - a/u) <= -c with c = 2U - 2 - max(a, 0)/U for u >= U.  Then
+    # integral_U^inf g <= g(U)/c, for each exponent at the one U.
     with mp.workprec(64):
-        U = 4
-        while True:
-            c = mp.mpf(2 * U - 2) - mp.mpf(a) / U
-            if c >= 2:
-                g = mp.mpf(U) ** a * mp.exp(-U * U + 2 * U)
-                if g < mp.mpf(target) / 10:
-                    # 2/e < 1, so the certified tail (2/e) g/c also clears target/10.
-                    tail = (2 / mp.e) * g / c * (1 + mp.mpf(2) ** -40)
-                    return U, tail
-            U += 2
-            if U > 512:
-                raise PrecisionExhaustedError("no workable quadrature cutoff")
+        for U in range(4, 513, 2):
+            envelopes = [(2 * U - 2 - mp.mpf(max(a, 0)) / U, mp.mpf(U) ** a * mp.exp(-U * U + 2 * U))
+                         for a in exponents]
+            if all(c >= 2 and g < mp.mpf(target) / 10 for c, g in envelopes):
+                # 2/e < 1, so each certified tail (2/e) g/c also clears target/10.
+                return U, [(2 / mp.e) * g / c * (1 + mp.mpf(2) ** -40) for c, g in envelopes]
+    raise PrecisionExhaustedError("no workable quadrature cutoff")
 
 
-def _continuous_moment(density: ContinuousDensity, n: int, target, bits: int):
+def _quadrature(density: ContinuousDensity, orders: list[int], target, bits: int):
+    """The moments of the given orders (0 is the mass) and the positivity check, by one pass.
+
+    The n-th moment is the integral of W(x) x^n 2r u^{2r-1} du over (0, U),
+    u = x^{1/(2r)}, plus the tail past U.  Each tanh-sinh degree adds the
+    midpoints of the last one's nodes, so one density value per node serves
+    every order and every level sum S_k = 2^-k sum w f(u).  A radius is
+    |S_k - S_(k-1)|, the one estimate, plus the node enclosures, a rounding
+    allowance and the tail.
+    """
     r = density.r
-    a = 2 * r * n - r + 1
-    U, tail = _quadrature_cutoff(a, target)
-    quad_bits = max(96, min(bits, 192))
-
-    def run(prec: int):
-        with mp.workprec(prec):
-            def integrand(u):
-                return u**a * mp.exp(-u * u) * bessel_i(
-                    r, 2 * u, target_error=mp.mpf(2) ** (8 - prec), bits=prec
-                ).value
-
-            return mp.quad(integrand, [0, U], error=True, maxdegree=8)
-
-    coarse, err_coarse = run(quad_bits)
-    fine, err_fine = run(quad_bits + 32)
-    with mp.workprec(quad_bits + 32):
-        value = 2 * fine / mp.e
-        spread = abs(fine - coarse)
-        estimate = (spread + err_fine + abs(value) * mp.mpf(2) ** (16 - quad_bits)) * 2
-        total = estimate + mp.mpf(tail)
-        if total > mp.mpf(target):
+    U, tails = _quadrature_cutoff([2 * r * n - r + 1 for n in orders], target)
+    prec = max(96, min(bits, 192)) + 32
+    with mp.workprec(prec):
+        # Below every node value's last bit: each Bessel series runs to working precision.
+        tiny = mp.mpf(2) ** (-4 * prec)
+        # Relative, per node: rounding a term, x = u^{2r} and a sum of < 2^14 terms.
+        ulps = mp.mpf(2) ** (20 - prec)
+        sums = [mp.zero] * len(orders)
+        bounds = [mp.zero] * len(orders)
+        # Level 1 has no level before it to differ from.
+        results = [mp.inf] * len(orders)
+        positive = nodes = 0
+        for degree in range(1, 9):
+            for u, w in TanhSinh(mp).get_nodes(0, U, degree, prec):
+                x = u ** (2 * r)
+                value = density.evaluate(x, target_error=tiny, bits=prec)
+                positive += value.value > value.abs_error
+                nodes += 1
+                # dx = 2r u^{2r-1} du = 2r (x/u) du.
+                step = w * 2 * r * x / u
+                radius = value.abs_error + abs(value.value) * ulps
+                for i, n in enumerate(orders):
+                    weight = step * x**n
+                    sums[i] += weight * value.value
+                    bounds[i] += weight * radius
+            h = mp.ldexp(1, -degree)
+            previous, results = results, [h * total for total in sums]
+            radii = [abs(new - old) + h * bound + tail
+                     for new, old, bound, tail in zip(results, previous, bounds, tails)]
+            if max(radii) <= target:
+                break
+        else:
             raise PrecisionExhaustedError(
-                f"quadrature error {mp.nstr(total, 6)} exceeds target {target}"
+                f"quadrature error {mp.nstr(max(radii), 6)} exceeds target {target}"
             )
-        return ErrorBoundedReal(value, total)
+        values = [ErrorBoundedReal(value, radius) for value, radius in zip(results, radii)]
+    positivity = Check(
+        name="positivity sample",
+        ok=positive == nodes,
+        detail=f"{positive}/{nodes} quadrature nodes in (0, {U ** (2 * r)}) strictly positive",
+    )
+    return values, positivity
 
 
 def moment(measure, n: int, target_error=1e-12, *, bits: int = DEFAULT_BITS):
@@ -294,7 +313,7 @@ def moment(measure, n: int, target_error=1e-12, *, bits: int = DEFAULT_BITS):
             raise UnsupportedMomentError(
                 "the continuous family has mass != 1; use continuous_moment_series(r, 0)"
             )
-        return _continuous_moment(measure, n, target_error, bits)
+        return _quadrature(measure, [n], target_error, bits)[0][0]
     raise TypeError(f"not a measure: {measure!r}")
 
 
@@ -326,23 +345,6 @@ def _family(r: int, s: int):
     )
 
 
-def _positivity_sample(density: ContinuousDensity, bits: int) -> Check:
-    points = 1000
-    with mp.workprec(64):
-        lo, hi = mp.log(mp.mpf("1e-6")), mp.log(mp.mpf("1e3"))
-        xs = [mp.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points)]
-    positive = 0
-    for x in xs:
-        w = density.evaluate(x, target_error=1e-40, bits=max(bits, 128))
-        if w.value - w.abs_error > 0:
-            positive += 1
-    return Check(
-        name="positivity sample",
-        ok=positive == points,
-        detail=f"{positive}/{points} log-spaced points in [1e-6, 1e3] strictly positive",
-    )
-
-
 def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_BITS) -> MomentReport:
     """Check that a family's measure reproduces its Bell numbers.
 
@@ -350,9 +352,10 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
     r = 2s -> continuous Bessel-type density; every other (r, s) raises
     UnsupportedFamilyError.  Every family runs the same checks in this order:
     the moments n = 1..n_max against the Bell numbers; the mass against the
-    closed form 1 - e^{-1} sum_{j<j0} 1/j! (at s = 1 the density's mass is
-    also measured by quadrature); at s = 1 the density's quadrature moments
-    against their Dobinski series; and the positivity of the measure.
+    closed form 1 - e^{-1} sum_{j<j0} 1/j! (the density's also by quadrature);
+    the density's moments n <= 4 against their Dobinski series; and positivity,
+    of the comb's atoms or of the density at every quadrature node.  One
+    quadrature pass gives the density's moments, its mass and its positivity.
     """
     if n_max < 1:
         raise OutOfRangeError("need n_max >= 1")
@@ -360,7 +363,13 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
     discrete = isinstance(measure, DiscreteMeasure)
     series = SeriesSpec(working_precision=bits, target_abs_error=1e-14)
     target = min(float(tol), 1e-10)
-    values = [moment(measure, n, target_error=target, bits=bits) for n in range(1, n_max + 1)]
+    if discrete:
+        values = [moment(measure, n, target_error=target, bits=bits) for n in range(1, n_max + 1)]
+        routes = {"series": measure.mass(series)}
+        positivity = measure.check_atoms(64)
+    else:
+        (mass, *values), positivity = _quadrature(measure, list(range(n_max + 1)), target, bits)
+        routes = {"series": continuous_moment_series(s, 0, series), "quadrature": mass}
     checks = [
         Check(
             name=f"moment n={n}",
@@ -369,13 +378,6 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
         )
         for n, value, expected in zip(count(1), values, bell_sequence(r, s, n_max)[1:])
     ]
-    quadrature = not discrete and s == 1
-    routes = {"series": measure.mass(series) if discrete else continuous_moment_series(s, 0, series)}
-    if quadrature:
-        # At s = 1 the u-substituted mass integrand is regular at 0, so the
-        # mass can also be measured by quadrature, independently of the
-        # series expansion.
-        routes["quadrature"] = _continuous_moment(measure, 0, 1e-9, bits)
     with mp.workprec(160):
         closed = 1 - mp.fsum(mp.mpf(1) / factorial(j) for j in range(j0)) / mp.e
         checks.append(
@@ -386,16 +388,11 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
                 + f"; closed form 1 - (1/e) sum_{{j<{j0}}} 1/j! = {mp.nstr(closed, 20)}",
             )
         )
-    if quadrature:
+    if not discrete:
         for n, quad in enumerate(values[:4], start=1):
-            srs = dobinski_rs(2, 1, n, series)
-            checks.append(
-                Check(
-                    name=f"series vs quadrature n={n}",
-                    ok=bool(quad.agrees_with(srs)),
-                    detail=f"quadrature {quad} vs series {srs}",
-                )
-            )
-    checks.append(measure.check_atoms(64) if discrete else _positivity_sample(measure, bits))
+            srs = dobinski_rs(r, s, n, series)
+            detail = f"quadrature {quad} vs series {srs}"
+            checks.append(Check(f"series vs quadrature n={n}", quad.agrees_with(srs), detail))
+    checks.append(positivity)
     family = measure.label if discrete else f"bessel-density(r={s})"
     return MomentReport(family=family, checks=tuple(checks))

@@ -373,6 +373,28 @@ def test_moments_mass_passes_at_sixteen_bits(capsys):
     assert all(c["status"] == "pass" for c in record["checks"])
 
 
+def test_density_positivity_is_a_failed_check(capsys, monkeypatch):
+    # One far-tail node of the density negated: it moves no moment past the
+    # tolerance, so only the positivity check fails.
+    evaluate = measures.ContinuousDensity.evaluate
+    negated = []
+
+    def one_negative(self, x, *args, **kwargs):
+        w = evaluate(self, x, *args, **kwargs)
+        if not negated and w.value < 1e-20:
+            negated.append(x)
+            return ErrorBoundedReal(-w.value, w.abs_error)
+        return w
+
+    monkeypatch.setattr(measures.ContinuousDensity, "evaluate", one_negative)
+    code, out, err = run(capsys, "verify", "moments", "--r", "2", "--s", "1", "--max", "1")
+    assert code == 3
+    assert err == ""
+    assert len(negated) == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL  (2,1) positivity sample")
+
+
 def test_bad_atom_is_a_failed_check(capsys, monkeypatch):
     # Locations 1 and 2 of the Dirac comb swapped: a failed check, not an error.
     comb = measures.dirac_comb()

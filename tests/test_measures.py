@@ -254,13 +254,59 @@ def test_verify_moments_continuous_family():
 
 
 def test_verify_moments_continuous_family_higher_r():
-    # At s = 2 the series mass is the only route; it is checked against the
+    # At s = 2 the mass integrand u^{-1} exp(-u^2) I_2(2u) ~ u/2 is regular at
+    # 0, so the series and the quadrature both measure the mass against the
     # closed form 1 - (1/e)(1/0! + 1/1!).
     report = verify_moments(4, 2, 1)
     assert all(c.ok for c in report.checks)
     mass = next(c for c in report.checks if c.name == "mass")
     assert "closed form 1 - (1/e) sum_{j<2} 1/j!" in mass.detail
-    assert "quadrature" not in mass.detail
+    assert mass.detail.startswith("series ") and ", quadrature " in mass.detail
+    assert [c.name for c in report.checks] == [
+        "moment n=1",
+        "mass",
+        "series vs quadrature n=1",
+        "positivity sample",
+    ]
+
+
+@pytest.mark.parametrize("r, s, n_max", [(2, 1, 5), (4, 2, 3)])
+def test_verify_moments_bessel_budget(monkeypatch, r, s, n_max):
+    # One quadrature pass evaluates the density once per node, for every
+    # moment, the mass and the positivity check together.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bessel_i(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "bessel_i", counted)
+    assert all(c.ok for c in verify_moments(r, s, n_max).checks)
+    assert 0 < len(calls) < 1000
+
+
+true_evaluate = ContinuousDensity.evaluate
+
+
+def wrong_order(nu, y, *args, **kwargs):
+    return bessel_i(nu + 1, y, *args, **kwargs)
+
+
+def wrong_power(self, x, *args, **kwargs):
+    # One more power of u = x^{1/(2r)} in the density's scale.
+    w = true_evaluate(self, x, *args, **kwargs)
+    u = mp.root(mp.mpf(x), 2 * self.r)
+    return ErrorBoundedReal(w.value * u, w.abs_error * u)
+
+
+@pytest.mark.parametrize(
+    "target, name, mutant",
+    [(measures, "bessel_i", wrong_order), (ContinuousDensity, "evaluate", wrong_power)],
+)
+def test_verify_moments_mutant_density_fails_a_moment(monkeypatch, target, name, mutant):
+    monkeypatch.setattr(target, name, mutant)
+    checks = {c.name: c.ok for c in verify_moments(2, 1, 3).checks}
+    assert not all(checks[f"moment n={n}"] for n in range(1, 4))
 
 
 def test_verify_moments_mass_check_can_fail(monkeypatch):
