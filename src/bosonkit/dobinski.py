@@ -71,6 +71,8 @@ def dobinski_terms(r: int, s: int, n: int) -> Iterator[tuple[int, int]]:
     consecutive terms, prod_{j<n} prod_{i<s} (1 + 1/(k+jd-i)) / (k+1), does
     not increase in k: the premise of the summation's geometric tail bound.
     """
+    if not all(isinstance(v, int) for v in (r, s, n)):
+        raise TypeError("r, s and n must be integers")
     if not r >= s >= 1 or n < 1:
         raise OutOfRangeError(f"need r >= s >= 1 and n >= 1, got ({r}, {s}, {n})")
     return zip(_numerators(r, s, n), chain((1,), count(1)))
@@ -95,15 +97,11 @@ def hypergeometric_terms(
 
 def dobinski_classic(n: int, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedReal:
     """(1/e) sum_k k^n / k!, which rounds to the classical Bell number B(n)."""
-    if n < 1:
-        raise OutOfRangeError("need n >= 1")
     return sum_over_e(dobinski_terms(1, 1, n), series)
 
 
 def dobinski_rr(r: int, n: int, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedReal:
     """(1/e) sum_k [k!/(k-r)!]^n / k!, rounding to B_{r,r}(n)."""
-    if r < 1 or n < 1:
-        raise OutOfRangeError("need r >= 1 and n >= 1")
     return sum_over_e(dobinski_terms(r, r, n), series)
 
 

@@ -135,8 +135,8 @@ def bessel_i(nu: int, y, target_error=1e-30, *, bits: int = DEFAULT_BITS):
         raise OutOfRangeError("target_error must be positive")
     with mp.workprec(bits):
         ym = mp.mpf(y) if not isinstance(y, mp.mpf) else y
-        if ym < 0:
-            raise DomainError("argument y must be >= 0")
+        if not 0 <= ym < mp.inf:
+            raise DomainError("argument y must be finite and >= 0")
         if ym == 0:
             one_or_zero = mp.mpf(1 if nu == 0 else 0)
             return ErrorBoundedReal(one_or_zero, mp.mpf(0))
@@ -181,8 +181,8 @@ class ContinuousDensity:
             raise OutOfRangeError("target_error must be positive")
         with mp.workprec(bits):
             xm = mp.mpf(x)
-            if xm <= 0:
-                raise DomainError("density is defined for x > 0 only")
+            if not 0 < xm < mp.inf:
+                raise DomainError("density is defined for finite x > 0 only")
             u = mp.root(xm, 2 * self.r)
             # x^{(2-3r)/(2r)} = u^{2-3r} and exp(-x^{1/r}) = exp(-u^2).
             scale = u ** (2 - 3 * self.r) * mp.exp(-u * u) / (mp.e * self.r)
@@ -297,6 +297,8 @@ def moment(measure, n: int, target_error=1e-12, *, bits: int = DEFAULT_BITS):
     B_{r,s}(0) = 1 cannot occur.  Their mass is still available through
     mass()/continuous_moment_series().
     """
+    if not isinstance(n, int):
+        raise TypeError("moment order must be an integer")
     if n < 0:
         raise OutOfRangeError("moment order must be >= 0")
     if not 0 < target_error < inf:
@@ -359,6 +361,8 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
     """
     if n_max < 1:
         raise OutOfRangeError("need n_max >= 1")
+    if not 0 < tol < inf:
+        raise OutOfRangeError("tol must be positive and finite")
     measure, j0 = _family(r, s)
     discrete = isinstance(measure, DiscreteMeasure)
     series = SeriesSpec(working_precision=bits, target_abs_error=1e-14)

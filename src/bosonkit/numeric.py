@@ -9,10 +9,10 @@ the observed ratio drops below 1/2.  Each term arrives as an integer pair
 (k+r)!, Pochhammer products, ... grow by a small factor m_k > 0 per term, so
 a term costs one multiply-add and no rational is reduced per term.
 Partial sums are exact, and so is the final division by e up to one bracket:
-the integers L <= 2^M / e <= U are computed once, on first use, and a
-quotient q / e is enclosed by integer products with L and U shifted to one
-precision, chosen from the target, the bit length of q and the working
-precision before any arithmetic, up to the ceiling MAX_BITS = 4096.  Rounding
+a quotient q / e is enclosed by integer products with L <= 2^p / e <= U, cut
+from a bracket cached per power-of-two width, at one precision p chosen from
+the target, the bit length of q and the working precision before any
+arithmetic, with no ceiling on p.  Rounding
 an enclosure to an integer, or comparing two, is integer arithmetic too: each
 mpf is read as signed mantissa and exponent, and all of them are shifted to
 one common power of two.
@@ -33,12 +33,9 @@ from mpmath.libmp import from_man_exp
 from .errors import NonIntegerResultError, PrecisionExhaustedError
 
 DEFAULT_BITS = 256
-MAX_BITS = 4096
-
-# Fraction bits of the cached bracket of 1/e: MAX_BITS plus 8 + 64 guard bits,
-# so shifting it down to any precision up to MAX_BITS + 8 drops its own width
-# and leaves a bracket at most 2 wide.
-_E_BITS = MAX_BITS + 8 + 64
+MAX_BITS = 4096  # the most working precision a caller may ask for
+# The most terms a series may take before it is deemed not to converge.
+_MAX_TERMS = 100000
 
 
 @dataclass(frozen=True)
@@ -62,6 +59,8 @@ class SeriesSpec:
     target_abs_error: float = 1e-12
 
     def __post_init__(self) -> None:
+        if not isinstance(self.working_precision, int):
+            raise TypeError("working_precision must be an integer")
         if self.working_precision < 16:
             raise ValueError("working_precision must be at least 16 bits")
         if self.working_precision > MAX_BITS:
@@ -149,8 +148,6 @@ class ErrorBoundedReal:
 def sum_with_tail_bound(
     terms: Iterator[tuple[int, int]],
     stop_below: Fraction,
-    *,
-    max_terms: int = 100000,
 ) -> tuple[Fraction, Fraction, int]:
     """Sum terms p_k / q_k given as integer pairs (p_k, m_k), p_k >= 0 and m_k > 0.
 
@@ -188,23 +185,23 @@ def sum_with_tail_bound(
         total, denom = total * m + p, denom * m
         prev = p
         count += 1
-        if count > max_terms:
+        if count > _MAX_TERMS:
             raise PrecisionExhaustedError(
-                f"series did not meet the stopping rule within {max_terms} terms"
+                f"series did not meet the stopping rule within {_MAX_TERMS} terms"
             )
     raise ValueError("term iterator exhausted before the stopping rule was met")
 
 
 @functools.lru_cache(maxsize=None)
-def _inv_e_fixed() -> tuple[int, int]:
-    """Integers L <= 2^M / e <= U with M = _E_BITS, from the series of 1/e.
+def _inv_e_fixed(width: int) -> tuple[int, int]:
+    """Integers L <= 2^M / e <= U with M = width, from the series of 1/e.
 
     t_k = floor(2^M / k!) is exact by repeated floor division, and the
     alternating sum of t_0 .. t_K, where t_(K+1) = 0, differs from 2^M / e by
     less than one per term for the floors and less than one for the tail
     beyond K, so widening it by K + 2 brackets 2^M / e.
     """
-    t, k, total = 1 << _E_BITS, 0, 0
+    t, k, total = 1 << width, 0, 0
     while t:
         total += -t if k & 1 else t
         k += 1
@@ -213,9 +210,14 @@ def _inv_e_fixed() -> tuple[int, int]:
 
 
 def _inv_e_bracket(p: int) -> tuple[int, int]:
-    """Integers L_p <= 2^p / e <= U_p with U_p - L_p <= 2, for 0 <= p <= MAX_BITS + 8."""
-    low, high = _inv_e_fixed()
-    shift = _E_BITS - p
+    """Integers L_p <= 2^p / e <= U_p with U_p - L_p <= 2, for any p >= 0.
+
+    They are the bracket at the least power-of-two width with 64 guard bits
+    above p, shifted down past the guard bits, which drops its own width.
+    """
+    width = 1 << (p + 64).bit_length()
+    low, high = _inv_e_fixed(width)
+    shift = width - p
     return low >> shift, -(-high >> shift)
 
 
@@ -234,8 +236,7 @@ def quotient_by_e(q: Fraction, tail: Fraction, series: SeriesSpec) -> ErrorBound
     target is the rounding budget.  The result's number of fraction bits,
     ``frac``, is chosen once from it: the rounding, at most 2^(1 - frac),
     takes under a quarter of the budget, and with |q| < 2^mag the midpoint
-    keeps frac + mag >= working_precision significant bits.  A choice past
-    MAX_BITS means the target is unreachable.
+    keeps frac + mag >= working_precision significant bits.
 
     With L_p <= 2^p / e <= U_p at p = frac + mag + 1, lo = floor(q L_p / 2^(mag+1))
     and hi = ceil(q U_p / 2^(mag+1)) bracket 2^frac q / e and differ by at most
@@ -261,10 +262,6 @@ def quotient_by_e(q: Fraction, tail: Fraction, series: SeriesSpec) -> ErrorBound
     # 2^-budget_bits < slack, so 2^(1 - frac) < slack / 4.
     budget_bits = slack_d.bit_length() - slack_n.bit_length() + 1
     frac = max(series.working_precision - mag, budget_bits + 3, 0)
-    if frac + mag > MAX_BITS:
-        raise PrecisionExhaustedError(
-            f"target {series.target_abs_error} unreachable at {MAX_BITS} bits"
-        )
     low, high = _inv_e_bracket(frac + mag + 1)
     # Divide the products by 2^(mag + 1), multiplying instead when mag + 1 < 0.
     up, down = max(-mag - 1, 0), max(mag + 1, 0)

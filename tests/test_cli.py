@@ -457,6 +457,13 @@ def test_dobinski_past_float_range_passes(capsys):
     assert all(c["status"] == "pass" for c in record["checks"])
 
 
+def test_dobinski_past_the_bits_ceiling_passes(capsys):
+    # B(700) > 2^4192: its quotient by e needs more bits than --bits allows.
+    code, out, _ = run(capsys, "verify", "dobinski", "--r", "1", "--s", "1", "--max", "700")
+    assert code == 0
+    assert "summary: 700/700 checks passed" in out
+
+
 def test_failed_rounding_is_a_failed_check(capsys, monkeypatch):
     def off_integer(n, series):
         return ErrorBoundedReal(mp.mpf(2.5), mp.mpf(1e-3))

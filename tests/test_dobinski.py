@@ -38,7 +38,6 @@ from bosonkit.numeric import (
     MAX_BITS,
     ErrorBoundedReal,
     SeriesSpec,
-    _E_BITS,
     _dyadic,
     _inv_e_bracket,
     _inv_e_fixed,
@@ -255,7 +254,7 @@ def test_sum_guards():
     with pytest.raises(ValueError):
         sum_with_tail_bound(dobinski_terms(1, 1, 2), Fraction(0))
     with pytest.raises(PrecisionExhaustedError):
-        sum_with_tail_bound(itertools.repeat((1, 1)), Fraction(1, 10), max_terms=50)
+        sum_with_tail_bound(itertools.repeat((1, 1)), Fraction(1, 10))
 
 
 def reference_sum(terms, stop_below):
@@ -368,9 +367,13 @@ def test_quotient_by_e_escalates_precision():
     value = quotient_by_e(Fraction(1), Fraction(0), tight)
     with mp.workprec(200):
         assert abs(value.value - mp.exp(-1)) <= value.abs_error
-    # 2^4000 / e rounds by about 2^-91 at the 4096-bit ceiling, far above 1e-30.
-    with pytest.raises(PrecisionExhaustedError, match=f"at {MAX_BITS} bits"):
-        quotient_by_e(Fraction(2**4000), Fraction(0), tight)
+    # 2^4000 / e to 1e-30 takes a bracket of over 4100 bits, past MAX_BITS.
+    huge = quotient_by_e(Fraction(2**4000), Fraction(0), tight)
+    with mp.workprec(4400):
+        scaled = _exact(mp.ldexp(mp.exp(-1), 4000))
+    radius = _exact(huge.abs_error)
+    assert radius <= tight.target
+    assert abs(_exact(huge.value) - scaled) + Fraction(1, 2**300) <= radius
 
 
 def test_quotient_by_e_rejects_hopeless_tail():
@@ -382,15 +385,16 @@ def test_quotient_by_e_rejects_hopeless_tail():
 
 
 def test_inv_e_fixed_point_bracket():
-    low, high = _inv_e_fixed()
-    with mp.workprec(_E_BITS + 128):
-        scaled = _exact(mp.ldexp(mp.exp(-1), _E_BITS))
-    assert low < scaled < high
-    # Narrow enough that every shift by 64 or more bits leaves U_p - L_p <= 2.
-    assert high - low < 2**64
+    for width in (256, 512, 8192):
+        low, high = _inv_e_fixed(width)
+        with mp.workprec(width + 128):
+            scaled = _exact(mp.ldexp(mp.exp(-1), width))
+        assert low < scaled < high
+        # Narrow enough that every shift by 64 or more bits leaves U_p - L_p <= 2.
+        assert high - low < 2**64
 
 
-@given(st.integers(16, MAX_BITS))
+@given(st.integers(16, 2**15))
 @settings(max_examples=60, deadline=None)
 def test_inv_e_bracket_holds_and_is_tight(p):
     low, high = _inv_e_bracket(p)
@@ -438,6 +442,22 @@ def test_quotient_by_e_rejects_negative_q():
         quotient_by_e(Fraction(-1), Fraction(0), SeriesSpec())
 
 
+def test_series_round_to_exact_integers_past_2_8192():
+    # Each quotient needs a bracket of 1/e far wider than MAX_BITS.
+    classic = bell(MonomialSpec(1, 1, 1240))
+    assert classic.bit_length() > 8192
+    assert dobinski_classic(1240).to_integer() == classic
+    assert moment(dirac_comb(), 1240).to_integer() == classic
+    laguerre = bell_sequence(2, 1, 1900)[1900]
+    assert laguerre.bit_length() > 16384
+    for value in (
+        dobinski_rs(2, 1, 1900),
+        bell_hypergeometric(1, 1, 1900),
+        continuous_moment_series(1, 1900),
+    ):
+        assert value.to_integer() == laguerre
+
+
 def test_import_leaves_the_bracket_uncomputed():
     src = str(Path(bosonkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -459,6 +479,8 @@ def test_import_leaves_the_bracket_uncomputed():
 def test_series_spec_validation():
     with pytest.raises(ValueError):
         SeriesSpec(working_precision=8)
+    with pytest.raises(TypeError):
+        SeriesSpec(working_precision=100.5)
     for target in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             SeriesSpec(target_abs_error=target)

@@ -165,6 +165,12 @@ def test_bessel_guards():
         bessel_i(1, 2, target_error=0)
 
 
+@pytest.mark.parametrize("y", [mp.inf, mp.nan])
+def test_bessel_rejects_non_finite_argument(y):
+    with pytest.raises(DomainError):
+        bessel_i(0, y)
+
+
 def test_density_spot_value_and_domain():
     w = weight_2r_r(1).evaluate(1)
     with mp.workprec(120):
@@ -177,6 +183,11 @@ def test_density_spot_value_and_domain():
         weight_2r_r(1).evaluate(1, target_error=0)
     with pytest.raises(OutOfRangeError):
         weight_2r_r(0)
+
+
+def test_density_rejects_infinite_x():
+    with pytest.raises(DomainError):
+        weight_2r_r(1).evaluate(mp.inf)
 
 
 def test_density_positive_at_extremes():
@@ -226,6 +237,27 @@ def test_moment_guards():
         moment("not a measure", 1)
     with pytest.raises(OutOfRangeError):
         continuous_moment_series(0, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dobinski_classic(2.5),
+        lambda: dobinski_rr(2, 2.5),
+        lambda: moment(dirac_comb(), 2.5),
+    ],
+    ids=["dobinski_classic", "dobinski_rr", "moment"],
+)
+def test_non_integer_order_is_a_type_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+@pytest.mark.parametrize("r, s", [(1, 1), (2, 2), (2, 1)])
+def test_verify_moments_rejects_bad_tol(r, s):
+    for tol in (0, -1, math.nan, math.inf):
+        with pytest.raises(OutOfRangeError):
+            verify_moments(r, s, 2, tol)
 
 
 def test_verify_moments_dirac_family():
