@@ -106,6 +106,8 @@ def dobinski_rr(r: int, n: int, series: SeriesSpec = SeriesSpec()) -> ErrorBound
 
 
 def _check_rs(r: int, s_exp: int, n: int) -> None:
+    if not all(isinstance(v, int) for v in (r, s_exp, n)):
+        raise TypeError("r, s and n must be integers")
     if s_exp < 1 or r <= s_exp:
         raise UnsupportedError(f"need r > s >= 1, got ({r}, {s_exp})")
     if n < 1:
@@ -170,6 +172,8 @@ def bell_hypergeometric(
     agree).  ``reduced_prefactor=True`` evaluates the p(n-1)+j variant so
     the difference is reproducible; expect a certified non-integer from it.
     """
+    if not all(isinstance(v, int) for v in (p, r, n)):
+        raise TypeError("p, r and n must be integers")
     if p < 1 or r < 1 or n < 1:
         raise OutOfRangeError("need p, r, n >= 1")
     prefactor = Fraction(1)

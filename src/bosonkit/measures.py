@@ -31,6 +31,7 @@ from typing import Callable, Iterator
 from mpmath import mp
 from mpmath.calculus.quadrature import TanhSinh
 
+from . import numeric
 from .dobinski import dobinski_rs
 from .errors import (
     DomainError,
@@ -151,7 +152,7 @@ def bessel_i(nu: int, y, target_error=1e-30, *, bits: int = DEFAULT_BITS):
         m = 0
         while True:
             m += 1
-            if m > 100000:
+            if m > numeric._MAX_TERMS:
                 raise PrecisionExhaustedError(
                     f"Bessel series for I_{nu}({float(ym)}) did not settle"
                 )
@@ -214,6 +215,8 @@ def continuous_moment_series(
     r: int, n: int, series: SeriesSpec = SeriesSpec()
 ) -> ErrorBoundedReal:
     """Certified series value of the n-th moment of weight_2r_r(r); n = 0 gives the mass."""
+    if not all(isinstance(v, int) for v in (r, n)):
+        raise TypeError("r and n must be integers")
     if r < 1 or n < 0:
         raise OutOfRangeError("need r >= 1 and n >= 0")
     return sum_over_e(_weight_moment_terms(r, n), series)

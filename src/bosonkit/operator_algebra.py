@@ -5,10 +5,13 @@ A word over the letters a (annihilation) and a+ (creation) with commutator
 normally ordered monomials a+^i a^j.  This module computes that canonical
 form by two independent routes:
 
-* a letter-by-letter rewriting engine applying a a+ -> a+ a + 1 until no
-  defect remains, used as the cross-check oracle: it expands pending words
-  in decreasing (length, inversion count) order, so each distinct word is
-  expanded exactly once, with its coefficient already merged;
+* one left-to-right pass applying a a+ -> a+ a + 1, used as the cross-check
+  oracle: each a+ read is carried to the front across the a^j of every term
+  of the prefix's normal form by j applications of the rule, and the j
+  contractions, which all leave the same word, merge into the coefficient j.
+  Only that count enters, no weight of the contraction rule below, so the
+  two routes stay independent.  A word with p letters a+ and q letters a
+  costs at most p (q + 1) multiply-adds;
 * a closed contraction rule
   a^j a+^i = sum_l C(j, l) C(i, l) l!  a+^(i-l) a^(j-l)
   giving polynomial-cost products of normal forms.
@@ -130,46 +133,28 @@ def format_terms(items: Iterable[tuple[tuple[int, int], object]]) -> str:
 
 
 def normal_order_word(word: Iterable[Letter]) -> NormalForm:
-    """Normal order a word by exhaustive application of a a+ -> a+ a + 1.
+    """Normal order a word by the rule a a+ -> a+ a + 1, in one left-to-right pass.
 
-    Rewriting a defect a a+ turns a word into two: the swap a+ a keeps the
-    length and lowers the inversion count (pairs of an a before an a+) by
-    exactly one, and the contraction shortens the word by two.  Pending words
-    sit in buckets keyed by (length, inversions) and the largest key is
-    expanded first, so every word that can produce a given word is expanded
-    before it.  Coefficients merge when a word arrives, and each distinct word
-    is expanded exactly once, with its full coefficient.  Each word is
-    rewritten at its leftmost defect.
+    The normal form of the prefix read so far is kept as a row: every term
+    a+^i a^j of it has i - j equal to the prefix's excess e of a+ over a, so
+    entry j holds the coefficient of a+^(j+e) a^j.  An a moves each term from
+    j to j + 1.  An a+ carries the new letter across a^j by j applications of
+    the rule, a^j a+ = a+ a^j + j a^(j-1): the swap keeps the entry at j, and
+    the j contractions all leave the same word, so they merge into j times
+    the entry, added in at j - 1.  Each a+ is one pass over the row, at most
+    one entry per a read so far.
     """
     letters = tuple(word)
     if any(not isinstance(x, Letter) for x in letters):
         raise TypeError("letters must be Letter members")
-    # One character per letter, "+" for a+ and "a" for a, so a defect is the
-    # substring "a+".
-    start = "".join("+" if x is CREATE else "a" for x in letters)
-    inversions = sum(start.count("a", 0, pos) for pos, x in enumerate(start) if x == "+")
-    buckets: dict[tuple[int, int], dict[str, int]] = {(len(start), inversions): {start: 1}}
-    done: dict[tuple[int, int], int] = {}
-    for length in range(len(start), -1, -2):
-        for inv in range(inversions, -1, -1):
-            for w, c in buckets.pop((length, inv), {}).items():
-                pos = w.find("a+")
-                if pos < 0:
-                    # Defect-free words have the shape a+^i a^j.
-                    key = (w.count("+"), w.count("a"))
-                    done[key] = done.get(key, 0) + c
-                    continue
-                # The contraction removes the a at pos, inverted with every a+
-                # after it, and the a+ at pos + 1, inverted with every a
-                # before it; the removed pair itself is counted in both.
-                lost = w.count("+", pos + 1) + w.count("a", 0, pos + 1) - 1
-                for nxt, key in (
-                    (w[:pos] + "+a" + w[pos + 2 :], (length, inv - 1)),
-                    (w[:pos] + w[pos + 2 :], (length - 2, inv - lost)),
-                ):
-                    bucket = buckets.setdefault(key, {})
-                    bucket[nxt] = bucket.get(nxt, 0) + c
-    return NormalForm(done)
+    row = [1]
+    for x in letters:
+        if x is CREATE:
+            row = [*map(add, row, map(mul, count(1), row[1:])), row[-1]]
+        else:
+            row.insert(0, 0)
+    excess = 2 * letters.count(CREATE) - len(letters)
+    return NormalForm({(j + excess, j): c for j, c in enumerate(row) if c})
 
 
 def multiply(x: NormalForm, y: NormalForm) -> NormalForm:

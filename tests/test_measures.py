@@ -9,11 +9,12 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from bosonkit import measures
-from bosonkit.dobinski import dobinski_classic, dobinski_rr
+from bosonkit import measures, numeric
+from bosonkit.dobinski import bell_hypergeometric, dobinski_classic, dobinski_rr, dobinski_rs
 from bosonkit.errors import (
     DomainError,
     OutOfRangeError,
+    PrecisionExhaustedError,
     UnsupportedFamilyError,
     UnsupportedMomentError,
 )
@@ -165,6 +166,14 @@ def test_bessel_guards():
         bessel_i(1, 2, target_error=0)
 
 
+def test_bessel_series_shares_the_summation_term_limit(monkeypatch):
+    # I_0(50) needs about 35 terms before the ratio falls below 1/2.
+    assert bessel_i(0, 50).value > 0
+    monkeypatch.setattr(numeric, "_MAX_TERMS", 20)
+    with pytest.raises(PrecisionExhaustedError, match="did not settle"):
+        bessel_i(0, 50)
+
+
 @pytest.mark.parametrize("y", [mp.inf, mp.nan])
 def test_bessel_rejects_non_finite_argument(y):
     with pytest.raises(DomainError):
@@ -245,11 +254,23 @@ def test_moment_guards():
         lambda: dobinski_classic(2.5),
         lambda: dobinski_rr(2, 2.5),
         lambda: moment(dirac_comb(), 2.5),
+        lambda: dobinski_rs(2, 1, 0.5),
+        lambda: bell_hypergeometric(1, 1, 2.5),
+        lambda: continuous_moment_series(1, 2.5),
     ],
-    ids=["dobinski_classic", "dobinski_rr", "moment"],
+    ids=[
+        "dobinski_classic",
+        "dobinski_rr",
+        "moment",
+        "dobinski_rs",
+        "bell_hypergeometric",
+        "continuous_moment_series",
+    ],
 )
 def test_non_integer_order_is_a_type_error(call):
-    with pytest.raises(TypeError):
+    # Each entry point checks the type itself, before any range check and
+    # before the order reaches math.factorial.
+    with pytest.raises(TypeError, match="must be"):
         call()
 
 

@@ -1,4 +1,4 @@
-"""Rewriting engine versus contraction-rule multiplication, exact only."""
+"""Rewriting oracle versus contraction-rule multiplication, exact only."""
 
 import random
 from fractions import Fraction
@@ -92,17 +92,23 @@ def contraction_from_right(word):
 
 
 @pytest.mark.parametrize(
-    "order_word", [normal_order_word, contraction_from_right], ids=["leftmost", "rightmost"]
+    "order_word, m_max, passes",
+    [
+        pytest.param(normal_order_word, 171, 2**1024, id="leftmost"),
+        pytest.param(contraction_from_right, 20, 2**53, id="rightmost"),
+    ],
 )
-def test_ladder_closed_form_past_float_range(order_word):
-    # a^m a+^m = sum_k k! C(m, k)^2 a+^(m-k) a^(m-k); at m = 20 the
-    # coefficients pass 2^53.  The engine rewrites the leftmost defect; the
-    # contraction fold starts from the rightmost letter.
-    for m in range(21):
+def test_ladder_closed_form_past_float_range(order_word, m_max, passes):
+    # a^m a+^m = sum_k k! C(m, k)^2 a+^(m-k) a^(m-k).  At m = 20 the
+    # coefficients pass 2^53, the float precision; at m = 171 the constant
+    # term m! alone passes 2^1024, the float range.  The oracle carries each
+    # a+ leftwards across the a's before it; the contraction fold starts from
+    # the rightmost letter and is about ten times slower, so it stops at 20.
+    for m in range(m_max + 1):
         nf = order_word([ANNIHILATE] * m + [CREATE] * m)
         expected = {(m - k, m - k): factorial(k) * comb(m, k) ** 2 for k in range(m + 1)}
         assert dict(nf.items()) == expected
-    assert max(expected.values()) > 2**53
+    assert max(expected.values()) > passes
 
 
 def fock_action(word, k):
@@ -117,20 +123,36 @@ def fock_action(word, k):
     return coeff
 
 
-@pytest.mark.parametrize("excess", [3, 1, 0, -2, -4])
-def test_rewriting_matches_fock_action(excess):
+def shuffled_word(rng, length, excess):
+    word = [CREATE] * ((length + excess) // 2) + [ANNIHILATE] * ((length - excess) // 2)
+    rng.shuffle(word)
+    return word
+
+
+def assert_matches_fock_action(word, excess):
     # A term a+^i a^j sends x^k to k!/(k-j)! x^(k+i-j); the word's letters
     # act on x^k directly, right to left.  Values at k = 0..len(word) fix a
     # polynomial in k of degree at most len(word), so they fix the form.
+    nf = normal_order_word(word)
+    assert all(i - j == excess for (i, j), _ in nf.items())
+    for k in range(len(word) + 1):
+        assert sum(c * perm(k, j) for (_, j), c in nf.items()) == fock_action(word, k)
+
+
+@pytest.mark.parametrize("excess", [3, 1, 0, -2, -4])
+def test_rewriting_matches_fock_action(excess):
     rng = random.Random(1000 + excess)
     for _ in range(12):
-        length = rng.randrange(abs(excess), 17, 2)
-        word = [CREATE] * ((length + excess) // 2) + [ANNIHILATE] * ((length - excess) // 2)
-        rng.shuffle(word)
-        nf = normal_order_word(word)
-        assert all(i - j == excess for (i, j), _ in nf.items())
-        for k in range(len(word) + 1):
-            assert sum(c * perm(k, j) for (_, j), c in nf.items()) == fock_action(word, k)
+        word = shuffled_word(rng, rng.randrange(abs(excess), 17, 2), excess)
+        assert_matches_fock_action(word, excess)
+
+
+@pytest.mark.parametrize("excess", range(-4, 5))
+def test_long_words_match_fock_action(excess):
+    rng = random.Random(2000 + excess)
+    for _ in range(6):
+        word = shuffled_word(rng, rng.randrange(40 + excess % 2, 61, 2), excess)
+        assert_matches_fock_action(word, excess)
 
 
 @given(st.lists(letters, max_size=6), st.lists(letters, max_size=6))
