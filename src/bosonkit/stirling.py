@@ -5,11 +5,14 @@ of [(a+)^r a^s]^n, with k running over s..ns; B_{r,s}(n) is the row sum.
 A row is a plain ``list[int]`` of length ns + 1 indexed by k, with zeros
 below k = s: the format of the streaming contraction engine
 ``monomial_power_rows`` in operator_algebra, which advances a whole row per
-list pass.  The engine serves every family except r = 2s, whose rows and
-Bell numbers have closed forms; with N = ns - s:
+list pass.  The engine serves every row except r = 2s, whose rows have a
+closed form, and the Bell sweeps of r = s; every Bell sweep with r > s is a
+recurrence in n.  With d = r - s, f(x) = x!/(x-s)!, K ~ Poisson(1) and the
+Dobinski numerator N_k(n) = prod_{j<n} f(k+jd), B(n) = E[N_K(n)].
 
-* the Dobinski numerator N_k = prod_{j<n} (k+js)!/(k+js-s)! telescopes to
-  one falling factorial, (k+N)!/(k-s)!;
+The r = 2s families; with N = ns - s:
+
+* N_k telescopes to one falling factorial, (k+N)!/(k-s)!;
 * N_k = sum_j S(n, j) k!/(k-j)! (a^j acting on |k>), and Vandermonde's
   identity expands (k+N)!/(k-s)! in the falling factorials k!/(k-j)!, so
   S_{2s,s}(n, j) = C(ns, j) N!/(j-s)!, the unsigned Lah numbers at s = 1;
@@ -22,14 +25,33 @@ Bell numbers have closed forms; with N = ns - s:
 * with k = m + s the same sum is the moment series
   (1/e) sum_m (ns+m)!/(m! (m+s)!) of the I_s density ``weight_2r_r(s)``.
 
+Every other r > s family follows the Poisson shift (Stanley's D-finite
+recurrences; Blasiak, Penson & Solomon 2003 for the Dobinski form):
+
+* A_j(n) = E[N_{K+j}(n)] are integers, A_j(0) = 1 and B(n) = A_0(n);
+* E[K^(i) h(K)] = E[h(K+i)] for the falling factorial x^(i), and
+  Vandermonde gives f(x+c) = sum_i C(s, i) x^(i) c^(s-i);
+* step: N_k(n+1) = N_k(n) f(k+nd), so
+  A_j(n+1) = sum_{i=0..s} C(s, i) (j+nd)^(s-i) A_{j+i}(n);
+* chain: N_{k+d}(n) f(k) = N_k(n) f(k+nd), so
+  sum_{i=0..s} C(s, i) j^(s-i) A_{j+d+i}(n) = A_j(n+1), whose i = s term is
+  A_{j+r}(n) with coefficient 1 and whose other terms are A_r..A_{r+j-1}(n);
+* so step j = 0..s-1 each followed by its chain extends A_0..A_{r-1}(n) to
+  A_{r+s-1}(n) in time for step j = s..r-1, with no division.  At (2, 1),
+  A_0(n) = 1, 1, 3, 13, 73, the Lah row sums.
+
 A single r = 2s row costs one small multiply and one exact divide per entry
-(0.11 ms against 6.2 ms for 99 engine steps at (4, 2, 100)), and a Bell sweep
-two big-by-small products and one subtraction per step of G, where the
-engine does s multiply-adds per row entry plus a row sum (0.16 ms against
-20 ms for (2, 1) up to n = 300); Python 3.11 on a 2-core Xeon.  The
-engine stays the reference for these families in the tests.  The r = s
-closed form is kept as an independent cross-check and is not on any
-dispatch path.
+(0.11 ms against 6.2 ms for 99 engine steps at (4, 2, 100)), and a Laguerre
+sweep two big-by-small products and one subtraction per step of G (0.16 ms
+against 20 ms for the engine's rows of (2, 1) up to n = 300).  A
+Poisson-shift step is r s + s (s - 1)/2 big-by-small products on r + s
+integers: 0.7 ms against 13 ms for the engine at (3, 2, 150), 10 ms
+against 4 s at (3, 1, 2000), but 0.7 ms at (2, 1, 300), so r = 2s keeps the
+Laguerre sweep.  At d = 0 the chain is an identity and closes nothing, so
+the r = s sweeps read the engine.  Python 3.11 on a 2-core Xeon.  The
+engine stays the reference for every closed form and recurrence in the
+tests.  The r = s closed form is kept as an independent cross-check and is
+not on any dispatch path.
 """
 
 from __future__ import annotations
@@ -100,9 +122,7 @@ def stirling_table(spec: MonomialSpec) -> list[int]:
 
 def bell(spec: MonomialSpec) -> int:
     """Generalized Bell number B_{r,s}(n), the row sum; 1 at n = 0 by convention."""
-    if spec.n == 0:
-        return 1
-    return sum(stirling_table(spec))
+    return bell_sequence(spec.r, spec.s, spec.n)[-1]
 
 
 def _laguerre_values(s: int) -> Iterator[int]:
@@ -114,15 +134,44 @@ def _laguerre_values(s: int) -> Iterator[int]:
         prev, g = g, (2 * N + 2 + s) * g - N * (N + s) * prev
 
 
-def bell_sequence(r: int, s: int, n_max: int) -> list[int]:
-    """B_{r,s}(0..n_max): B(n) = G(ns - s) when r = 2s, else engine row sums.
+def _poisson_shift_values(r: int, s: int) -> Iterator[int]:
+    """B_{r,s}(n) = A_0(n) for n = 0, 1, ..., d = r - s >= 1, holding r + s integers.
 
-    The r = 2s sweep reads every s-th value of the Laguerre recurrence and
-    stops at G(n_max s - s); other families sum the rows of one pass of the
-    contraction engine.
+    Step n computes A_j(n + 1) = sum_i C(s, i) (j + nd)^(s-i) A_{j+i}(n) for
+    j = 0..r-1 and, after each j < s, the chain value
+    A_{r+j}(n) = A_j(n + 1) - sum_{k<j} C(s, j-k) j!/k! A_{r+k}(n), which
+    the steps from j + d on read.
+    """
+    d = r - s
+    # (i, C(s, i), m) for i = s-1..0: y^(s-i) = y^(s-i-1) (y - m), m = s-i-1.
+    terms = [(i, comb(s, i), s - i - 1) for i in range(s - 1, -1, -1)]
+    chain = [[(r + k, comb(s, j - k) * perm(j, j - k)) for k in range(j)] for j in range(s)]
+    a = [1] * r
+    for x in count(0, d):
+        yield a[0]
+        nxt = []
+        for j in range(r):
+            y, value, falling = x + j, a[j + s], 1
+            for i, c, m in terms:
+                falling *= y - m
+                value += c * falling * a[j + i]
+            nxt.append(value)
+            if j < s:
+                a.append(value - sum(c * a[k] for k, c in chain[j]))
+        a = nxt
+
+
+def bell_sequence(r: int, s: int, n_max: int) -> list[int]:
+    """B_{r,s}(0..n_max): a closed form or recurrence for r > s, engine rows for r = s.
+
+    r = 2s reads every s-th value of the Laguerre recurrence and stops at
+    G(n_max s - s); other r > s step the Poisson-shift recurrence of the
+    A_j(n); r = s sums the rows of one pass of the contraction engine.
     """
     MonomialSpec(r=r, s=s, n=n_max)
     if r == 2 * s:
         stop = max(n_max * s - s + 1, 0)
         return [1] + list(islice(_laguerre_values(s), 0, stop, s))
+    if r > s:
+        return list(islice(_poisson_shift_values(r, s), n_max + 1))
     return [1] + [sum(row) for row in islice(monomial_power_rows(r, s), n_max)]

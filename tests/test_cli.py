@@ -90,12 +90,18 @@ def test_bell_stream_matches_per_n_bell(capsys, r, s):
     assert got == [bell(MonomialSpec(r, s, n)) for n in range(8)]
 
 
-# SHA-256 of the `--format json` output of bell and stirling for r = 2s
-# families, computed before the general r = 2s closed forms were added.
+# SHA-256 of the `--format json` output of bell and stirling: for r = 2s
+# families, computed before the general r = 2s closed forms were added; for
+# the other r > s bell families, computed from engine row sums before the
+# Poisson-shift recurrence was added.
 PINNED_JSON = [
     ("bell", "--max", 2, 1, 300, "143d83c2719b8364817adf86b03f72ce74798333e11da2eca422f395e0f3ec87"),
     ("bell", "--max", 4, 2, 100, "95c11407f51b735f8c55d22801f039c02709dc7744f6970aa41dd075c7fcc52c"),
     ("bell", "--max", 6, 3, 60, "2b959b73652702e6872b9447ed7c9079008375cd4f09fd5f9a5fe07ca4440542"),
+    ("bell", "--max", 3, 2, 150, "60006be992084cc75888fcbfa9545baeafd7889a4898430838b1c3dbe73fbc43"),
+    ("bell", "--max", 5, 3, 80, "dd54d8940046ef300678796abebae24c9f2cbc5dcea553780cbabd6bb9be3e1e"),
+    ("bell", "--max", 3, 1, 300, "f5de30518c8a048c8a376b09d014ebb17f662f3297adefcbd5f7563dd4f2cc09"),
+    ("bell", "--max", 4, 1, 200, "77eb4929c08a2198c672de9e9ba67301671ec825e126c5871eda536745f6209d"),
     ("stirling", "--n", 2, 1, 300, "6eef5ebeba996004535237c7e5a8c3e36a9461abc53aee0bcc57bab58de0ae72"),
     ("stirling", "--n", 4, 2, 40, "6a062d24545c94edea3ebd7747a6e016906050fd6195787aecbebf6179379652"),
     ("stirling", "--n", 6, 3, 30, "3412606f9511650ff21b4afeb32f9c6c25bba571d7ab7a2069689d84182d96fa"),

@@ -3,6 +3,7 @@
 import sys
 import tracemalloc
 from itertools import islice
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from bosonkit.dobinski import bell_hypergeometric, dobinski_rs
 from bosonkit.errors import OutOfRangeError, UnsupportedError
+from bosonkit.genfunc import egf_r1
 from bosonkit.operator_algebra import (
     ANNIHILATE,
     CREATE,
@@ -107,6 +109,32 @@ def test_r_2s_sweep_matches_series_routes(s):
         assert bell_hypergeometric(s, 1, n).to_integer() == values[n], (s, n)
 
 
+# Every r > s family with r <= 8 outside r = 2s: the Poisson-shift sweeps.
+SHIFT_FAMILIES = [(r, s) for r in range(2, 9) for s in range(1, r) if r != 2 * s]
+
+
+def test_poisson_shift_sweep_matches_engine_for_every_family():
+    for r, s in SHIFT_FAMILIES:
+        engine = [sum(row) for row in islice(monomial_power_rows(r, s), 20)]
+        assert bell_sequence(r, s, 20) == [1] + engine, (r, s)
+
+
+@given(st.sampled_from(SHIFT_FAMILIES), st.data())
+@settings(max_examples=40, deadline=None)
+def test_poisson_shift_sweep_matches_other_routes(family, data):
+    # Three routes that share no code with the recurrence: the engine's row
+    # sums, the certified Dobinski series and, at s = 1, n! times the
+    # coefficients of the paper's exponential generating function.
+    r, s = family
+    n_max = data.draw(st.integers(0, 80 if r < 6 else 40), label="n_max")
+    values = bell_sequence(r, s, n_max)
+    assert values == [1] + [sum(row) for row in islice(monomial_power_rows(r, s), n_max)]
+    for n in range(1, min(n_max, 8) + 1):
+        assert dobinski_rs(r, s, n).to_integer() == values[n], n
+    if s == 1:
+        assert [int(c * factorial(n)) for n, c in enumerate(egf_r1(r, n_max))] == values
+
+
 def test_lah_row_by_ratio_matches_lah():
     # The (2, 1) row steps lah(n, k + 1) = lah(n, k) (n - k) / (k (k + 1))
     # from n!; lah() computes each entry from its own factorials.
@@ -135,8 +163,9 @@ def test_dispatch_equals_oracle():
 
 
 def test_bell_sequence_matches_per_n_bell():
-    # The families of the benchmark's Bell sweeps, at small max.  For (2, 1)
-    # and (4, 2) both sides are closed forms, so the engine is read as well.
+    # The families of the benchmark's Bell sweeps, at small max.  Only r = s
+    # reaches the engine through bell_sequence, so its rows are read directly
+    # as well.
     for r, s in ((1, 1), (2, 2), (2, 1), (3, 2), (4, 2), (5, 3)):
         per_n = [bell(MonomialSpec(r, s, n)) for n in range(9)]
         assert bell_sequence(r, s, 8) == per_n, (r, s)
@@ -200,12 +229,12 @@ def deep_size(xs):
 
 
 def test_bell_sweep_memory_stays_bounded():
-    # The engine holds one row, its successor, the list-pass temporaries and
-    # s weight lists of up to nr + 1 small integers: about 3.7 final rows
-    # beyond the output at the peak for (3, 2) and 4.3 for (5, 3), where
-    # keeping every row would take about 52 and 28.  The bound leaves room
-    # for allocator noise.
-    for r, s, n in ((3, 2, 150), (5, 3, 80)):
+    # Only the r = s sweeps read the engine.  It holds one row, its
+    # successor, the list-pass temporaries and s weight lists of up to
+    # nr + 1 small integers: about 2.3 final rows beyond the output at the
+    # peak for (1, 1) and 4.2 for (3, 3), where keeping every row would take
+    # about 105 and 23.  The bound leaves room for allocator noise.
+    for r, s, n in ((1, 1, 300), (3, 3, 60)):
         final_row = engine_row(r, s, n)
         tracemalloc.start()
         try:
@@ -215,6 +244,23 @@ def test_bell_sweep_memory_stays_bounded():
             tracemalloc.stop()
         assert values[-1] == sum(final_row.values())
         assert peak <= 6 * deep_size(list(final_row.values())) + deep_size(values), (r, s)
+
+
+def test_poisson_shift_sweep_memory_stays_bounded():
+    # The last step holds A_0..A_(r+s-1)(n - 1), builds A_0..A_(r-1)(n),
+    # whose first entry is the output, and makes two temporaries per
+    # product: about 2r + s values beyond the output, each about as large as
+    # the last one, plus about 1 KB of small lists and the generator frame.
+    # Keeping the A_j of every n would add about r + s times the output.
+    for r, s, n in ((3, 2, 150), (5, 3, 80), (3, 1, 1000)):
+        tracemalloc.start()
+        try:
+            values = bell_sequence(r, s, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        state = (2 * r + s + 2) * sys.getsizeof(values[-1]) + 2048
+        assert peak <= deep_size(values) + sys.getsizeof(values) + state, (r, s)
 
 
 def test_laguerre_sweep_memory_stays_bounded():
