@@ -5,7 +5,17 @@ reads off generalized Stirling and Bell numbers, evaluates the matching
 series representations with certified error bounds, and verifies the
 generating-function and moment-measure identities these numbers satisfy.
 Every computed quantity is reachable by at least two independent routes, and
-the verification suites cross them against each other.
+the verification suites cross them against each other.  The test module
+``tests/test_routes.py`` names every route in one table and crosses them for
+each family 1 <= s <= r <= 5 at n <= 10 and at rows past 2^256:
+
+* a Stirling row by the contraction engine, the ``stirling_table`` dispatch,
+  the paper's explicit formula, ``normal_order_word`` on the literal word
+  and ``stirling_rr_closed`` (r = s) or ``lah`` ((2, 1));
+* a Bell number by the row sum, ``bell_sequence``, ``bell``, the Dobinski
+  series, ``bell_hypergeometric`` where (r, s) = (pq + p, pq), the comb
+  moments (r = s), ``continuous_moment_series`` (r = 2s) and n! times the
+  EGF coefficient (s = 1).
 """
 
 from .errors import (

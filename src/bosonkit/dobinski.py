@@ -16,7 +16,9 @@ final division by e is rounded, so every series value is an
 ErrorBoundedReal that provably rounds to the integer the rewriting oracle
 produces.  Without the 1/k! factor the k-sum has non-decaying terms and a
 divergence guard rejects it (see ``dobinski_rs_literal``).  The
-hypergeometric form keeps its own terms as an independent cross-check.
+hypergeometric form keeps its own terms as an independent cross-check; with
+one upper and one lower parameter they are also the moment series of the
+(2p, p) Bessel density (``measures.continuous_moment_series``).
 """
 
 from __future__ import annotations
@@ -78,6 +80,13 @@ def dobinski_terms(r: int, s: int, n: int) -> Iterator[tuple[int, int]]:
     return zip(_numerators(r, s, n), chain((1,), count(1)))
 
 
+def _rising(starts: list[int]) -> Iterator[int]:
+    """prod_j (a_j + k) for k = 0, 1, ...; one parameter steps as a bare count, with no product."""
+    if len(starts) == 1:
+        return count(starts[0])
+    return map(prod, zip(*map(count, starts)))
+
+
 def hypergeometric_terms(
     p: int, r: int, n: int, prefactor: Fraction = Fraction(1)
 ) -> Iterator[tuple[int, int]]:
@@ -90,8 +99,8 @@ def hypergeometric_terms(
     upper = [p * n + 1 + p * (j - 1) for j in range(1, r + 1)]
     lower = [1 + p * j for j in range(1, r + 1)]
     numer, denom = prefactor.as_integer_ratio()
-    numerators = accumulate(map(prod, zip(*map(count, upper))), mul, initial=numer)
-    multipliers = map(prod, zip(count(1), *map(count, lower)))
+    numerators = accumulate(_rising(upper), mul, initial=numer)
+    multipliers = map(mul, count(1), _rising(lower))
     return zip(numerators, chain((denom,), multipliers))
 
 

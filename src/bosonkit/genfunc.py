@@ -73,6 +73,8 @@ def _egf(r: int, order: int, printed_sign: bool) -> tuple[Fraction, ...]:
 
 def egf_classic(order: int) -> tuple[Fraction, ...]:
     """exp(e^lam - 1) through lam^order; n! times coefficient n is B(n)."""
+    if not isinstance(order, int):
+        raise TypeError("order must be an integer")
     if order < 0:
         raise OutOfRangeError("order must be >= 0")
     return _egf(1, order, False)
@@ -84,6 +86,8 @@ def egf_r1(r: int, order: int, *, printed_sign: bool = False) -> tuple[Fraction,
     printed_sign=True uses exponent +1/(r-1) instead, which does not
     reproduce the Bell numbers; it is provided so the failure can be shown.
     """
+    if not all(isinstance(v, int) for v in (r, order)):
+        raise TypeError("r and order must be integers")
     if r < 2:
         raise OutOfRangeError("need r >= 2 (r = 1 is the classical EGF)")
     if order < 0:
@@ -105,6 +109,8 @@ def verify_normal_exponential(r: int, order: int, *, printed_sign: bool = False)
     an exact operator identity; the check's detail names the first order
     where it does not.
     """
+    if not all(isinstance(v, int) for v in (r, order)):
+        raise TypeError("r and order must be integers")
     if r < 1 or order < 1:
         raise OutOfRangeError("need r >= 1 and order >= 1")
     name = f"normal-ordered exponential r={r} order<={order}"

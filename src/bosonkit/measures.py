@@ -5,7 +5,8 @@ x_j = j!/(j-r)! with weight e^{-1}/j! for j >= j0: at r = 1, j0 = 0 it is
 the Dirac comb on the non-negative integers and reproduces the classical
 Bell numbers; at j0 = r it is the rarefied comb and reproduces B_{r,r}(n).
 The family (2s, s) has a continuous density on (0, inf) built from the
-modified Bessel function I_s.  Each measure has mass
+modified Bessel function I_s; its certified moment series is the (2s, s)
+hypergeometric sum of ``bell_hypergeometric(s, 1, n)``.  Each measure has mass
 1 - e^{-1} sum_{j<j0} 1/j!, with j0 = s for the density.
 Verification is numeric but certified where we can make it so:
 discrete moments are partial sums of exact integer-pair terms with a
@@ -23,16 +24,16 @@ only through its integer moment terms, its mass and its positivity check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, count, islice, repeat
+from fractions import Fraction
+from itertools import chain, count, islice, repeat
 from math import factorial, inf, perm
-from operator import mul
 from typing import Callable, Iterator
 
 from mpmath import mp
 from mpmath.calculus.quadrature import TanhSinh
 
 from . import numeric
-from .dobinski import dobinski_rs
+from .dobinski import dobinski_rs, hypergeometric_terms
 from .errors import (
     DomainError,
     OutOfRangeError,
@@ -117,9 +118,22 @@ def rarefied_comb(r: int) -> DiscreteMeasure:
     for B_{r,r}(n) into a genuine moment integral of x^n.  At r = 1 this is
     the integer comb shifted off zero.
     """
+    if not isinstance(r, int):
+        raise TypeError("r must be an integer")
     if r < 1:
         raise OutOfRangeError("need r >= 1")
     return _comb(f"rarefied-comb(r={r})", r, r)
+
+
+def _series_spec(target_error, bits: int) -> SeriesSpec:
+    """The accuracy checks every entry point makes first.
+
+    A target that is not positive and finite raises OutOfRangeError, and bits
+    outside what SeriesSpec accepts raise its TypeError or ValueError.
+    """
+    if not 0 < target_error < inf:
+        raise OutOfRangeError("target_error must be positive and finite")
+    return SeriesSpec(working_precision=bits, target_abs_error=target_error)
 
 
 def bessel_i(nu: int, y, target_error=1e-30, *, bits: int = DEFAULT_BITS):
@@ -130,10 +144,11 @@ def bessel_i(nu: int, y, target_error=1e-30, *, bits: int = DEFAULT_BITS):
     below 1/2 the remainder is bounded by a geometric series.  The returned
     bound adds a roundoff allowance proportional to the term count.
     """
-    if nu < 0 or not isinstance(nu, int):
-        raise OutOfRangeError("order nu must be a non-negative integer")
-    if target_error <= 0:
-        raise OutOfRangeError("target_error must be positive")
+    if not isinstance(nu, int):
+        raise TypeError("order nu must be an integer")
+    if nu < 0:
+        raise OutOfRangeError("order nu must be >= 0")
+    _series_spec(target_error, bits)
     with mp.workprec(bits):
         ym = mp.mpf(y) if not isinstance(y, mp.mpf) else y
         if not 0 <= ym < mp.inf:
@@ -178,8 +193,7 @@ class ContinuousDensity:
     r: int
 
     def evaluate(self, x, target_error=1e-30, *, bits: int = DEFAULT_BITS):
-        if target_error <= 0:
-            raise OutOfRangeError("target_error must be positive")
+        _series_spec(target_error, bits)
         with mp.workprec(bits):
             xm = mp.mpf(x)
             if not 0 < xm < mp.inf:
@@ -196,30 +210,30 @@ class ContinuousDensity:
 
 def weight_2r_r(r: int) -> ContinuousDensity:
     """Continuous weight whose n-th moment is B_{2r,r}(n) for n >= 1."""
+    if not isinstance(r, int):
+        raise TypeError("r must be an integer")
     if r < 1:
         raise OutOfRangeError("need r >= 1")
     return ContinuousDensity(r=r)
 
 
-def _weight_moment_terms(r: int, n: int) -> Iterator[tuple[int, int]]:
-    # Expanding I_r under the integral termwise and using
-    # int_0^inf u^{2q+1} exp(-u^2) du = q!/2 gives the exact series
-    # (1/e) sum_m (rn+m)! / (m! (m+r)!) for the n-th moment; from one term
-    # to the next the denominator grows by the factor m (m + r).
-    numerators = accumulate(count(r * n + 1), mul, initial=factorial(r * n))
-    multipliers = chain((factorial(r),), map(mul, count(1), count(r + 1)))
-    return zip(numerators, multipliers)
-
-
 def continuous_moment_series(
     r: int, n: int, series: SeriesSpec = SeriesSpec()
 ) -> ErrorBoundedReal:
-    """Certified series value of the n-th moment of weight_2r_r(r); n = 0 gives the mass."""
+    """Certified series value of the n-th moment of weight_2r_r(r); n = 0 gives the mass.
+
+    Expanding I_r under the integral termwise and using
+    int_0^inf u^{2q+1} exp(-u^2) du = q!/2 gives the exact series
+    (1/e) sum_m (rn+m)!/(m! (m+r)!), which is (1/e) (rn)!/r! 1F1(rn+1; r+1; 1):
+    the hypergeometric sum of the family (2r, r), summed by the same terms
+    as ``bell_hypergeometric(r, 1, n)``.
+    """
     if not all(isinstance(v, int) for v in (r, n)):
         raise TypeError("r and n must be integers")
     if r < 1 or n < 0:
         raise OutOfRangeError("need r >= 1 and n >= 0")
-    return sum_over_e(_weight_moment_terms(r, n), series)
+    prefactor = Fraction(factorial(r * n), factorial(r))
+    return sum_over_e(hypergeometric_terms(r, 1, n, prefactor), series)
 
 
 def _quadrature_cutoff(exponents: list[int], target) -> tuple[int, list]:
@@ -304,9 +318,7 @@ def moment(measure, n: int, target_error=1e-12, *, bits: int = DEFAULT_BITS):
         raise TypeError("moment order must be an integer")
     if n < 0:
         raise OutOfRangeError("moment order must be >= 0")
-    if not 0 < target_error < inf:
-        raise OutOfRangeError("target_error must be positive and finite")
-    series = SeriesSpec(working_precision=bits, target_abs_error=target_error)
+    series = _series_spec(target_error, bits)
     if isinstance(measure, DiscreteMeasure):
         if n == 0 and not measure.unit_mass:
             raise UnsupportedMomentError(
@@ -362,6 +374,8 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
     of the comb's atoms or of the density at every quadrature node.  One
     quadrature pass gives the density's moments, its mass and its positivity.
     """
+    if not all(isinstance(v, int) for v in (r, s, n_max)):
+        raise TypeError("r, s and n_max must be integers")
     if n_max < 1:
         raise OutOfRangeError("need n_max >= 1")
     if not 0 < tol < inf:

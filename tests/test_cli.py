@@ -117,6 +117,33 @@ def test_json_bytes_are_pinned(capsys, command, flag, r, s, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the `--format json` output of verify suites, computed before the
+# density's moment series was summed by the (2s, s) hypergeometric terms,
+# which the (2,1) mass check reads.
+PINNED_VERIFY_JSON = [
+    (("dobinski",), "a3723949b47e762d712e8b6aaf2652e06fe3d676cf7745f414b3db8d719c7853"),
+    (("egf",), "73892df2e8208b2f872af4b0874216f89bc573fcdc3f1823fedd8edf93fe843d"),
+    (("norm",), "a7ad940384fded54671fcf0eb1e248dc57e2a5178ec149a6ae02bcce144bf1b9"),
+    (
+        ("moments", "--r", "2", "--s", "1", "--max", "2"),
+        "c5c78409ad5d81e7c8a9a085c850d1d4c96e5ecc0ba3b6ef17e989478cf6dbb8",
+    ),
+    (
+        ("moments", "--r", "2", "--s", "2", "--max", "4"),
+        "63475020524ac9f6f21ea088fe0a6241cfb03b9d554bd6742a8936f272a2d662",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_VERIFY_JSON, ids=[" ".join(argv) for argv, _ in PINNED_VERIFY_JSON]
+)
+def test_verify_json_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def printed_values(out, fmt):
     """The value column of a `stirling` or `bell` output, as decimal strings."""
     if fmt == "json":

@@ -1,4 +1,4 @@
-"""Closed forms and dispatch against the row engine and the rewriting oracle."""
+"""Closed forms, dispatch and Bell sweeps against the row engine and the rewriting oracle."""
 
 import sys
 import tracemalloc
