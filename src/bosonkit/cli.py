@@ -14,7 +14,9 @@ other BosonKitError, such as exhausted precision, reported on one line.
 Output is plain text by default; ``--format json`` emits a versioned record
 whose integers are decimal strings (arbitrary precision survives any JSON
 parser) and whose reals carry an explicit error bound.  ``--format csv``
-emits flat tables, each headed by the union of its rows' keys.  The
+emits flat tables, each headed by the union of its rows' keys.  Each check
+is a ``Check`` named tuple, renamed per family with ``_replace``; it unpacks,
+iterates and compares equal to the plain tuple (name, ok, detail).  The
 ``--printed-sign`` and ``--printed-b5`` flags run variants of two identities
 in forms that do not hold, so the corrections the library applies stay
 visible and reproducible; expect exit code 3 from them.
@@ -23,13 +25,11 @@ visible and reproducible; expect exit code 3 from them.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from math import factorial, isfinite
 
 from .dobinski import (
@@ -59,12 +59,12 @@ class _UsageError(Exception):
     pass
 
 
-@dataclass
 class OutputRecord:
-    command: str
-    parameters: dict[str, str]
-    results: list[dict[str, str]] = field(default_factory=list)
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self, command: str, parameters: dict[str, str], results=None, checks=None) -> None:
+        self.command = command
+        self.parameters = parameters
+        self.results: list[dict[str, str]] = [] if results is None else results
+        self.checks: list[Check] = [] if checks is None else checks
 
     def _check_rows(self) -> list[dict[str, str]]:
         return [
@@ -92,6 +92,7 @@ class OutputRecord:
 
     def to_csv(self) -> str:
         # One flat table per section; most commands populate only one.
+        import csv  # loaded here, since no other output format needs it
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         sections = [s for s in (self.results, self._check_rows()) if s]
@@ -354,7 +355,7 @@ def _moment_checks(grid: list, tol: float, bits: int, results: list):
     for r, s, n_max in grid:
         report = verify_moments(r, s, n_max, tol, bits=bits)
         results.append({"family": f"({r},{s})", "measure": report.family, "kind": "exact"})
-        yield from (replace(c, name=f"({r},{s}) {c.name}") for c in report.checks)
+        yield from (c._replace(name=f"({r},{s}) {c.name}") for c in report.checks)
 
 
 # The flags each suite reads; ``verify all`` reads their union and runs the
@@ -384,27 +385,16 @@ def _cmd_stirling(ns) -> OutputRecord:
         raise _UsageError("--n must be >= 1")
     spec = MonomialSpec(r=ns.r, s=ns.s, n=ns.n)
     row = stirling_table(spec)
-    record = OutputRecord(
-        command="stirling",
-        parameters={"r": str(ns.r), "s": str(ns.s), "n": str(ns.n)},
-    )
-    for k in range(spec.s, spec.n * spec.s + 1):
-        record.results.append(
-            {"k": str(k), "value": str(row[k]), "kind": "exact"}
-        )
-    return record
+    results = [{"k": str(k), "value": str(row[k]), "kind": "exact"} for k in range(spec.s, len(row))]
+    return OutputRecord("stirling", {"r": str(ns.r), "s": str(ns.s), "n": str(ns.n)}, results)
 
 
 def _cmd_bell(ns) -> OutputRecord:
     if ns.max < 0:
         raise _UsageError("--max must be >= 0")
-    record = OutputRecord(
-        command="bell",
-        parameters={"r": str(ns.r), "s": str(ns.s), "max": str(ns.max)},
-    )
-    for n, value in enumerate(bell_sequence(ns.r, ns.s, ns.max)):
-        record.results.append({"n": str(n), "value": str(value), "kind": "exact"})
-    return record
+    values = bell_sequence(ns.r, ns.s, ns.max)
+    results = [{"n": str(n), "value": str(value), "kind": "exact"} for n, value in enumerate(values)]
+    return OutputRecord("bell", {"r": str(ns.r), "s": str(ns.s), "max": str(ns.max)}, results)
 
 
 def _cmd_verify(ns) -> OutputRecord:

@@ -19,15 +19,17 @@ certified series expansion of the same integral.  A discrete measure is read
 only through its integer moment terms, its mass and its positivity check.
 ``verify_moments`` reports each comparison as a ``Check`` in a
 ``MomentReport``; the family passes when every check does.
+``MomentReport`` and ``ContinuousDensity`` are named tuples like ``Check``; a
+``DiscreteMeasure`` is immutable too, and compares by identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
 from math import factorial, inf, perm
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from mpmath import mp
 from mpmath.calculus.quadrature import TanhSinh
@@ -58,7 +60,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DiscreteMeasure:
     """Atoms (x_k, w_k), k = 0, 1, ...; weights carry a common factor 1/e.
 
@@ -68,9 +69,16 @@ class DiscreteMeasure:
     before the final rounding stays in exact integer arithmetic.
     """
 
-    label: str
-    unit_mass: bool
-    _atoms: Callable[[], Iterator[tuple[int, int]]] = field(compare=False, repr=False)
+    __slots__ = ("label", "unit_mass", "_atoms")
+
+    def __init__(self, label: str, unit_mass: bool, _atoms: Callable[[], Iterator[tuple[int, int]]]) -> None:
+        for name, value in zip(self.__slots__, (label, unit_mass, _atoms)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: a DiscreteMeasure is immutable")
+
+    __delattr__ = __setattr__
 
     def check_atoms(self, count: int) -> Check:
         """Positivity of the weights and strict ordering of the first ``count`` atoms."""
@@ -181,16 +189,22 @@ def bessel_i(nu: int, y, target_error=1e-30, *, bits: int = DEFAULT_BITS):
         return ErrorBoundedReal(acc, tail + roundoff)
 
 
-@dataclass(frozen=True)
-class ContinuousDensity:
-    """The density of the family (2r, r) on the positive half-axis.
+class ContinuousDensity(namedtuple("ContinuousDensity", "r")):
+    """The density of the family (2r, r) on the positive half-axis, for integer r >= 1.
 
     W(x) = (1/(e r)) x^{(2-3r)/(2r)} exp(-x^{1/r}) I_r(2 x^{1/(2r)}).
     In the variable u = x^{1/(2r)} every factor is a power of u, which is how
     evaluate() computes it.
     """
 
-    r: int
+    __slots__ = ()
+
+    def __new__(cls, r: int):
+        if not isinstance(r, int):
+            raise TypeError("r must be an integer")
+        if r < 1:
+            raise OutOfRangeError("need r >= 1")
+        return super().__new__(cls, r)
 
     def evaluate(self, x, target_error=1e-30, *, bits: int = DEFAULT_BITS):
         _series_spec(target_error, bits)
@@ -210,10 +224,6 @@ class ContinuousDensity:
 
 def weight_2r_r(r: int) -> ContinuousDensity:
     """Continuous weight whose n-th moment is B_{2r,r}(n) for n >= 1."""
-    if not isinstance(r, int):
-        raise TypeError("r must be an integer")
-    if r < 1:
-        raise OutOfRangeError("need r >= 1")
     return ContinuousDensity(r=r)
 
 
@@ -334,8 +344,7 @@ def moment(measure, n: int, target_error=1e-12, *, bits: int = DEFAULT_BITS):
     raise TypeError(f"not a measure: {measure!r}")
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     family: str
     checks: tuple[Check, ...]
 

@@ -16,15 +16,18 @@ arithmetic, with no ceiling on p.  Rounding
 an enclosure to an integer, or comparing two, is integer arithmetic too: each
 mpf is read as signed mantissa and exponent, and all of them are shifted to
 one common power of two.
+
+``Check``, ``SeriesSpec`` and ``ErrorBoundedReal`` are named tuples, the last two
+checked when built: they unpack, iterate and compare equal to a plain tuple.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import mpmath
 from mpmath import mp
@@ -38,8 +41,7 @@ MAX_BITS = 4096  # the most working precision a caller may ask for
 _MAX_TERMS = 100000
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verification outcome: a named pass or fail with the reason."""
 
     name: str
@@ -47,26 +49,24 @@ class Check:
     detail: str
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(namedtuple("SeriesSpec", "working_precision target_abs_error")):
     """Precision policy: an absolute error target and a working precision in bits.
 
     A series value's midpoint keeps at least working_precision significant
     bits; more are used when the target needs them.
     """
 
-    working_precision: int = DEFAULT_BITS
-    target_abs_error: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.working_precision, int):
+    # No __slots__: the cached properties below keep their values in the instance dict.
+    def __new__(cls, working_precision: int = DEFAULT_BITS, target_abs_error: float = 1e-12):
+        if not isinstance(working_precision, int):
             raise TypeError("working_precision must be an integer")
-        if self.working_precision < 16:
+        if working_precision < 16:
             raise ValueError("working_precision must be at least 16 bits")
-        if self.working_precision > MAX_BITS:
+        if working_precision > MAX_BITS:
             raise ValueError(f"working_precision must be at most {MAX_BITS} bits")
-        if not 0 < self.target_abs_error < math.inf:
+        if not 0 < target_abs_error < math.inf:
             raise ValueError("target_abs_error must be positive and finite")
+        return super().__new__(cls, working_precision, target_abs_error)
 
     @functools.cached_property
     def target(self) -> Fraction:
@@ -85,8 +85,7 @@ def _signed_man_exp(x: mpmath.mpf) -> tuple[int, int]:
     return (-man if sign else man), exp
 
 
-@dataclass(frozen=True)
-class ErrorBoundedReal:
+class ErrorBoundedReal(namedtuple("ErrorBoundedReal", "value abs_error")):
     """A value together with a bound on |true - value|.
 
     The bound covers series truncation and accumulated rounding; rounding to
@@ -95,14 +94,14 @@ class ErrorBoundedReal:
     any magnitude and precision.
     """
 
-    value: mpmath.mpf
-    abs_error: mpmath.mpf
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (mpmath.isfinite(self.value) and mpmath.isfinite(self.abs_error)):
+    def __new__(cls, value: mpmath.mpf, abs_error: mpmath.mpf):
+        if not (mpmath.isfinite(value) and mpmath.isfinite(abs_error)):
             raise ValueError("value and abs_error must be finite")
-        if self.abs_error < 0:
+        if abs_error < 0:
             raise ValueError("abs_error must be non-negative")
+        return super().__new__(cls, value, abs_error)
 
     def to_integer(self) -> int:
         """The unique integer inside the enclosure, if there is one.

@@ -32,7 +32,7 @@ contractions.  All coefficients are arbitrary-precision integers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count, islice
 from math import comb, factorial, perm
 from operator import add, mul
@@ -170,24 +170,20 @@ def multiply(x: NormalForm, y: NormalForm) -> NormalForm:
     return NormalForm(acc)
 
 
-@dataclass(frozen=True)
-class MonomialSpec:
+class MonomialSpec(namedtuple("MonomialSpec", "r s n")):
     """Parameters of the monomial power [(a+)^r a^s]^n with r >= s >= 1."""
 
-    r: int
-    s: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("r", "s", "n"):
-            if not isinstance(getattr(self, name), int):
+    def __new__(cls, r: int, s: int, n: int):
+        for name, value in zip(cls._fields, (r, s, n)):
+            if not isinstance(value, int):
                 raise TypeError(f"{name} must be an integer")
-        if self.s < 1 or self.r < self.s:
-            raise UnsupportedError(
-                f"(r, s) = ({self.r}, {self.s}) not supported: need r >= s >= 1"
-            )
-        if self.n < 0:
-            raise OutOfRangeError(f"power n = {self.n} must be non-negative")
+        if s < 1 or r < s:
+            raise UnsupportedError(f"(r, s) = ({r}, {s}) not supported: need r >= s >= 1")
+        if n < 0:
+            raise OutOfRangeError(f"power n = {n} must be non-negative")
+        return super().__new__(cls, r, s, n)
 
     @property
     def excess(self) -> int:

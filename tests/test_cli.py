@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from decimal import Decimal
 from functools import cache
 from itertools import islice
@@ -333,6 +332,29 @@ def test_parser_is_built_on_first_use_and_reused():
     assert result.stdout.splitlines() == ["0", "[0, 0, 1] 1 2"]
 
 
+def test_import_loads_no_unused_stdlib_module():
+    # dataclasses brings inspect, ast, dis and tokenize with it; csv serves
+    # --format csv alone and loads when that format is written.  Modules the
+    # interpreter's site set-up loaded before bosonkit do not count.
+    src = str(Path(bosonkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bosonkit, bosonkit.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules) - before))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]"]
+
+
 def test_printed_sign_egf_fails(capsys):
     code, out, _ = run(capsys, "verify", "egf", "--r", "2", "--printed-sign")
     assert code == 3
@@ -435,7 +457,8 @@ def test_bad_atom_is_a_failed_check(capsys, monkeypatch):
     def swapped():
         return ((3 - x if x in (1, 2) else x, m) for x, m in comb._atoms())
 
-    monkeypatch.setattr(measures, "dirac_comb", lambda: replace(comb, _atoms=swapped))
+    bad = measures.DiscreteMeasure(comb.label, comb.unit_mass, _atoms=swapped)
+    monkeypatch.setattr(measures, "dirac_comb", lambda: bad)
     code, out, err = run(capsys, "verify", "moments", "--r", "1", "--s", "1", "--max", "1")
     assert code == 3
     assert err == ""

@@ -71,13 +71,6 @@ def oracle(r, s, n):
     return bell(MonomialSpec(r, s, n))
 
 
-def test_classic_rounds_to_bell():
-    for n in range(1, 11):
-        value = dobinski_classic(n)
-        assert value.to_integer() == oracle(1, 1, n)
-        assert value.abs_error < 1e-11
-
-
 def test_rr_rounds_to_bell():
     for r in (1, 2, 3):
         for n in range(1, 5):

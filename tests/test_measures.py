@@ -411,5 +411,12 @@ def test_verify_moments_rejects_other_families():
         verify_moments(1, 1, 0)
 
 
-def test_continuous_density_is_plain_dataclass():
+def test_continuous_density_compares_by_order():
     assert ContinuousDensity(r=2) == weight_2r_r(2)
+    assert ContinuousDensity(r=2) != ContinuousDensity(r=3)
+
+
+@pytest.mark.parametrize("r, error", [(0, OutOfRangeError), (2.5, TypeError)])
+def test_continuous_density_checks_its_order_when_built(r, error):
+    with pytest.raises(error):
+        ContinuousDensity(r)
