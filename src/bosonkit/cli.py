@@ -6,15 +6,18 @@ suite (dobinski, egf, norm, moments, or all) over a default grid or over one
 family given explicitly.  Each suite reads only some of the ``verify`` flags
 and rejects any other with a usage error, so no flag is accepted and then
 ignored; ``parameters`` echo the flags the suite read.  Exit codes: 0 all
-checks passed, 1 usage error or an ``--out`` file that cannot be written,
-2 unsupported parameter combination, 3 at least one verification check
-failed (a value that does not round to its integer is a failed check), 4 any
-other BosonKitError, such as exhausted precision, reported on one line.
+checks passed, 1 usage error or output that cannot be written (an ``--out``
+file, or stdout on a closed pipe or a full device), 2 unsupported parameter
+combination, 3 at least one verification check failed (a value that does not
+round to its integer is a failed check), 4 any other BosonKitError, such as
+exhausted precision, reported on one line.
 
 Output is plain text by default; ``--format json`` emits a versioned record
 whose integers are decimal strings (arbitrary precision survives any JSON
 parser) and whose reals carry an explicit error bound.  ``--format csv``
-emits flat tables, each headed by the union of its rows' keys.  Each check
+emits flat tables, each headed by the union of its rows' keys, so csv alone
+lists its rows before writing them.  Every BosonKitError is raised before the
+first byte; then each row is formatted and written in turn.  Each check
 is a ``Check`` named tuple, renamed per family with ``_replace``; it unpacks,
 iterates and compares equal to the plain tuple (name, ok, detail).  The
 ``--printed-sign`` and ``--printed-b5`` flags run variants of two identities
@@ -26,10 +29,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from math import factorial, isfinite
 
 from .dobinski import (
@@ -60,96 +62,72 @@ class _UsageError(Exception):
 
 
 class OutputRecord:
+    """What a command prints; ``results`` is any iterable of flat string dicts, read once by ``write``."""
+
     def __init__(self, command: str, parameters: dict[str, str], results=None, checks=None) -> None:
         self.command = command
         self.parameters = parameters
-        self.results: list[dict[str, str]] = [] if results is None else results
+        self.results = [] if results is None else results
         self.checks: list[Check] = [] if checks is None else checks
 
-    def _check_rows(self) -> list[dict[str, str]]:
-        return [
+    def _check_rows(self):
+        return (
             {"name": c.name, "status": "pass" if c.ok else "fail", "detail": c.detail}
             for c in self.checks
-        ]
+        )
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "command": self.command,
-            "parameters": self.parameters,
-            "results": self.results,
-            "checks": self._check_rows(),
-        }
+    def write(self, fmt: str, out) -> None:
+        """Write the record in ``fmt`` (plain, json or csv) to the text stream ``out``, a row at a time."""
+        getattr(self, f"_write_{fmt}")(out)
 
-    def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2)``, byte for byte.
+    def _write_json(self, out) -> None:
+        # json.dumps(record, indent=2), byte for byte: every field is a string
+        # or a flat dict of strings, escaped by the encoder's own C function.
+        out.write(f'{{\n  "schema": 1,\n  "command": {_quote(self.command)},\n'
+                  f'  "parameters": {_json_row(self.parameters, "  ")},\n')
+        for key, rows, end in (("results", self.results, ",\n"), ("checks", self._check_rows(), "\n}\n")):
+            out.write(f'  "{key}": [')
+            lead = "\n    "
+            for row in rows:
+                out.write(lead + _json_row(row, "    "))
+                lead = ",\n    "
+            out.write(("]" if lead == "\n    " else "\n  ]") + end)
 
-        With ``indent`` set the json module encodes in pure Python, so each
-        field is encoded compactly by the C encoder and indented here.
-        """
-        fields = (f"{_encode_depth2(k)}: {_indented(v)}" for k, v in self.to_dict().items())
-        return "{\n  " + ",\n  ".join(fields) + "\n}"
-
-    def to_csv(self) -> str:
-        # One flat table per section; most commands populate only one.
+    def _write_csv(self, out) -> None:
+        # One flat table per section, with a blank line between them; most
+        # commands fill only one.
         import csv  # loaded here, since no other output format needs it
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        sections = [s for s in (self.results, self._check_rows()) if s]
+        writer = csv.writer(out, lineterminator="\n")
+        sections = [rows for rows in (list(self.results), list(self._check_rows())) if rows]
         for index, rows in enumerate(sections):
             if index:
-                buf.write("\n")
+                out.write("\n")
             # Rows of one section may differ in keys; the header is their union.
             header = list(dict.fromkeys(col for row in rows for col in row))
             writer.writerow(header)
             for row in rows:
                 writer.writerow([row.get(col, "") for col in header])
-        return buf.getvalue().rstrip("\n")
 
-    def to_plain(self) -> str:
-        lines = [f"command: {self.command}"]
+    def _write_plain(self, out) -> None:
+        out.write(f"command: {self.command}\n")
         if self.parameters:
-            joined = " ".join(f"{k}={v}" for k, v in self.parameters.items())
-            lines.append(f"parameters: {joined}")
+            out.write("parameters: " + " ".join(f"{k}={v}" for k, v in self.parameters.items()) + "\n")
         for row in self.results:
-            lines.append("  " + " ".join(f"{k}={v}" for k, v in row.items()))
+            out.write("  " + " ".join(f"{k}={v}" for k, v in row.items()) + "\n")
         for c in self.checks:
-            lines.append(f"{'pass' if c.ok else 'FAIL'}  {c.name}: {c.detail}")
+            out.write(f"{'pass' if c.ok else 'FAIL'}  {c.name}: {c.detail}\n")
         if self.checks:
             passed = sum(c.ok for c in self.checks)
-            lines.append(f"summary: {passed}/{len(self.checks)} checks passed")
-        return "\n".join(lines)
-
-    def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json()
-        if fmt == "csv":
-            return self.to_csv()
-        return self.to_plain()
+            out.write(f"summary: {passed}/{len(self.checks)} checks passed\n")
 
 
-# Compact encoders whose item separator already holds the line break and the
-# indentation that indent=2 puts before a key at depth 2 (the parameters) and
-# at depth 3 (a key of a result or check row).
-_encode_depth2 = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-_encode_depth3 = json.JSONEncoder(separators=(",\n      ", ": ")).encode
-
-
-def _indented(value) -> str:
-    """A top-level field of ``OutputRecord.to_dict`` as indent=2 prints it.
-
-    The field is a scalar, a flat dict or a list of flat dicts.  An encoded
-    string never holds a raw newline, so in a list every "},\n      {" is a
-    row boundary and "{\n      \n    }" can only be an empty row.
-    """
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        body = _encode_depth3(value)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-        return ("[\n    {\n      " + body + "\n    }\n  ]").replace("{\n      \n    }", "{}")
-    if isinstance(value, dict) and value:
-        return "{\n    " + _encode_depth2(value)[1:-1] + "\n  }"
-    return _encode_depth2(value)
+def _json_row(row: dict[str, str], indent: str) -> str:
+    """A flat dict of strings as indent=2 prints it at the given indentation."""
+    if not row:
+        return "{}"
+    lead = "\n  " + indent
+    fields = ("," + lead).join(f"{_quote(k)}: {_quote(v)}" for k, v in row.items())
+    return "{" + lead + fields + "\n" + indent + "}"
 
 
 def _resolve_bits(value: int | None) -> int:
@@ -385,7 +363,7 @@ def _cmd_stirling(ns) -> OutputRecord:
         raise _UsageError("--n must be >= 1")
     spec = MonomialSpec(r=ns.r, s=ns.s, n=ns.n)
     row = stirling_table(spec)
-    results = [{"k": str(k), "value": str(row[k]), "kind": "exact"} for k in range(spec.s, len(row))]
+    results = ({"k": str(k), "value": str(row[k]), "kind": "exact"} for k in range(spec.s, len(row)))
     return OutputRecord("stirling", {"r": str(ns.r), "s": str(ns.s), "n": str(ns.n)}, results)
 
 
@@ -393,7 +371,7 @@ def _cmd_bell(ns) -> OutputRecord:
     if ns.max < 0:
         raise _UsageError("--max must be >= 0")
     values = bell_sequence(ns.r, ns.s, ns.max)
-    results = [{"n": str(n), "value": str(value), "kind": "exact"} for n, value in enumerate(values)]
+    results = ({"n": str(n), "value": str(value), "kind": "exact"} for n, value in enumerate(values))
     return OutputRecord("bell", {"r": str(ns.r), "s": str(ns.s), "max": str(ns.max)}, results)
 
 
@@ -498,10 +476,7 @@ def _main(argv) -> int:
         return int(exc.code or 0)
     try:
         record = ns.handler(ns)
-    except _UsageError as exc:
-        print(f"bosonkit: error: {exc}", file=sys.stderr)
-        return 1
-    except OutOfRangeError as exc:
+    except (_UsageError, OutOfRangeError) as exc:
         print(f"bosonkit: error: {exc}", file=sys.stderr)
         return 1
     except UnsupportedError as exc:
@@ -510,22 +485,29 @@ def _main(argv) -> int:
     except BosonKitError as exc:
         print(f"bosonkit: failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    text = record.render(ns.format)
-    if ns.out:
-        try:
+    try:
+        if ns.out:
             with open(ns.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            reason = exc.strerror or exc
-            print(f"bosonkit: error: cannot write {ns.out}: {reason}", file=sys.stderr)
-            return 1
-    else:
-        print(text)
+                record.write(ns.format, handle)
+        else:
+            # Read at call time, so that a caller's contextlib.redirect_stdout holds.
+            record.write(ns.format, sys.stdout)
+            sys.stdout.flush()
+    except OSError as exc:  # also a closed pipe or a full device on stdout
+        reason = exc.strerror or exc
+        print(f"bosonkit: error: cannot write {ns.out or '<stdout>'}: {reason}", file=sys.stderr)
+        return 1
     return 0 if all(c.ok for c in record.checks) else 3
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main has reported it; with fd 1 on devnull the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -206,6 +206,9 @@ class ContinuousDensity(namedtuple("ContinuousDensity", "r")):
             raise OutOfRangeError("need r >= 1")
         return super().__new__(cls, r)
 
+    # namedtuple's _make, behind _replace, calls tuple.__new__ and would skip the checks above.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     def evaluate(self, x, target_error=1e-30, *, bits: int = DEFAULT_BITS):
         _series_spec(target_error, bits)
         with mp.workprec(bits):

@@ -68,6 +68,9 @@ class SeriesSpec(namedtuple("SeriesSpec", "working_precision target_abs_error"))
             raise ValueError("target_abs_error must be positive and finite")
         return super().__new__(cls, working_precision, target_abs_error)
 
+    # namedtuple's _make, behind _replace, calls tuple.__new__ and would skip the checks above.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     @functools.cached_property
     def target(self) -> Fraction:
         """target_abs_error as an exact ratio, built once."""
@@ -102,6 +105,9 @@ class ErrorBoundedReal(namedtuple("ErrorBoundedReal", "value abs_error")):
         if abs_error < 0:
             raise ValueError("abs_error must be non-negative")
         return super().__new__(cls, value, abs_error)
+
+    # namedtuple's _make, behind _replace, calls tuple.__new__ and would skip the checks above.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def to_integer(self) -> int:
         """The unique integer inside the enclosure, if there is one.

@@ -185,6 +185,9 @@ class MonomialSpec(namedtuple("MonomialSpec", "r s n")):
             raise OutOfRangeError(f"power n = {n} must be non-negative")
         return super().__new__(cls, r, s, n)
 
+    # namedtuple's _make, behind _replace, calls tuple.__new__ and would skip the checks above.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     @property
     def excess(self) -> int:
         """Net creation degree n(r - s) of the normally ordered power."""

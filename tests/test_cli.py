@@ -1,6 +1,7 @@
 """Exit codes, output formats, and flag handling of the console entry point."""
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -24,7 +25,7 @@ from bosonkit.cli import main
 from bosonkit.errors import DivergentSeriesError
 from bosonkit.numeric import Check, ErrorBoundedReal
 from bosonkit.operator_algebra import MonomialSpec, monomial_power_rows
-from bosonkit.stirling import bell
+from bosonkit.stirling import bell, bell_sequence
 
 
 def run(capsys, *argv):
@@ -185,38 +186,91 @@ def test_json_round_trips(capsys):
     assert record["command"] == "bell"
 
 
-def reference_json(record):
-    """The pure-Python indent=2 encoding that ``OutputRecord.to_json`` must match."""
-    return json.dumps(record.to_dict(), indent=2)
+def written(record, fmt):
+    out = io.StringIO()
+    record.write(fmt, out)
+    return out.getvalue()
 
 
-# Strings that can confuse a splice of indentation into compact JSON: quotes,
+def reference_json(command, parameters, results=(), checks=()):
+    """The pure-Python indent=2 encoding that ``OutputRecord.write`` must match in json."""
+    check_rows = [{"name": c.name, "status": "pass" if c.ok else "fail", "detail": c.detail} for c in checks]
+    record = {
+        "schema": 1,
+        "command": command,
+        "parameters": parameters,
+        "results": list(results),
+        "checks": check_rows,
+    }
+    return json.dumps(record, indent=2) + "\n"
+
+
+# Strings that can confuse a writer that frames rows in JSON by hand: quotes,
 # backslashes, raw newlines, non-ASCII and the row boundary itself.
 TRICKY = st.text(
     st.sampled_from(['"', "\\", "\n", "{", "}", ",", ":", " ", "a", "\u00e9", "\u2603", "\U0001d11e"])
 ) | st.sampled_from(["", "},\n      {", '"},\n      {"', "{\n      \n    }"])
-ROWS = st.lists(st.dictionaries(TRICKY, TRICKY, max_size=4), max_size=4)
+ROWS = st.lists(st.dictionaries(TRICKY, TRICKY, max_size=4), max_size=12)
 
 
 @given(
     command=TRICKY,
     parameters=st.dictionaries(TRICKY, TRICKY, max_size=4),
     results=ROWS,
-    checks=st.lists(st.builds(Check, TRICKY, st.booleans(), TRICKY), max_size=4),
+    checks=st.lists(st.builds(Check, TRICKY, st.booleans(), TRICKY), max_size=12),
 )
 @settings(max_examples=300, deadline=None)
 def test_to_json_matches_indented_json_dumps(command, parameters, results, checks):
     record = cli.OutputRecord(command, parameters, results, checks)
-    assert record.to_json() == reference_json(record)
+    assert written(record, "json") == reference_json(command, parameters, results, checks)
 
 
 def test_to_json_of_empty_sections():
-    for record in (
-        cli.OutputRecord("bell", {}),
-        cli.OutputRecord("bell", {}, [{}], [Check("", True, "")]),
-        cli.OutputRecord("bell", {"r": "1"}, [{}, {"n": "0"}, {}]),
+    for args in (
+        ("bell", {}),
+        ("bell", {}, [{}], [Check("", True, "")]),
+        ("bell", {"r": "1"}, [{}, {"n": "0"}, {}]),
     ):
-        assert record.to_json() == reference_json(record)
+        assert written(cli.OutputRecord(*args), "json") == reference_json(*args)
+
+
+class WriteProbe:
+    """A text stream that keeps only the length of each write."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# What a format adds to one row's keys and values: quotes, separators,
+# indentation and line breaks.
+ROW_FRAME = 64
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_write_streams_one_row_at_a_time(fmt):
+    rows = [{"n": str(n), "value": str(7**n), "kind": "exact"} for n in range(1000)]
+    checks = [Check(f"check {n}", n % 2 == 0, f"detail {n}") for n in range(0, 1000, 100)]
+    probe = WriteProbe()
+    cli.OutputRecord("bell", {"max": "999"}, iter(rows), checks).write(fmt, probe)
+    longest = max(sum(map(len, row)) + sum(map(len, row.values())) for row in rows)
+    assert len(probe.lengths) > 1000
+    assert max(probe.lengths) <= longest + ROW_FRAME
+
+
+def test_main_streams_bell_rows(monkeypatch):
+    probe = WriteProbe()
+    monkeypatch.setattr(sys, "stdout", probe)
+    assert main(["bell", "--r", "3", "--s", "1", "--max", "300"]) == 0
+    longest = len(str(bell_sequence(3, 1, 300)[-1]))
+    assert len(probe.lengths) > 300
+    assert max(probe.lengths) <= longest + ROW_FRAME
 
 
 def test_integers_are_decimal_strings(capsys):
@@ -486,6 +540,37 @@ def test_out_file_unwritable(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "stdout, max_n",
+    [("closed pipe", "3"), ("closed pipe", "1500"), ("/dev/full", "3"), ("/dev/full", "1500")],
+)
+def test_stdout_write_failure_is_one_error_line(stdout, max_n):
+    # With stdout buffered, as it is by default, the output at max 3 fits the
+    # buffer and fails at the flush; at max 1500 it fails mid-output.
+    src = str(Path(bosonkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    if stdout == "closed pipe":
+        read_end, fd = os.pipe()
+        os.close(read_end)  # the reader is gone before the first byte
+        reason = os.strerror(errno.EPIPE)
+    elif os.path.exists(stdout):
+        fd = os.open(stdout, os.O_WRONLY)
+        reason = os.strerror(errno.ENOSPC)
+    else:
+        pytest.skip(f"no {stdout} on this platform")
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "bosonkit", "bell", "--r", "3", "--s", "1", "--max", max_n],
+            stdout=fd, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(fd)
+    assert result.returncode == 1
+    assert result.stderr == f"bosonkit: error: cannot write <stdout>: {reason}\n"
+
+
 def test_bits_environment_fallback(capsys, monkeypatch):
     argv = ("verify", "dobinski", "--r", "1", "--s", "1", "--max", "1")
     monkeypatch.setenv("BOSONKIT_BITS", "128")
@@ -584,7 +669,7 @@ def test_csv_header_is_union_of_row_keys():
             {"family": "(1,1)", "measure": "dirac-comb", "kind": "exact"},
         ],
     )
-    rows = list(csv.reader(io.StringIO(record.to_csv())))
+    rows = list(csv.reader(io.StringIO(written(record, "csv"))))
     assert rows == [
         ["family", "normalization_order", "kind", "measure"],
         ["(1,1)", "0", "heuristic", ""],

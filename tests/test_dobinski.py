@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -45,6 +46,7 @@ from bosonkit.numeric import (
     sum_with_tail_bound,
 )
 from bosonkit.measures import (
+    ContinuousDensity,
     continuous_moment_series,
     dirac_comb,
     moment,
@@ -478,6 +480,25 @@ def test_series_spec_validation():
     with pytest.raises(ValueError):
         SeriesSpec(working_precision=MAX_BITS + 1)
     assert SeriesSpec(working_precision=MAX_BITS).working_precision == MAX_BITS
+
+
+@pytest.mark.parametrize(
+    "record, bad",
+    [
+        (SeriesSpec(), {"working_precision": 8}),
+        (MonomialSpec(1, 1, 2), {"s": 0}),
+        (ErrorBoundedReal(mp.mpf(1), mp.mpf(0)), {"abs_error": mp.mpf(-1)}),
+        (ContinuousDensity(1), {"r": 0}),
+    ],
+    ids=["SeriesSpec", "MonomialSpec", "ErrorBoundedReal", "ContinuousDensity"],
+)
+def test_replace_and_make_check_fields(record, bad):
+    values = [bad.get(field, value) for field, value in zip(record._fields, record)]
+    with pytest.raises(Exception) as built:
+        type(record)(*values)
+    for build in (lambda: record._replace(**bad), lambda: type(record)._make(values)):
+        with pytest.raises(built.type, match=re.escape(str(built.value))):
+            build()
 
 
 def test_error_bounded_real_rounding():
