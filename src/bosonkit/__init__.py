@@ -22,7 +22,6 @@ from .errors import (
     BosonKitError,
     DivergentSeriesError,
     DomainError,
-    InconclusiveError,
     NonIntegerResultError,
     OutOfRangeError,
     PrecisionExhaustedError,
@@ -71,7 +70,6 @@ from .measures import (
     moment,
     rarefied_comb,
     verify_moments,
-    weight_2r_r,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +85,6 @@ __all__ = [
     "DivergentSeriesError",
     "DomainError",
     "ErrorBoundedReal",
-    "InconclusiveError",
     "MomentReport",
     "MonomialSpec",
     "NonIntegerResultError",
@@ -122,5 +119,4 @@ __all__ = [
     "stirling_table",
     "verify_moments",
     "verify_normal_exponential",
-    "weight_2r_r",
 ]

@@ -15,14 +15,14 @@ exhausted precision, reported on one line.
 Output is plain text by default; ``--format json`` emits a versioned record
 whose integers are decimal strings (arbitrary precision survives any JSON
 parser) and whose reals carry an explicit error bound.  ``--format csv``
-emits flat tables, each headed by the union of its rows' keys, so csv alone
-lists its rows before writing them.  Every BosonKitError is raised before the
-first byte; then each row is formatted and written in turn.  Each check
-is a ``Check`` named tuple, renamed per family with ``_replace``; it unpacks,
-iterates and compares equal to the plain tuple (name, ok, detail).  The
-``--printed-sign`` and ``--printed-b5`` flags run variants of two identities
-in forms that do not hold, so the corrections the library applies stay
-visible and reproducible; expect exit code 3 from them.
+emits one flat table per section; a section's rows share their keys, so the
+first row's keys head its table.  Every BosonKitError is raised before the
+first byte; then, in every format, each row is formatted and written in
+turn.  Each check is a ``Check`` named tuple, renamed per family with
+``_replace``; it unpacks, iterates and compares equal to the plain tuple
+(name, ok, detail).  The ``--printed-sign`` and ``--printed-b5`` flags run
+variants of two identities in forms that do not hold, so the corrections the
+library applies stay visible and reproducible; expect exit code 3 from them.
 """
 
 from __future__ import annotations
@@ -44,11 +44,10 @@ from .dobinski import (
 from .errors import (
     BosonKitError,
     DivergentSeriesError,
-    InconclusiveError,
     OutOfRangeError,
     UnsupportedError,
 )
-from .genfunc import egf_classic, egf_r1, select_normalization_order, verify_normal_exponential
+from .genfunc import egf_classic, egf_r1, verify_normal_exponential
 from .measures import verify_moments
 from .numeric import DEFAULT_BITS, MAX_BITS, Check, ErrorBoundedReal, SeriesSpec
 from .operator_algebra import MonomialSpec
@@ -62,7 +61,10 @@ class _UsageError(Exception):
 
 
 class OutputRecord:
-    """What a command prints; ``results`` is any iterable of flat string dicts, read once by ``write``."""
+    """What a command prints; ``results`` is any iterable of flat string dicts, read once by ``write``.
+
+    The rows of a section (``results``, or the rows of ``checks``) share their keys.
+    """
 
     def __init__(self, command: str, parameters: dict[str, str], results=None, checks=None) -> None:
         self.command = command
@@ -94,19 +96,21 @@ class OutputRecord:
             out.write(("]" if lead == "\n    " else "\n  ]") + end)
 
     def _write_csv(self, out) -> None:
-        # One flat table per section, with a blank line between them; most
-        # commands fill only one.
+        # One flat table per section, headed by its first row's keys, with a
+        # blank line between them; most commands fill only one.  DictWriter
+        # raises ValueError on a row with a key outside the header.
         import csv  # loaded here, since no other output format needs it
-        writer = csv.writer(out, lineterminator="\n")
-        sections = [rows for rows in (list(self.results), list(self._check_rows())) if rows]
-        for index, rows in enumerate(sections):
-            if index:
-                out.write("\n")
-            # Rows of one section may differ in keys; the header is their union.
-            header = list(dict.fromkeys(col for row in rows for col in row))
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([row.get(col, "") for col in header])
+        gap = ""
+        for rows in (iter(self.results), self._check_rows()):
+            first = next(rows, None)
+            if first is None:
+                continue
+            out.write(gap)
+            writer = csv.DictWriter(out, list(first), lineterminator="\n")
+            writer.writeheader()
+            writer.writerow(first)
+            writer.writerows(rows)
+            gap = "\n"
 
     def _write_plain(self, out) -> None:
         out.write(f"command: {self.command}\n")
@@ -257,16 +261,6 @@ def _egf_printed_sign_rejected(r: int) -> Check:
     )
 
 
-def _normalization_row(results: list, r: int, s: int, probe_n: int, expected: int) -> Check:
-    name = f"normalization order ({r},{s})"
-    try:
-        t = select_normalization_order(r, s, probe_n)
-    except InconclusiveError as exc:
-        return Check(name, False, str(exc))
-    results.append({"family": f"({r},{s})", "normalization_order": str(t), "kind": "heuristic"})
-    return Check(name, t == expected, f"t = {t}, expected {expected} (series sum B(n) x^n / (n!)^(t+1))")
-
-
 def _verify_egf(ns, results: list):
     if ns.max is not None and ns.max < 0:
         raise _UsageError("--max must be >= 0")
@@ -280,17 +274,14 @@ def _verify_egf(ns, results: list):
         return _egf_family(r, n_max, ns.printed_sign)
     if ns.printed_sign:
         raise _UsageError("--printed-sign needs an explicit --r")
-    return _egf_grid(ns.max, results)
+    return _egf_grid(ns.max)
 
 
-def _egf_grid(n_max: int | None, results: list):
+def _egf_grid(n_max: int | None):
     yield from _egf_family(1, n_max if n_max is not None else 8, False)
     for r in (2, 3):
         yield from _egf_family(r, min(n_max, 6) if n_max is not None else 6, False)
         yield _egf_printed_sign_rejected(r)
-    yield _normalization_row(results, 1, 1, 10, 0)
-    yield _normalization_row(results, 2, 1, 8, 0)
-    yield _normalization_row(results, 2, 2, 8, 1)
 
 
 def _verify_norm(ns, results: list):

@@ -35,7 +35,3 @@ class DivergentSeriesError(BosonKitError):
 
 class DomainError(BosonKitError):
     """Evaluation point outside the domain of a density or function."""
-
-
-class InconclusiveError(BosonKitError):
-    """A heuristic could not reach a stable answer from the available data."""

@@ -18,6 +18,22 @@ a+ = a = 1 (the coherent-state diagonal) the row sums over m! are the
 exponential generating function of B_{r,1}(n), which ``egf_classic`` and
 ``egf_r1`` return as a tuple of Fractions.  Everything here is exact.
 
+The generalized Bell numbers grow like (n!)^s, so the series
+sum B_{r,s}(n) x^n / (n!)^(t+1) has normalization order t = s - 1 for every
+family (Blasiak, Penson & Solomon, Ann. Comb. 7, 2003).  For r > s, with
+d = r - s, the ratio rho_n = B(n+1) / ((n+1)^s B(n)) tends to d^s, which
+makes the radius at t = s - 1 equal to d^-s.  Two cases are proved:
+
+* s = 1: the EGF exp(g) above is singular at x = 1/(r-1) = 1/d;
+* r = 2s: B(n) = G(ns - s) with G(N) = N! L_N^(s)(-1) (see ``stirling``),
+  and Perron's formula for Laguerre polynomials off the positive axis
+  (Szego, Orthogonal Polynomials, 8.22) gives rho_n -> s^s = d^s.
+
+The other r > s families are measured, not proved: rho_n falls toward d^s
+from above along ``bell_sequence``.  At r = s, B_{r,r}(n) is (n!)^r times a
+factor of order (log n)^(-rn), so the series is entire at t = s - 1; at
+t = s - 2 every family's series has radius 0.
+
 The sign variant that a naive reading suggests (exponent +1/(r-1) at r >= 2,
 g(x) = e^-x - 1 at r = 1) is sigma = -1.  It produces alternating
 coefficients (exp(-lam) at r = 2) and is kept only so its failure can be
@@ -30,12 +46,10 @@ from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
 from operator import add
-from typing import Sequence
 
-from .errors import InconclusiveError, OutOfRangeError
+from .errors import OutOfRangeError
 from .numeric import Check
-from .operator_algebra import format_terms, monomial_power_rows
-from .stirling import bell_sequence
+from .operator_algebra import MonomialSpec, format_terms, monomial_power_rows
 
 __all__ = [
     "egf_classic",
@@ -43,9 +57,6 @@ __all__ = [
     "select_normalization_order",
     "verify_normal_exponential",
 ]
-
-# Largest normalization order t that _choose_t tries.
-_T_MAX = 6
 
 
 def _exp_rows(r: int, order: int, printed_sign: bool) -> list[list[int]]:
@@ -128,46 +139,14 @@ def verify_normal_exponential(r: int, order: int, *, printed_sign: bool = False)
     return Check(name, True, f"r={r}: match through order {order}")
 
 
-def _choose_t(values: Sequence[int]) -> int:
-    """Smallest t with q_n / n^(t+1) non-increasing over the tail of the data.
+# bench/tracing.py traces this name; nothing in src/ calls it.
+def select_normalization_order(r: int, s: int) -> int:
+    """The normalization order t = s - 1 of the family (r, s), r >= s >= 1.
 
-    ``values`` is B(0..N).  Heuristic: the growth ratio q_n = B(n+1)/B(n)
-    behaves like n^(t+1) exactly when sum B(n)/(n!)^(t+1) has a finite radius
-    of convergence; boundedness is probed by requiring the normalized ratios
-    to stop increasing, and stability by the choice surviving removal of the
-    last data point.
+    At t = s - 1 the series sum B_{r,s}(n) x^n / (n!)^(t+1) has radius d^-s
+    for r > s, with d = r - s: proved at s = 1 and at r = 2s, measured for
+    the other families.  At r = s it is entire, and at t = s - 2 its radius
+    is 0.  The module docstring gives the argument.
     """
-    if len(values) < 7:
-        raise OutOfRangeError("need Bell values through n >= 6")
-    ratios = [Fraction(values[n + 1], values[n]) for n in range(1, len(values) - 1)]
-
-    def bounded(t: int, window: Sequence[Fraction]) -> bool:
-        normalized = [q / Fraction((n + 1) ** (t + 1)) for n, q in enumerate(window)]
-        tail = max(3, len(normalized) // 2)
-        recent = normalized[-tail:]
-        return all(b <= a for a, b in zip(recent, recent[1:]))
-
-    def pick(window: Sequence[Fraction]) -> int | None:
-        for t in range(_T_MAX + 1):
-            if bounded(t, window):
-                return t
-        return None
-
-    t_full = pick(ratios)
-    t_shorter = pick(ratios[:-1])
-    if t_full is None or t_full != t_shorter:
-        raise InconclusiveError(
-            f"growth ratios not stabilized by n = {len(values) - 1}"
-        )
-    return t_full
-
-
-def select_normalization_order(r: int, s: int, max_n: int) -> int:
-    """Heuristic t such that sum B_{r,s}(n)/(n!)^(t+1) looks convergent.
-
-    Probes the empirical ratios B(n+1)/B(n) up to max_n; the answer is a
-    finite-radius heuristic, not a proof, and callers should label it so.
-    """
-    if max_n < 6:
-        raise OutOfRangeError("need max_n >= 6 for a meaningful ratio probe")
-    return _choose_t(bell_sequence(r, s, max_n))
+    MonomialSpec(r=r, s=s, n=1)  # family validation only
+    return s - 1

@@ -56,7 +56,6 @@ __all__ = [
     "moment",
     "rarefied_comb",
     "verify_moments",
-    "weight_2r_r",
 ]
 
 
@@ -225,15 +224,10 @@ class ContinuousDensity(namedtuple("ContinuousDensity", "r")):
             return ErrorBoundedReal(value, scale * iv.abs_error + roundoff)
 
 
-def weight_2r_r(r: int) -> ContinuousDensity:
-    """Continuous weight whose n-th moment is B_{2r,r}(n) for n >= 1."""
-    return ContinuousDensity(r=r)
-
-
 def continuous_moment_series(
     r: int, n: int, series: SeriesSpec = SeriesSpec()
 ) -> ErrorBoundedReal:
-    """Certified series value of the n-th moment of weight_2r_r(r); n = 0 gives the mass.
+    """Certified series value of the n-th moment of ContinuousDensity(r); n = 0 gives the mass.
 
     Expanding I_r under the integral termwise and using
     int_0^inf u^{2q+1} exp(-u^2) du = q!/2 gives the exact series
@@ -367,7 +361,7 @@ def _family(r: int, s: int):
         if r == s:
             return rarefied_comb(r), r
         if r == 2 * s:
-            return weight_2r_r(s), s
+            return ContinuousDensity(s), s
     raise UnsupportedFamilyError(
         f"no measure implemented for (r, s) = ({r}, {s}); "
         "supported: r = s >= 1, r = 2s >= 2"

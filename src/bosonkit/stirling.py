@@ -23,7 +23,7 @@ The r = 2s families; with N = ns - s:
 * the Laguerre three-term recurrence (Abramowitz & Stegun 22.7.12) gives
   G(0) = 1, G(1) = s + 2, G(N+1) = (2N+2+s) G(N) - N(N+s) G(N-1);
 * with k = m + s the same sum is the moment series
-  (1/e) sum_m (ns+m)!/(m! (m+s)!) of the I_s density ``weight_2r_r(s)``.
+  (1/e) sum_m (ns+m)!/(m! (m+s)!) of the I_s density ``ContinuousDensity(s)``.
 
 Every other r > s family follows the Poisson shift (Stanley's D-finite
 recurrences; Blasiak, Penson & Solomon 2003 for the Dobinski form):

@@ -119,10 +119,11 @@ def test_json_bytes_are_pinned(capsys, command, flag, r, s, n, digest):
 
 # SHA-256 of the `--format json` output of verify suites, computed before the
 # density's moment series was summed by the (2s, s) hypergeometric terms,
-# which the (2,1) mass check reads.
+# which the (2,1) mass check reads.  `egf` is pinned without the three
+# normalization-order checks and their results rows, which are gone.
 PINNED_VERIFY_JSON = [
     (("dobinski",), "a3723949b47e762d712e8b6aaf2652e06fe3d676cf7745f414b3db8d719c7853"),
-    (("egf",), "73892df2e8208b2f872af4b0874216f89bc573fcdc3f1823fedd8edf93fe843d"),
+    (("egf",), "1ac566e99e1ad1cde71398cafaecc0059c2f7799176d5f9788f9a6f74f287e4e"),
     (("norm",), "a7ad940384fded54671fcf0eb1e248dc57e2a5178ec149a6ae02bcce144bf1b9"),
     (
         ("moments", "--r", "2", "--s", "1", "--max", "2"),
@@ -258,7 +259,17 @@ def test_write_streams_one_row_at_a_time(fmt):
     rows = [{"n": str(n), "value": str(7**n), "kind": "exact"} for n in range(1000)]
     checks = [Check(f"check {n}", n % 2 == 0, f"detail {n}") for n in range(0, 1000, 100)]
     probe = WriteProbe()
-    cli.OutputRecord("bell", {"max": "999"}, iter(rows), checks).write(fmt, probe)
+    writes_before_draw = []
+
+    def counting_rows():
+        for row in rows:
+            writes_before_draw.append(len(probe.lengths))
+            yield row
+
+    cli.OutputRecord("bell", {"max": "999"}, counting_rows(), checks).write(fmt, probe)
+    # Every row before the last is written by the time the last is drawn.
+    assert len(writes_before_draw) == len(rows)
+    assert writes_before_draw[-1] >= len(rows) - 1
     longest = max(sum(map(len, row)) + sum(map(len, row.values())) for row in rows)
     assert len(probe.lengths) > 1000
     assert max(probe.lengths) <= longest + ROW_FRAME
@@ -442,8 +453,8 @@ def test_default_dobinski_grid_passes(capsys):
 def test_default_egf_grid_passes(capsys):
     code, record = json_record(capsys, "verify", "egf")
     assert code == 0
-    assert any(r.get("normalization_order") == "0" for r in record["results"])
-    assert any(r.get("normalization_order") == "1" for r in record["results"])
+    assert record["results"] == []
+    assert not any(c["name"].startswith("normalization order") for c in record["checks"])
     assert any("printed exponent sign rejected" in c["name"] for c in record["checks"])
 
 
@@ -648,33 +659,38 @@ def test_verify_all_rejects_flags_before_any_suite_runs(capsys, monkeypatch):
 
 
 def test_csv_verify_has_two_sections(capsys):
-    code, out, _ = run(capsys, "verify", "egf", "--format", "csv")
+    code, out, _ = run(capsys, "verify", "moments", "--r", "1", "--s", "1", "--max", "2", "--format", "csv")
     assert code == 0
     sections = out.split("\n\n")
     assert len(sections) == 2
     results = list(csv.DictReader(io.StringIO(sections[0])))
-    assert "normalization_order" in results[0]
+    assert results == [{"family": "(1,1)", "measure": "dirac-comb", "kind": "exact"}]
     checks = list(csv.DictReader(io.StringIO(sections[1])))
     assert {c["status"] for c in checks} == {"pass"}
+    # verify egf fills no results, so it prints the checks table alone.
+    code, out, _ = run(capsys, "verify", "egf", "--format", "csv")
+    assert code == 0
+    assert "\n\n" not in out
+    assert out.startswith("name,status,detail\n")
 
 
-def test_csv_header_is_union_of_row_keys():
-    # `verify all` appends normalization rows and then moments rows with a
-    # `measure` column; the header must carry every key, in first-seen order.
+def test_csv_header_is_first_row_keys():
+    # A section's rows share their keys: the first row's order heads the
+    # table, and a row with a key outside it is an error, not a new column.
     record = cli.OutputRecord(
-        command="verify all",
-        parameters={},
-        results=[
-            {"family": "(1,1)", "normalization_order": "0", "kind": "heuristic"},
-            {"family": "(1,1)", "measure": "dirac-comb", "kind": "exact"},
-        ],
+        "bell",
+        {},
+        [{"n": "0", "value": "1", "kind": "exact"}, {"kind": "exact", "value": "1", "n": "1"}],
     )
     rows = list(csv.reader(io.StringIO(written(record, "csv"))))
-    assert rows == [
-        ["family", "normalization_order", "kind", "measure"],
-        ["(1,1)", "0", "heuristic", ""],
-        ["(1,1)", "", "exact", "dirac-comb"],
-    ]
+    assert rows == [["n", "value", "kind"], ["0", "1", "exact"], ["1", "1", "exact"]]
+    mixed = cli.OutputRecord(
+        "verify all",
+        {},
+        [{"family": "(1,1)", "kind": "exact"}, {"family": "(1,1)", "measure": "dirac-comb", "kind": "exact"}],
+    )
+    with pytest.raises(ValueError):
+        written(mixed, "csv")
 
 
 def test_help_exits_zero(capsys):
@@ -702,10 +718,13 @@ def test_verify_parameters_echoed(capsys):
         ("verify", "egf"),
         ("verify", "norm"),
         ("verify", "norm", "--r", "2", "--order", "3", "--printed-sign"),
+        ("verify", "moments", "--max", "2"),
+        ("verify", "all", "--max", "1"),
     ],
 )
 def test_check_rows_share_one_shape(capsys, argv):
     _, record = json_record(capsys, *argv)
+    assert len({tuple(row) for row in record["results"]}) <= 1
     json_rows = record["checks"]
     code, out, _ = run(capsys, *argv, "--format", "csv")
     csv_rows = list(csv.DictReader(io.StringIO(out.split("\n\n")[-1])))

@@ -297,7 +297,7 @@ def test_kernel_matches_fraction_reference():
         for n in range(1, 6)
     ]
     makers.append(partial(hypergeometric_terms, 2, 2, 3))
-    # The moment series of weight_2r_r(r), as continuous_moment_series builds it.
+    # The moment series of ContinuousDensity(r), as continuous_moment_series builds it.
     makers += [
         partial(hypergeometric_terms, r, 1, n, Fraction(math.factorial(r * n), math.factorial(r)))
         for r in (1, 2, 3)

@@ -1,4 +1,4 @@
-"""Generating functions, operator exponentials, and the growth-rate heuristic."""
+"""Generating functions, operator exponentials, and the normalization order."""
 
 from fractions import Fraction
 from itertools import islice
@@ -6,9 +6,8 @@ from math import factorial
 
 import pytest
 
-from bosonkit.errors import InconclusiveError, OutOfRangeError
+from bosonkit.errors import OutOfRangeError, UnsupportedError
 from bosonkit.genfunc import (
-    _choose_t,
     _exp_rows,
     egf_classic,
     egf_r1,
@@ -144,22 +143,23 @@ def test_operator_exponential_validation():
         verify_normal_exponential(2, 0)
 
 
-def test_growth_heuristic_on_synthetic_data():
-    assert _choose_t([factorial(n) ** 2 for n in range(12)]) == 1
-    assert _choose_t([factorial(n) for n in range(12)]) == 0
-    assert _choose_t([2**n for n in range(12)]) == 0
-    hyper = [1]
-    for n in range(10):
-        hyper.append(hyper[-1] * 2 ** (2**n))
-    with pytest.raises(InconclusiveError):
-        _choose_t(hyper)
-    with pytest.raises(OutOfRangeError):
-        _choose_t([1, 1, 2, 5, 15, 52])
+def test_normalization_order_is_s_minus_one():
+    for r in range(1, 6):
+        for s in range(1, r + 1):
+            assert select_normalization_order(r, s) == s - 1
+    for r, s in ((1, 2), (3, 0), (0, 0)):
+        with pytest.raises(UnsupportedError):
+            select_normalization_order(r, s)
+    with pytest.raises(TypeError):
+        select_normalization_order(2.0, 1)
 
 
-def test_normalization_order_per_family():
-    assert select_normalization_order(1, 1, 10) == 0
-    assert select_normalization_order(2, 1, 8) == 0
-    assert select_normalization_order(2, 2, 8) == 1
-    with pytest.raises(OutOfRangeError):
-        select_normalization_order(1, 1, 5)
+@pytest.mark.parametrize("r, s", [(3, 1), (4, 2)])
+def test_growth_ratio_falls_toward_d_to_the_s(r, s):
+    # rho_n = B(n+1) / ((n+1)^s B(n)) -> d^s puts the radius of
+    # sum B(n) x^n / (n!)^s at d^-s; s = 1 and r = 2s are the proved cases.
+    values = bell_sequence(r, s, 2001)
+    limit = (r - s) ** s
+    rho = [Fraction(values[n + 1], (n + 1) ** s * values[n]) for n in (100, 400, 2000)]
+    assert rho[0] > rho[1] > rho[2] > limit
+    assert rho[2] < Fraction(105, 100) * limit

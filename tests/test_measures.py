@@ -28,7 +28,6 @@ from bosonkit.measures import (
     moment,
     rarefied_comb,
     verify_moments,
-    weight_2r_r,
 )
 from bosonkit.numeric import ErrorBoundedReal, SeriesSpec
 from bosonkit.operator_algebra import MonomialSpec
@@ -179,29 +178,29 @@ def test_bessel_rejects_non_finite_argument(y):
 
 
 def test_density_spot_value_and_domain():
-    w = weight_2r_r(1).evaluate(1)
+    w = ContinuousDensity(1).evaluate(1)
     with mp.workprec(120):
         assert abs(w.value - mp.mpf("0.21526928924893765916")) <= w.abs_error + mp.mpf("1e-19")
     with pytest.raises(DomainError):
-        weight_2r_r(1).evaluate(0)
+        ContinuousDensity(1).evaluate(0)
     with pytest.raises(DomainError):
-        weight_2r_r(1).evaluate(-3)
+        ContinuousDensity(1).evaluate(-3)
     for target in (0, math.nan):
         with pytest.raises(OutOfRangeError):
-            weight_2r_r(1).evaluate(1, target_error=target)
+            ContinuousDensity(1).evaluate(1, target_error=target)
     with pytest.raises(ValueError):
-        weight_2r_r(1).evaluate(1, bits=8)
+        ContinuousDensity(1).evaluate(1, bits=8)
     with pytest.raises(OutOfRangeError):
-        weight_2r_r(0)
+        ContinuousDensity(0)
 
 
 def test_density_rejects_infinite_x():
     with pytest.raises(DomainError):
-        weight_2r_r(1).evaluate(mp.inf)
+        ContinuousDensity(1).evaluate(mp.inf)
 
 
 def test_density_positive_at_extremes():
-    density = weight_2r_r(1)
+    density = ContinuousDensity(1)
     for x in ("1e-6", "1e3"):
         w = density.evaluate(mp.mpf(x), target_error=1e-40, bits=128)
         assert w.value - w.abs_error > 0
@@ -209,8 +208,8 @@ def test_density_positive_at_extremes():
 
 @lru_cache(maxsize=None)
 def quadrature_moment(n):
-    """moment(weight_2r_r(1), n) at the default target, computed once per n."""
-    return moment(weight_2r_r(1), n)
+    """moment(ContinuousDensity(1), n) at the default target, computed once per n."""
+    return moment(ContinuousDensity(1), n)
 
 
 def test_quadrature_moments_match_oracle():
@@ -230,7 +229,7 @@ def test_moment_series_agrees_with_quadrature():
 
 def test_continuous_mass_not_a_moment():
     with pytest.raises(UnsupportedMomentError):
-        moment(weight_2r_r(1), 0)
+        moment(ContinuousDensity(1), 0)
     # The mass itself is still a certified quantity, (e-1)/e at r = 1.
     mass = continuous_moment_series(1, 0)
     with mp.workprec(120):
@@ -259,7 +258,7 @@ def test_moment_guards():
         lambda: bell_hypergeometric(1, 1, 2.5),
         lambda: continuous_moment_series(1, 2.5),
         lambda: bessel_i(1.5, 2),
-        lambda: weight_2r_r(2.5),
+        lambda: ContinuousDensity(2.5),
         lambda: rarefied_comb(2.5),
         lambda: egf_r1(2.5, 3),
         lambda: egf_classic(2.5),
@@ -274,7 +273,7 @@ def test_moment_guards():
         "bell_hypergeometric",
         "continuous_moment_series",
         "bessel_i",
-        "weight_2r_r",
+        "ContinuousDensity",
         "rarefied_comb",
         "egf_r1",
         "egf_classic",
@@ -412,7 +411,7 @@ def test_verify_moments_rejects_other_families():
 
 
 def test_continuous_density_compares_by_order():
-    assert ContinuousDensity(r=2) == weight_2r_r(2)
+    assert ContinuousDensity(r=2) == ContinuousDensity(2)
     assert ContinuousDensity(r=2) != ContinuousDensity(r=3)
 
 
