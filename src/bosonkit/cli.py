@@ -1,16 +1,17 @@
 """Command-line front end.
 
-Three subcommands: ``stirling`` prints one row of the generalized triangle,
-``bell`` prints a run of Bell numbers, and ``verify`` runs a named check
-suite (dobinski, egf, norm, moments, or all) over a default grid or over one
-family given explicitly.  Each suite reads only some of the ``verify`` flags
-and rejects any other with a usage error, so no flag is accepted and then
-ignored; ``parameters`` echo the flags the suite read.  Exit codes: 0 all
-checks passed, 1 usage error or output that cannot be written (an ``--out``
-file, or stdout on a closed pipe or a full device), 2 unsupported parameter
-combination, 3 at least one verification check failed (a value that does not
-round to its integer is a failed check), 4 any other BosonKitError, such as
-exhausted precision, reported on one line.
+Three subcommands, each read in one pass against the flag table
+``_COMMANDS``: ``stirling`` prints one row of the generalized triangle,
+``bell`` a run of Bell numbers, and ``verify`` runs a check suite (dobinski,
+egf, norm, moments, or all) over a default grid or one given family.  Each
+suite reads only some ``verify`` flags and rejects any other, so no flag is
+accepted and then ignored; ``parameters`` echo the flags the suite read.
+Exit codes: 0 all checks passed, 1 usage error (worded as argparse words it)
+or output that cannot be written (an ``--out`` file, or stdout on a closed
+pipe or a full device), 2 unsupported parameter combination, 3 at least one
+verification check failed (a value that does not round to its integer is a
+failed check), 4 any other BosonKitError, such as exhausted precision,
+reported on one line.
 
 Output is plain text by default; ``--format json`` emits a versioned record
 whose integers are decimal strings (arbitrary precision survives any JSON
@@ -19,20 +20,18 @@ emits one flat table per section; a section's rows share their keys, so the
 first row's keys head its table.  Every BosonKitError is raised before the
 first byte; then, in every format, each row is formatted and written in
 turn.  Each check is a ``Check`` named tuple, renamed per family with
-``_replace``; it unpacks, iterates and compares equal to the plain tuple
-(name, ok, detail).  The ``--printed-sign`` and ``--printed-b5`` flags run
+``_replace``.  The ``--printed-sign`` and ``--printed-b5`` flags run
 variants of two identities in forms that do not hold, so the corrections the
 library applies stay visible and reproducible; expect exit code 3 from them.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from math import factorial, isfinite
+from types import SimpleNamespace
 
 from .dobinski import (
     bell_hypergeometric,
@@ -153,7 +152,9 @@ def _resolve_bits(value: int | None) -> int:
 def _series(bits: int, tol: float) -> SeriesSpec:
     # Series targets sit an order of magnitude under the comparison
     # tolerance so rounding to integers is never the limiting step.
-    return SeriesSpec(working_precision=bits, target_abs_error=min(tol, 1e-9) / 8)
+    if (target := min(tol, 1e-9) / 8) == 0:
+        raise _UsageError(f"--tol {tol!r} is too small: its series target tol/8 underflows to 0")
+    return SeriesSpec(working_precision=bits, target_abs_error=target)
 
 
 def _check_rounds_to(name: str, value: ErrorBoundedReal, expected: int) -> Check:
@@ -336,13 +337,6 @@ _SUITES = {
     "norm": (_verify_norm, ("r", "order", "printed_sign")),
     "moments": (_verify_moments, ("bits", "tol", "r", "s", "max")),
 }
-# Flag order in the echoed parameters.
-_VERIFY_FLAGS = ("bits", "tol", "r", "s", "max", "order", "printed_sign", "printed_b5")
-
-
-def _given(value) -> bool:
-    # Unset flags parse to None, or to False for on/off flags; 0 is a value.
-    return value is not None and value is not False
 
 
 # -- command handlers -------------------------------------------------------
@@ -369,10 +363,11 @@ def _cmd_bell(ns) -> OutputRecord:
 def _cmd_verify(ns) -> OutputRecord:
     suites = list(_SUITES) if ns.suite == "all" else [ns.suite]
     reads = {flag for suite in suites for flag in _SUITES[suite][1]}
-    for flag in _VERIFY_FLAGS:
-        if flag not in reads and _given(getattr(ns, flag)):
-            option = "--" + flag.replace("_", "-")
-            raise _UsageError(f"verify {ns.suite} does not read {option}")
+    # A flag was given when its value is not the table's default (None, or
+    # False for an on/off flag; 0 is a value).
+    for flag, (_, default) in _COMMANDS["verify"][2].items():
+        if flag not in reads and getattr(ns, flag) is not default:
+            raise _UsageError(f"verify {ns.suite} does not read --{flag.replace('_', '-')}")
     if "bits" in reads:
         ns.bits = _resolve_bits(ns.bits)
     if "tol" in reads:
@@ -382,9 +377,9 @@ def _cmd_verify(ns) -> OutputRecord:
         if ns.tol <= 0:
             raise _UsageError("--tol must be positive")
     parameters = {"suite": ns.suite}
-    for flag in _VERIFY_FLAGS:
+    for flag, (_, default) in _COMMANDS["verify"][2].items():
         value = getattr(ns, flag)
-        if _given(value):
+        if value is not default:
             parameters[flag] = "true" if value is True else repr(value)
     record = OutputRecord(command=f"verify {ns.suite}", parameters=parameters)
     # Every suite validates its flags here, before the first check runs.
@@ -394,52 +389,70 @@ def _cmd_verify(ns) -> OutputRecord:
     return record
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+# -- command line -------------------------------------------------------------
+# command -> (handler, positional (name, choices) or (), flags as name -> (type,
+# default) in the order verify echoes them); a type is int, float, str, bool
+# (on/off) or a tuple of choices, and a default of ... makes the flag required.
+_OUTPUT_FLAGS = {"format": (("plain", "json", "csv"), "plain"), "out": (str, None)}
+_COMMANDS = {
+    "stirling": (_cmd_stirling, (), {"r": (int, ...), "s": (int, ...), "n": (int, ...)}),
+    "bell": (_cmd_bell, (), {"r": (int, ...), "s": (int, ...), "max": (int, ...)}),
+    "verify": (_cmd_verify, ("suite", (*_SUITES, "all")), {
+        "bits": (int, None), "tol": (float, None), "r": (int, None), "s": (int, None), "max": (int, None),
+        "order": (int, None), "printed_sign": (bool, False), "printed_b5": (bool, False)}),
+}
+_HELP = f"""\
+usage: bosonkit stirling --r R --s S --n N [--format FORMAT] [--out FILE]
+       bosonkit bell --r R --s S --max MAX [--format FORMAT] [--out FILE]
+       bosonkit verify SUITE [--r R] [--s S] [--max MAX] [--order ORDER] [--tol TOL] [--bits BITS]
+                             [--printed-sign] [--printed-b5] [--format FORMAT] [--out FILE]
+SUITE: {", ".join(_COMMANDS["verify"][1][1])}.  FORMAT: plain (default), json, csv.  TOL: default 1e-9.
+BITS: default {DEFAULT_BITS}, or BOSONKIT_BITS.  Give each flag once, as --name VALUE or --name=VALUE.
+"""
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    """The command-line parser, built on first use and shared by every later call."""
-    parser = _Parser(prog="bosonkit", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+def _choice(argument: str, value: str, choices) -> str:
+    if value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise _UsageError(f"argument {argument}: invalid choice: {value!r} (choose from {listed})")
+    return value
 
-    def common(p):
-        p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-        p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
 
-    p_st = sub.add_parser("stirling", help="one row of the generalized Stirling triangle")
-    p_st.add_argument("--r", type=int, required=True)
-    p_st.add_argument("--s", type=int, required=True)
-    p_st.add_argument("--n", type=int, required=True)
-    common(p_st)
-    p_st.set_defaults(handler=_cmd_stirling)
-
-    p_be = sub.add_parser("bell", help="generalized Bell numbers B(0..max)")
-    p_be.add_argument("--r", type=int, required=True)
-    p_be.add_argument("--s", type=int, required=True)
-    p_be.add_argument("--max", type=int, required=True)
-    common(p_be)
-    p_be.set_defaults(handler=_cmd_bell)
-
-    p_ve = sub.add_parser("verify", help="run a verification suite")
-    p_ve.add_argument("suite", choices=(*_SUITES, "all"))
-    p_ve.add_argument("--r", type=int, default=None)
-    p_ve.add_argument("--s", type=int, default=None)
-    p_ve.add_argument("--max", type=int, default=None)
-    p_ve.add_argument("--order", type=int, default=None)
-    p_ve.add_argument("--tol", type=float, default=None,
-                      help="verification tolerance (default 1e-9)")
-    p_ve.add_argument("--bits", type=int, default=None,
-                      help=f"minimum significant bits of a series midpoint (default {DEFAULT_BITS}, or BOSONKIT_BITS)")
-    p_ve.add_argument("--printed-sign", action="store_true",
-                      help="run the sign variant of the closed exponential that does not hold")
-    p_ve.add_argument("--printed-b5", action="store_true",
-                      help="run the uncorrected r>s series (diverges)")
-    common(p_ve)
-    p_ve.set_defaults(handler=_cmd_verify)
-    return parser
+def _parse(argv) -> SimpleNamespace:
+    """The namespace the handlers read; usage errors keep argparse's wording."""
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    handler, positional, flags = _COMMANDS[_choice("command", argv[0], _COMMANDS)]
+    flags = {**flags, **_OUTPUT_FLAGS}
+    options = {"--" + name.replace("_", "-"): name for name in flags}
+    values, extras, tokens = {}, [], iter(argv[1:])
+    for token in tokens:
+        option, eq, text = token.partition("=")
+        name = options.get(option)
+        kind = flags[name][0] if name else None
+        if name in values:
+            raise _UsageError(f"argument {option}: given more than once")
+        if kind is bool and not eq:
+            values[name] = True
+        elif positional and positional[0] not in values and not token.startswith("-"):
+            values[positional[0]] = _choice(positional[0], token, positional[1])
+        elif kind is None or kind is bool:
+            extras.append(token)
+        else:
+            text = text if eq else next(tokens, "--")  # "-1" is a value, "--r" never
+            if text.startswith("--") and not eq or kind is str and not text:
+                raise _UsageError(f"argument {option}: expected one argument")
+            try:
+                values[name] = _choice(option, text, kind) if isinstance(kind, tuple) else kind(text)
+            except ValueError:
+                raise _UsageError(f"argument {option}: invalid {kind.__name__} value: {text!r}") from None
+    missing = [option for option, name in options.items() if flags[name][1] is ... and name not in values]
+    missing += [name for name in positional[:1] if name not in values]
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise _UsageError("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(handler=handler, **({name: default for name, (_, default) in flags.items()} | values))
 
 
 def main(argv=None) -> int:
@@ -457,15 +470,12 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_HELP)
+        return 0
     try:
-        ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"bosonkit: error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # argparse --help path
-        return int(exc.code or 0)
-    try:
+        ns = _parse(argv)
         record = ns.handler(ns)
     except (_UsageError, OutOfRangeError) as exc:
         print(f"bosonkit: error: {exc}", file=sys.stderr)
@@ -477,7 +487,7 @@ def _main(argv) -> int:
         print(f"bosonkit: failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     try:
-        if ns.out:
+        if ns.out is not None:
             with open(ns.out, "w", encoding="utf-8") as handle:
                 record.write(ns.format, handle)
         else:

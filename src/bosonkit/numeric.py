@@ -42,7 +42,11 @@ _MAX_TERMS = 100000
 
 
 class Check(NamedTuple):
-    """One verification outcome: a named pass or fail with the reason."""
+    """One verification outcome: a named pass or fail with the reason.
+
+    As a named tuple it unpacks, iterates and compares equal to the plain
+    tuple (name, ok, detail).
+    """
 
     name: str
     ok: bool

@@ -1,5 +1,6 @@
 """Exit codes, output formats, and flag handling of the console entry point."""
 
+import contextlib
 import csv
 import errno
 import hashlib
@@ -334,6 +335,9 @@ def test_usage_errors_exit_one(capsys):
         ("verify", "dobinski", "--bits", "100000000"): "--bits must be at most 4096",
         ("verify", "norm", "--order", "0"): "--order must be >= 1",
         ("verify", "norm", "--r", "0"): "--r must be >= 1",
+        # tol / 8 underflows to 0.0, which the series target cannot be.
+        ("verify", "dobinski", "--tol", "1e-323"): "--tol 1e-323 is too small: its series target tol/8 underflows to 0",
+        ("verify", "all", "--tol", "2e-323"): "--tol 2e-323 is too small: its series target tol/8 underflows to 0",
     }
     cases += list(messages)
     max_floor = {"dobinski": 1, "egf": 0, "moments": 1}
@@ -374,40 +378,22 @@ def test_printed_b5_flag_reports_divergence_as_failure(capsys):
         assert "diverges" in out
 
 
-def test_parser_is_built_on_first_use_and_reused():
-    src = str(Path(bosonkit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import contextlib, io, bosonkit, bosonkit.cli as cli\n"
-        "print(cli.build_parser.cache_info().currsize)\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(['stirling', '--r', '1', '--s', '1', '--n', str(n)]) for n in (2, 3)]\n"
-        "    codes.append(cli.main(['stirling', '--r', '1']))\n"
-        "info = cli.build_parser.cache_info()\n"
-        "print(codes, info.misses, info.hits)"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["0", "[0, 0, 1] 1 2"]
-
-
 def test_import_loads_no_unused_stdlib_module():
     # dataclasses brings inspect, ast, dis and tokenize with it; csv serves
-    # --format csv alone and loads when that format is written.  Modules the
-    # interpreter's site set-up loaded before bosonkit do not count.
+    # --format csv alone and loads when that format is written.  argparse
+    # brings gettext, whose first message lookup loads locale; no command
+    # needs any of the three.  Modules the interpreter's site set-up loaded
+    # before bosonkit do not count.
     src = str(Path(bosonkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
         "import bosonkit, bosonkit.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules) - before))"
+        "print(sorted({'dataclasses', 'inspect', 'csv', 'argparse'} & set(sys.modules) - before))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = bosonkit.cli.main(['bell', '--r', '2', '--s', '1', '--max', '5'])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules) - before))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -417,7 +403,7 @@ def test_import_loads_no_unused_stdlib_module():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]"]
+    assert result.stdout.splitlines() == ["[]", "0 []"]
 
 
 def test_printed_sign_egf_fails(capsys):
@@ -696,6 +682,107 @@ def test_csv_header_is_first_row_keys():
 def test_help_exits_zero(capsys):
     code, _, _ = run(capsys, "--help")
     assert code == 0
+
+
+# Usage errors keep the words argparse gave them, so scripts that match on
+# them keep working.
+ARGPARSE_MESSAGES = [
+    (("stirling", "--r", "1"), "the following arguments are required: --s, --n"),
+    (("bell", "--r", "1"), "the following arguments are required: --s, --max"),
+    (("verify",), "the following arguments are required: suite"),
+    ((), "the following arguments are required: command"),
+    (("bell", "--r", "1", "--s", "1", "--max", "3", "--bogus"), "unrecognized arguments: --bogus"),
+    (("verify", "dobinski", "--n", "3", "egf"), "unrecognized arguments: --n 3 egf"),
+    (("bell", "--r", "x", "--s", "1", "--max", "3"), "argument --r: invalid int value: 'x'"),
+    (("verify", "dobinski", "--tol", "abc"), "argument --tol: invalid float value: 'abc'"),
+    (
+        ("bell", "--r", "1", "--s", "1", "--max", "3", "--format", "xml"),
+        "argument --format: invalid choice: 'xml' (choose from 'plain', 'json', 'csv')",
+    ),
+    (
+        ("verify", "nosuchsuite"),
+        "argument suite: invalid choice: 'nosuchsuite' (choose from 'dobinski', 'egf', 'norm', 'moments', 'all')",
+    ),
+    (("nosuchcommand",), "argument command: invalid choice: 'nosuchcommand' (choose from 'stirling', 'bell', 'verify')"),
+    (("bell", "--s", "1", "--max", "3", "--r"), "argument --r: expected one argument"),
+    (("bell", "--r", "--s", "1", "--max", "3"), "argument --r: expected one argument"),
+]
+
+
+@pytest.mark.parametrize("argv, message", ARGPARSE_MESSAGES, ids=[" ".join(a) or "no-arguments" for a, _ in ARGPARSE_MESSAGES])
+def test_usage_messages_keep_argparse_wording(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"bosonkit: error: {message}\n")
+
+
+def test_help_anywhere_prints_one_usage_text(capsys):
+    texts = set()
+    for argv in (("--help",), ("-h",), ("bell", "--help"), ("verify", "--r", "x", "-h"), ("nosuchcommand", "-h")):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        texts.add(out)
+    (text,) = texts
+    assert text.startswith("usage: bosonkit stirling --r R --s S --n N")
+    assert run(capsys)[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("bell", "--r", "1", "--s", "1", "--max", "2", "--r", "2"), "--r"),
+        (("bell", "--r=1", "--s", "1", "--max", "2", "--r", "1"), "--r"),
+        (("stirling", "--r", "1", "--s", "1", "--n", "2", "--format", "json", "--format=csv"), "--format"),
+        (("verify", "norm", "--printed-sign", "--r", "2", "--printed-sign"), "--printed-sign"),
+    ],
+)
+def test_flag_given_twice_is_a_usage_error(capsys, argv, flag):
+    # The parser once kept the last value and dropped the others silently.
+    assert run(capsys, *argv) == (1, "", f"bosonkit: error: argument {flag}: given more than once\n")
+
+
+@pytest.mark.parametrize("out", [("--out", ""), ("--out=",)])
+def test_empty_out_is_a_usage_error(capsys, tmp_path, monkeypatch, out):
+    # An empty file name once sent the output to stdout instead.
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "bell", "--r", "1", "--s", "1", "--max", "2", *out)
+    assert (code, stdout, err) == (1, "", "bosonkit: error: argument --out: expected one argument\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# One call per command: its flags as (name, value) pairs, the verify suite
+# as None, which the parser places wherever it falls among them.
+FLAG_ORDERS = {
+    "stirling": [("--r", "3"), ("--s", "2"), ("--n", "5"), ("--format", "json")],
+    "bell": [("--r", "2"), ("--s", "1"), ("--max", "6"), ("--format", "csv")],
+    "verify": [(None, "norm"), ("--r", "2"), ("--order", "3"), ("--printed-sign", None), ("--format", "json")],
+}
+
+
+@given(
+    command=st.sampled_from(sorted(FLAG_ORDERS)),
+    order=st.permutations(range(5)),
+    joined=st.lists(st.booleans(), min_size=5, max_size=5),
+)
+@settings(max_examples=60, deadline=None)
+def test_flag_order_and_form_do_not_change_output(command, order, joined):
+    # capsys is not reset between Hypothesis examples, so each call captures its own.
+    def output(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, *argv])
+        return code, out.getvalue(), err.getvalue()
+
+    flags = FLAG_ORDERS[command]
+    argv = []
+    for i in (i for i in order if i < len(flags)):
+        name, value = flags[i]
+        if name is None or value is None:
+            argv.append(name or value)
+        elif joined[i]:
+            argv.append(f"{name}={value}")
+        else:
+            argv += [name, value]
+    canonical = [a for name, value in flags for a in (name, value) if a is not None]
+    assert output(argv) == output(canonical)
 
 
 def test_verify_parameters_echoed(capsys):
