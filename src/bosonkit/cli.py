@@ -408,6 +408,7 @@ usage: bosonkit stirling --r R --s S --n N [--format FORMAT] [--out FILE]
                              [--printed-sign] [--printed-b5] [--format FORMAT] [--out FILE]
 SUITE: {", ".join(_COMMANDS["verify"][1][1])}.  FORMAT: plain (default), json, csv.  TOL: default 1e-9.
 BITS: default {DEFAULT_BITS}, or BOSONKIT_BITS.  Give each flag once, as --name VALUE or --name=VALUE.
+verify moments exits 4 when its quadrature cannot reach TOL.
 """
 
 

@@ -19,8 +19,8 @@ certified series expansion of the same integral.  A discrete measure is read
 only through its integer moment terms, its mass and its positivity check.
 ``verify_moments`` reports each comparison as a ``Check`` in a
 ``MomentReport``; the family passes when every check does.
-``MomentReport`` and ``ContinuousDensity`` are named tuples like ``Check``; a
-``DiscreteMeasure`` is immutable too, and compares by identity.
+``MomentReport``, ``DiscreteMeasure`` and ``ContinuousDensity`` are named
+tuples like ``Check``; the last two check their fields when built.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
 from math import factorial, inf, perm
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from mpmath import mp
 from mpmath.calculus.quadrature import TanhSinh
@@ -59,30 +59,39 @@ __all__ = [
 ]
 
 
-class DiscreteMeasure:
-    """Atoms (x_k, w_k), k = 0, 1, ...; weights carry a common factor 1/e.
+class DiscreteMeasure(namedtuple("DiscreteMeasure", "r j0")):
+    """The comb of atoms x_j = j!/(j-r)! with weights e^{-1}/j!, j >= j0; j0 = r, or 0 at r = 1.
 
-    The zero-argument ``_atoms`` starts a fresh stream of the integer pairs
-    (x_k, m_k) in order of k, with e * w_k = 1 / q_k and q_k = q_(k-1) m_k;
-    the single division by e is deferred to mass()/moment() so everything
-    before the final rounding stays in exact integer arithmetic.
+    atoms() starts a fresh stream of the integer pairs (x_k, m_k), j = j0 + k,
+    with e * w_k = 1 / q_k and q_k = q_(k-1) m_k; the single division by e is
+    deferred to mass()/moment() so everything before the final rounding stays
+    in exact integer arithmetic.
     """
 
-    __slots__ = ("label", "unit_mass", "_atoms")
+    __slots__ = ()
 
-    def __init__(self, label: str, unit_mass: bool, _atoms: Callable[[], Iterator[tuple[int, int]]]) -> None:
-        for name, value in zip(self.__slots__, (label, unit_mass, _atoms)):
-            object.__setattr__(self, name, value)
+    def __new__(cls, r: int, j0: int):
+        if not all(isinstance(v, int) for v in (r, j0)):
+            raise TypeError("r and j0 must be integers")
+        if not (j0 == r >= 1 or (r, j0) == (1, 0)):
+            raise OutOfRangeError("need j0 = r >= 1, or j0 = 0 at r = 1")
+        return super().__new__(cls, r, j0)
 
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"cannot set or delete {name!r}: a DiscreteMeasure is immutable")
+    # namedtuple's _make, behind _replace, calls tuple.__new__ and would skip the checks above.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    __delattr__ = __setattr__
+    label = property(lambda self: "dirac-comb" if self.j0 == 0 else f"rarefied-comb(r={self.r})")
+    unit_mass = property(lambda self: self.j0 == 0)
+
+    def atoms(self) -> Iterator[tuple[int, int]]:
+        # x_j = j!/(j-r)! with q_j = j!: m_j0 = j0!, m_j = j.
+        r, j0 = self
+        return zip(map(perm, count(j0), repeat(r)), chain((factorial(j0),), count(j0 + 1)))
 
     def check_atoms(self, count: int) -> Check:
         """Positivity of the weights and strict ordering of the first ``count`` atoms."""
         previous = None
-        for k, (x, m) in enumerate(islice(self._atoms(), count)):
+        for k, (x, m) in enumerate(islice(self.atoms(), count)):
             if m <= 0:
                 return Check("atom positivity", False, f"{self.label}: weight at k={k} has factor {m}")
             if previous is not None and x <= previous:
@@ -94,18 +103,10 @@ class DiscreteMeasure:
 
     def scaled_moment_terms(self, n: int) -> Iterator[tuple[int, int]]:
         """Yields e * w_k * x_k^n as the integer pair (x_k^n, m_k)."""
-        return ((x**n, m) for x, m in self._atoms())
+        return ((x**n, m) for x, m in self.atoms())
 
     def mass(self, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedReal:
         return sum_over_e(self.scaled_moment_terms(0), series)
-
-
-def _comb(label: str, r: int, j0: int) -> DiscreteMeasure:
-    # Atoms x_j = j!/(j-r)! with q_j = j!, for j >= j0: m_j0 = j0!, m_j = j.
-    def atoms() -> Iterator[tuple[int, int]]:
-        return zip(map(perm, count(j0), repeat(r)), chain((factorial(j0),), count(j0 + 1)))
-
-    return DiscreteMeasure(label=label, unit_mass=j0 == 0, _atoms=atoms)
 
 
 def dirac_comb() -> DiscreteMeasure:
@@ -115,7 +116,7 @@ def dirac_comb() -> DiscreteMeasure:
     the comb over k >= 1 has mass (e-1)/e, with it normalization is exact and
     no moment of order n >= 1 changes.
     """
-    return _comb("dirac-comb", 1, 0)
+    return DiscreteMeasure(1, 0)
 
 
 def rarefied_comb(r: int) -> DiscreteMeasure:
@@ -125,11 +126,7 @@ def rarefied_comb(r: int) -> DiscreteMeasure:
     for B_{r,r}(n) into a genuine moment integral of x^n.  At r = 1 this is
     the integer comb shifted off zero.
     """
-    if not isinstance(r, int):
-        raise TypeError("r must be an integer")
-    if r < 1:
-        raise OutOfRangeError("need r >= 1")
-    return _comb(f"rarefied-comb(r={r})", r, r)
+    return DiscreteMeasure(r, r)
 
 
 def _series_spec(target_error, bits: int) -> SeriesSpec:
@@ -354,14 +351,14 @@ def _close(value: ErrorBoundedReal, expected, tol) -> bool:
 
 
 def _family(r: int, s: int):
-    """The measure of the family (r, s) and the index j0 of its first atom."""
+    """The measure of the family (r, s)."""
     if s >= 1:
         if (r, s) == (1, 1):
-            return dirac_comb(), 0
+            return dirac_comb()
         if r == s:
-            return rarefied_comb(r), r
+            return rarefied_comb(r)
         if r == 2 * s:
-            return ContinuousDensity(s), s
+            return ContinuousDensity(s)
     raise UnsupportedFamilyError(
         f"no measure implemented for (r, s) = ({r}, {s}); "
         "supported: r = s >= 1, r = 2s >= 2"
@@ -386,8 +383,9 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
         raise OutOfRangeError("need n_max >= 1")
     if not 0 < tol < inf:
         raise OutOfRangeError("tol must be positive and finite")
-    measure, j0 = _family(r, s)
+    measure = _family(r, s)
     discrete = isinstance(measure, DiscreteMeasure)
+    j0 = measure.j0 if discrete else s
     series = SeriesSpec(working_precision=bits, target_abs_error=1e-14)
     target = min(float(tol), 1e-10)
     if discrete:

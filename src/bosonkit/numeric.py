@@ -77,7 +77,10 @@ class SeriesSpec(namedtuple("SeriesSpec", "working_precision target_abs_error"))
 
     @functools.cached_property
     def target(self) -> Fraction:
-        """target_abs_error as an exact ratio, built once."""
+        """target_abs_error as an exact ratio, built once; an mpf is read from its mantissa and exponent."""
+        if isinstance(self.target_abs_error, mpmath.mpf):
+            man, exp = _signed_man_exp(self.target_abs_error)
+            return man * Fraction(2) ** exp
         return Fraction(self.target_abs_error)
 
     @functools.cached_property
@@ -97,13 +100,15 @@ class ErrorBoundedReal(namedtuple("ErrorBoundedReal", "value abs_error")):
 
     The bound covers series truncation and accumulated rounding; rounding to
     an integer is only allowed while the bound stays below 1/2.  Both are
-    finite and compared exactly, as integers over a common power of two, at
-    any magnitude and precision.
+    finite mpf numbers, compared exactly as integers over a common power of
+    two, at any magnitude and precision.
     """
 
     __slots__ = ()
 
     def __new__(cls, value: mpmath.mpf, abs_error: mpmath.mpf):
+        if not (isinstance(value, mpmath.mpf) and isinstance(abs_error, mpmath.mpf)):
+            raise TypeError("value and abs_error must be mpmath mpf numbers")
         if not (mpmath.isfinite(value) and mpmath.isfinite(abs_error)):
             raise ValueError("value and abs_error must be finite")
         if abs_error < 0:

@@ -503,13 +503,12 @@ def test_density_positivity_is_a_failed_check(capsys, monkeypatch):
 
 def test_bad_atom_is_a_failed_check(capsys, monkeypatch):
     # Locations 1 and 2 of the Dirac comb swapped: a failed check, not an error.
-    comb = measures.dirac_comb()
+    atoms = measures.DiscreteMeasure.atoms
 
-    def swapped():
-        return ((3 - x if x in (1, 2) else x, m) for x, m in comb._atoms())
+    def swapped(self):
+        return ((3 - x if x in (1, 2) else x, m) for x, m in atoms(self))
 
-    bad = measures.DiscreteMeasure(comb.label, comb.unit_mass, _atoms=swapped)
-    monkeypatch.setattr(measures, "dirac_comb", lambda: bad)
+    monkeypatch.setattr(measures.DiscreteMeasure, "atoms", swapped)
     code, out, err = run(capsys, "verify", "moments", "--r", "1", "--s", "1", "--max", "1")
     assert code == 3
     assert err == ""
@@ -622,6 +621,14 @@ def test_computation_error_exits_four(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "bosonkit: failed: DivergentSeriesError: terms do not decay\n"
+
+
+def test_moments_tol_below_the_quadrature_exits_four(capsys):
+    # Not a usage error: how far the quadrature reaches depends on the family and --max.
+    code, out, err = run(capsys, "verify", "moments", "--r", "2", "--s", "1", "--max", "1", "--tol", "1e-300")
+    assert code == 4
+    assert out == ""
+    assert err == "bosonkit: failed: PrecisionExhaustedError: quadrature error 3.89205e-62 exceeds target 1e-300\n"
 
 
 def test_verify_all_rejects_flags_before_any_suite_runs(capsys, monkeypatch):

@@ -23,18 +23,6 @@ def egf_row(series):
     return [int(c * factorial(n)) for n, c in enumerate(series)]
 
 
-def test_classic_egf_encodes_bell_numbers():
-    targets = [bell(MonomialSpec(1, 1, n)) for n in range(9)]
-    assert egf_row(egf_classic(8)) == targets
-
-
-def test_r1_egf_encodes_generalized_bell_numbers():
-    for r in (2, 3):
-        targets = [bell(MonomialSpec(r, 1, n)) for n in range(7)]
-        assert egf_row(egf_r1(r, 6)) == targets
-    assert egf_row(egf_r1(4, 8)) == bell_sequence(4, 1, 8)
-
-
 def test_egfs_are_tuples_of_fractions():
     for series in (egf_classic(4), egf_r1(2, 4), egf_r1(3, 4, printed_sign=True)):
         assert isinstance(series, tuple) and len(series) == 5

@@ -1,4 +1,4 @@
-"""Closed forms, dispatch and Bell sweeps against the row engine and the rewriting oracle."""
+"""Closed forms, dispatch and Bell sweeps against the row engine."""
 
 import sys
 import tracemalloc
@@ -12,13 +12,7 @@ from hypothesis import strategies as st
 from bosonkit.dobinski import bell_hypergeometric, dobinski_rs
 from bosonkit.errors import OutOfRangeError, UnsupportedError
 from bosonkit.genfunc import egf_r1
-from bosonkit.operator_algebra import (
-    ANNIHILATE,
-    CREATE,
-    MonomialSpec,
-    monomial_power_rows,
-    normal_order_word,
-)
+from bosonkit.operator_algebra import MonomialSpec, monomial_power_rows
 from bosonkit.stirling import (
     bell,
     bell_sequence,
@@ -29,19 +23,6 @@ from bosonkit.stirling import (
 
 # Classical Bell numbers B(0)..B(10), the r = s = 1 row sums.
 BELL_CLASSIC = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
-
-
-def engine_row(r, s, n):
-    """Row n of the contraction engine as k -> S_{r,s}(n, k), k = s..ns."""
-    row = next(islice(monomial_power_rows(r, s), n - 1, None))
-    return {k: row[k] for k in range(s, n * s + 1)}
-
-
-def word_row(r, s, n):
-    """The same row read off the rewritten literal word ((a+)^r a^s)^n."""
-    nf = normal_order_word(([CREATE] * r + [ANNIHILATE] * s) * n)
-    assert all(i - j == n * (r - s) for (i, j), _ in nf.items())
-    return {j: c for (i, j), c in nf.items()}
 
 
 def test_classical_triangle_recurrence():
@@ -58,21 +39,6 @@ def test_rr_closed_row_two_two():
     assert {k: stirling_rr_closed(2, 2, k) for k in (2, 3, 4)} == {2: 2, 3: 4, 4: 1}
 
 
-@pytest.mark.parametrize("r, n", [(1, 100), (3, 30)])
-def test_rr_closed_matches_engine_past_2_256(r, n):
-    row = engine_row(r, r, n)
-    assert max(row.values()) > 2**256
-    assert row == {k: stirling_rr_closed(r, n, k) for k in row}
-
-
-def test_lah_matches_engine_past_2_256():
-    row = engine_row(2, 1, 300)
-    assert max(row.values()) > 2**256
-    assert row == {k: lah(300, k) for k in row}
-    assert stirling_table(MonomialSpec(2, 1, 300)) == [0] + list(row.values())
-    assert bell_sequence(2, 1, 300)[-1] == sum(row.values())
-
-
 @given(st.integers(1, 5), st.integers(0, 30))
 @settings(max_examples=60, deadline=None)
 def test_r_2s_closed_forms_match_engine(s, n_max):
@@ -84,10 +50,11 @@ def test_r_2s_closed_forms_match_engine(s, n_max):
         assert stirling_table(MonomialSpec(2 * s, s, n_max)) == rows[-1]
 
 
-@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("s", [3])
 def test_r_2s_sweep_matches_series_routes(s):
     # Two series routes that share no code with the Laguerre recurrence:
     # the Dobinski sum over N_k and the hypergeometric form of (2s, s).
+    # The route table crosses them at s = 1, 2; (6, 3) is past its r <= 5.
     values = bell_sequence(2 * s, s, 10)
     for n in range(1, 11):
         assert dobinski_rs(2 * s, s, n).to_integer() == values[n], (s, n)
@@ -134,17 +101,6 @@ def test_lah_frozen_row_four():
 def test_oracle_only_family():
     spec = MonomialSpec(3, 1, 2)
     assert stirling_table(spec) == [0, 3, 1]
-
-
-def test_dispatch_equals_oracle():
-    # Every r >= s with r <= 4 whose literal word has at most 12 letters.
-    for r in range(1, 5):
-        for s in range(1, r + 1):
-            for n in range(1, 12 // (r + s) + 1):
-                oracle = word_row(r, s, n)
-                assert engine_row(r, s, n) == oracle, (r, s, n)
-                row = stirling_table(MonomialSpec(r, s, n))
-                assert row == [oracle.get(k, 0) for k in range(n * s + 1)], (r, s, n)
 
 
 def test_bell_sequence_matches_per_n_bell():
@@ -220,15 +176,16 @@ def test_bell_sweep_memory_stays_bounded():
     # peak for (1, 1) and 4.2 for (3, 3), where keeping every row would take
     # about 105 and 23.  The bound leaves room for allocator noise.
     for r, s, n in ((1, 1, 300), (3, 3, 60)):
-        final_row = engine_row(r, s, n)
+        # Row n of the engine, entries k = s..ns.
+        final_row = next(islice(monomial_power_rows(r, s), n - 1, None))[s:]
         tracemalloc.start()
         try:
             values = bell_sequence(r, s, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert values[-1] == sum(final_row.values())
-        assert peak <= 6 * deep_size(list(final_row.values())) + deep_size(values), (r, s)
+        assert values[-1] == sum(final_row)
+        assert peak <= 6 * deep_size(final_row) + deep_size(values), (r, s)
 
 
 def test_poisson_shift_sweep_memory_stays_bounded():
