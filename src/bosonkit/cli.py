@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from math import factorial, isfinite
+from math import isfinite
 from types import SimpleNamespace
 
 from .dobinski import (
@@ -46,7 +46,7 @@ from .errors import (
     OutOfRangeError,
     UnsupportedError,
 )
-from .genfunc import egf_classic, egf_r1, verify_normal_exponential
+from .genfunc import egf_row_sums, verify_normal_exponential
 from .measures import verify_moments
 from .numeric import DEFAULT_BITS, MAX_BITS, Check, ErrorBoundedReal, SeriesSpec
 from .operator_algebra import MonomialSpec
@@ -246,10 +246,9 @@ def _dobinski_grid(n_max: int, series: SeriesSpec):
 
 
 def _egf_family(r: int, n_max: int, printed_sign: bool):
-    series = egf_classic(n_max) if r == 1 else egf_r1(r, n_max, printed_sign=printed_sign)
     label = "egf printed sign" if printed_sign else "egf"
-    for n, expected in enumerate(bell_sequence(r, 1, n_max)):
-        got = series[n] * factorial(n)
+    pairs = zip(egf_row_sums(r, n_max, printed_sign), bell_sequence(r, 1, n_max))
+    for n, (got, expected) in enumerate(pairs):
         yield Check(f"{label} ({r},1) n={n}", got == expected, f"n! coeff = {got}, oracle {expected}")
 
 

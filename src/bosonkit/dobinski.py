@@ -23,7 +23,6 @@ one upper and one lower parameter they are also the moment series of the
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, chain, count, repeat
 from math import factorial, perm, prod
 from operator import mul
@@ -88,17 +87,17 @@ def _rising(starts: list[int]) -> Iterator[int]:
 
 
 def hypergeometric_terms(
-    p: int, r: int, n: int, prefactor: Fraction = Fraction(1)
+    p: int, r: int, n: int, prefactor: tuple[int, int] = (1, 1)
 ) -> Iterator[tuple[int, int]]:
     """Terms of prefactor * rFr(pn+1, ..., pn+1+p(r-1); 1+p, ..., 1+p+p(r-1); 1).
 
     The k-th term, prefactor * prod_j (a_j)_k / (k! prod_j (b_j)_k) with the
-    prefactor u / v, is yielded as the pair (u prod_j (a_j)_k, m_k) of
-    running products, m_0 = v and m_(k+1) = (k+1) prod_j (b_j + k).
+    prefactor the integer pair (u, v), is yielded as the pair (u prod_j (a_j)_k,
+    m_k) of running products, m_0 = v and m_(k+1) = (k+1) prod_j (b_j + k).
     """
     upper = [p * n + 1 + p * (j - 1) for j in range(1, r + 1)]
     lower = [1 + p * j for j in range(1, r + 1)]
-    numer, denom = prefactor.as_integer_ratio()
+    numer, denom = prefactor
     numerators = accumulate(_rising(upper), mul, initial=numer)
     multipliers = map(mul, count(1), _rising(lower))
     return zip(numerators, chain((denom,), multipliers))
@@ -185,8 +184,7 @@ def bell_hypergeometric(
         raise TypeError("p, r and n must be integers")
     if p < 1 or r < 1 or n < 1:
         raise OutOfRangeError("need p, r, n >= 1")
-    prefactor = Fraction(1)
-    for j in range(1, r + 1):
-        numerator = p * (n - 1) + j if reduced_prefactor else p * (n - 1 + j)
-        prefactor *= Fraction(factorial(numerator), factorial(p * j))
+    blocks = range(1, r + 1)
+    tops = (p * (n - 1) + j if reduced_prefactor else p * (n - 1 + j) for j in blocks)
+    prefactor = prod(map(factorial, tops)), prod(factorial(p * j) for j in blocks)
     return sum_over_e(hypergeometric_terms(p, r, n, prefactor), series)

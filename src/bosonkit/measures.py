@@ -26,7 +26,6 @@ tuples like ``Check``; the last two check their fields when built.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import chain, count, islice, repeat
 from math import factorial, inf, perm
 from typing import Iterator, NamedTuple
@@ -236,8 +235,7 @@ def continuous_moment_series(
         raise TypeError("r and n must be integers")
     if r < 1 or n < 0:
         raise OutOfRangeError("need r >= 1 and n >= 0")
-    prefactor = Fraction(factorial(r * n), factorial(r))
-    return sum_over_e(hypergeometric_terms(r, 1, n, prefactor), series)
+    return sum_over_e(hypergeometric_terms(r, 1, n, (factorial(r * n), factorial(r))), series)
 
 
 def _quadrature_cutoff(exponents: list[int], target) -> tuple[int, list]:

@@ -7,7 +7,8 @@ divided by k!), so a geometric bound on the omitted tail becomes valid once
 the observed ratio drops below 1/2.  Each term arrives as an integer pair
 (p_k, m_k), meaning p_k / q_k with q_k = q_(k-1) m_k: the denominators k!,
 (k+r)!, Pochhammer products, ... grow by a small factor m_k > 0 per term, so
-a term costs one multiply-add and no rational is reduced per term.
+a term costs one multiply-add and no rational is reduced per term.  Every
+exact ratio (target, partial sum, tail) is an integer pair (num, den) too.
 Partial sums are exact, and so is the final division by e up to one bracket:
 a quotient q / e is enclosed by integer products with L <= 2^p / e <= U, cut
 from a bracket cached per power-of-two width, at one precision p chosen from
@@ -26,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 import mpmath
@@ -76,17 +76,23 @@ class SeriesSpec(namedtuple("SeriesSpec", "working_precision target_abs_error"))
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @functools.cached_property
-    def target(self) -> Fraction:
-        """target_abs_error as an exact ratio, built once; an mpf is read from its mantissa and exponent."""
+    def target(self) -> tuple[int, int]:
+        """target_abs_error as a reduced pair, via as_integer_ratio() or an mpf's mantissa and exponent."""
         if isinstance(self.target_abs_error, mpmath.mpf):
             man, exp = _signed_man_exp(self.target_abs_error)
-            return man * Fraction(2) ** exp
-        return Fraction(self.target_abs_error)
+            return _reduced(man << max(exp, 0), 1 << max(-exp, 0))
+        return _reduced(*self.target_abs_error.as_integer_ratio())
 
     @functools.cached_property
-    def half_target(self) -> Fraction:
-        """target / 2, the size below which a series may stop adding terms."""
-        return self.target / 2
+    def half_target(self) -> tuple[int, int]:
+        """target / 2 as a reduced pair, the size below which a series may stop adding terms."""
+        return _reduced(self.target[0], 2 * self.target[1])
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms; bit lengths of the pair steer quotient_by_e's precision."""
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _signed_man_exp(x: mpmath.mpf) -> tuple[int, int]:
@@ -161,8 +167,8 @@ class ErrorBoundedReal(namedtuple("ErrorBoundedReal", "value abs_error")):
 
 def sum_with_tail_bound(
     terms: Iterator[tuple[int, int]],
-    stop_below: Fraction,
-) -> tuple[Fraction, Fraction, int]:
+    stop_below: tuple[int, int],
+) -> tuple[tuple[int, int], tuple[int, int], int]:
     """Sum terms p_k / q_k given as integer pairs (p_k, m_k), p_k >= 0 and m_k > 0.
 
     The denominators run as q_k = q_(k-1) * m_k from q_(-1) = 1, and terms
@@ -170,7 +176,7 @@ def sum_with_tail_bound(
     as one unreduced fraction T / D with D = q_k, so a term costs one
     multiply-add: T = T * m_k + p_k and D = D * m_k.
 
-    Stops once the last summed term P / D is below ``stop_below`` = sn / sd
+    Stops once the last summed term P / D is below ``stop_below`` = (sn, sd)
     (P * sd < sn * D) and the next term p / (D m) has ratio below 1/2 to it
     (2 * p < P * m, which also needs P > 0).  With ratios non-increasing
     from the first positive term on, the geometric series of that ratio
@@ -178,11 +184,11 @@ def sum_with_tail_bound(
     stop test first for most terms: bl(P) - bl(D) >= bl(sn) - bl(sd) + 2 gives
     P / D > 2^(bl(P) - 1 - bl(D)) >= 2^(bl(sn) - bl(sd) + 1) > sn / sd.
 
-    Returns (partial_sum, tail_bound, terms_summed), both rationals reduced.
+    Returns ((T, D), (tail_n, tail_d), terms_summed), unreduced; quotient_by_e reduces them.
     """
-    if stop_below <= 0:
+    sn, sd = stop_below
+    if sn <= 0 or sd <= 0:
         raise ValueError("stop_below must be positive")
-    sn, sd = stop_below.as_integer_ratio()
     screen = sn.bit_length() - sd.bit_length() + 2
     total, denom = 0, 1
     prev = 0
@@ -194,8 +200,7 @@ def sum_with_tail_bound(
             raise ValueError("series term multipliers must be positive")
         near = prev.bit_length() - denom.bit_length() < screen
         if near and 2 * p < prev * m and prev * sd < sn * denom:
-            tail = Fraction(p * prev, denom * (m * prev - p))
-            return Fraction(total, denom), tail, count
+            return (total, denom), (p * prev, denom * (m * prev - p)), count
         total, denom = total * m + p, denom * m
         prev = p
         count += 1
@@ -240,17 +245,18 @@ def _dyadic(man: int, exp: int) -> mpmath.mpf:
     return mp.make_mpf(from_man_exp(man, exp))
 
 
-def quotient_by_e(q: Fraction, tail: Fraction, series: SeriesSpec) -> ErrorBoundedReal:
+def quotient_by_e(q: tuple[int, int], tail: tuple[int, int], series: SeriesSpec) -> ErrorBoundedReal:
     """Enclose Q/e for every Q in [q - tail, q + tail], q and tail non-negative.
 
-    All of it is integer arithmetic on q = num / den, the tail, the target
-    (exact ratios) and the bracket of 1/e.  The tail's share of the radius,
-    tail / e bounded with the 64-bit bracket, does not depend on precision:
-    if it alone reaches the target no precision helps.  What it leaves of the
-    target is the rounding budget.  The result's number of fraction bits,
-    ``frac``, is chosen once from it: the rounding, at most 2^(1 - frac),
-    takes under a quarter of the budget, and with |q| < 2^mag the midpoint
-    keeps frac + mag >= working_precision significant bits.
+    q = num / den and the tail are integer pairs, reduced first since the
+    precision reads their bit lengths (9/6 gives the enclosure of 3/2); all of
+    it is integer arithmetic on them, the target pair and the bracket of 1/e.
+    The tail's share of the radius, tail / e bounded with the 64-bit bracket,
+    does not depend on precision: if it alone reaches the target no precision
+    helps.  What it leaves of the target is the rounding budget.  The result's
+    number of fraction bits, ``frac``, is chosen once from it: the rounding,
+    at most 2^(1 - frac), takes under a quarter of the budget, and with |q| < 2^mag
+    the midpoint keeps frac + mag >= working_precision significant bits.
 
     With L_p <= 2^p / e <= U_p at p = frac + mag + 1, lo = floor(q L_p / 2^(mag+1))
     and hi = ceil(q U_p / 2^(mag+1)) bracket 2^frac q / e and differ by at most
@@ -259,11 +265,10 @@ def quotient_by_e(q: Fraction, tail: Fraction, series: SeriesSpec) -> ErrorBound
     rounded up; both convert to mpf exactly, and the radius is checked
     against the target in integers.
     """
-    num, den = q.as_integer_ratio()
-    tail_n, tail_d = tail.as_integer_ratio()
-    if num < 0 or tail_n < 0:
-        raise ValueError("q and tail must be non-negative")
-    goal_n, goal_d = series.target.as_integer_ratio()
+    if min(q[0], tail[0]) < 0 or min(q[1], tail[1]) <= 0:
+        raise ValueError("q and tail must be non-negative, with positive denominators")
+    (num, den), (tail_n, tail_d) = _reduced(*q), _reduced(*tail)
+    goal_n, goal_d = series.target
     _, inv_e = _inv_e_bracket(64)  # 1/e <= inv_e / 2^64
     # The budget slack_n / slack_d = target - tail * inv_e / 2^64.
     slack_d = goal_d * tail_d << 64

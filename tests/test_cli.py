@@ -406,6 +406,40 @@ def test_import_loads_no_unused_stdlib_module():
     assert result.stdout.splitlines() == ["[]", "0 []"]
 
 
+def test_no_command_or_series_loads_fractions():
+    # fractions brings decimal and the C module _decimal with it.  Series
+    # carry exact ratios as integer pairs, and only egf_classic and egf_r1,
+    # which return Fractions, load the module; no command calls them.
+    src = str(Path(bosonkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "loaded = lambda: sorted({'fractions', 'decimal'} & set(sys.modules) - before)\n"
+        "import bosonkit, bosonkit.cli\n"
+        "print(loaded())\n"
+        "for argv in (['bell', '--r', '2', '--s', '1', '--max', '5'],\n"
+        "             ['stirling', '--r', '2', '--s', '1', '--n', '4'],\n"
+        "             ['verify', 'dobinski'], ['verify', 'egf'], ['verify', 'norm'],\n"
+        "             ['verify', 'norm', '--r', '2', '--printed-sign']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = bosonkit.cli.main(argv)\n"
+        "    print(code, loaded())\n"
+        "bosonkit.dobinski_classic(30), bosonkit.bell_hypergeometric(2, 1, 5)\n"
+        "bosonkit.continuous_moment_series(1, 5), bosonkit.moment(bosonkit.dirac_comb(), 5)\n"
+        "print(loaded())"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", *[f"{c} []" for c in (0, 0, 0, 0, 0, 3)], "[]"]
+
+
 def test_printed_sign_egf_fails(capsys):
     code, out, _ = run(capsys, "verify", "egf", "--r", "2", "--printed-sign")
     assert code == 3

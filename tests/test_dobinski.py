@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -62,6 +63,17 @@ def _exact(x) -> Fraction:
     if x < 0:
         man = -man
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def ratio(x: Fraction) -> tuple[int, int]:
+    """A Fraction as the kernel's integer pair."""
+    return x.as_integer_ratio()
+
+
+def rationals(result):
+    """A kernel result ((T, D), (tail_n, tail_d), count) with its two pairs as Fractions."""
+    (num, den), (tail_n, tail_d), count = result
+    return Fraction(num, den), Fraction(tail_n, tail_d), count
 
 
 def encloses(value, x):
@@ -160,10 +172,12 @@ def test_folded_prefactor_keeps_stop_partial_and_tail(p, r, n):
     for j in range(1, r + 1):
         prefactor *= Fraction(math.factorial(p * (n - 1 + j)), math.factorial(p * j))
     assert prefactor >= 1
-    target = SeriesSpec().target
-    folded = sum_with_tail_bound(hypergeometric_terms(p, r, n, prefactor), target / 2)
-    plain, tail, count = sum_with_tail_bound(hypergeometric_terms(p, r, n), target / (2 * prefactor))
-    assert folded == (prefactor * plain, prefactor * tail, count)
+    target = Fraction(*SeriesSpec().target)
+    folded = sum_with_tail_bound(hypergeometric_terms(p, r, n, ratio(prefactor)), ratio(target / 2))
+    plain, tail, count = rationals(
+        sum_with_tail_bound(hypergeometric_terms(p, r, n), ratio(target / (2 * prefactor)))
+    )
+    assert rationals(folded) == (prefactor * plain, prefactor * tail, count)
 
 
 def test_hypergeometric_validation():
@@ -205,7 +219,7 @@ def test_terms_validation():
 
 def test_partial_sum_brackets_truth():
     # sum_k k/k! = e exactly; the returned enclosure must contain it.
-    partial, tail, count = sum_with_tail_bound(dobinski_terms(1, 1, 1), Fraction(1, 10**15))
+    partial, tail, count = rationals(sum_with_tail_bound(dobinski_terms(1, 1, 1), (1, 10**15)))
     with mp.workprec(120):
         truth = mp.e
         low = mp.mpf(partial.numerator) / partial.denominator
@@ -215,22 +229,23 @@ def test_partial_sum_brackets_truth():
 
 
 def test_tail_bound_shrinks_with_more_terms():
-    _, tail_short, n_short = sum_with_tail_bound(dobinski_terms(1, 1, 5), Fraction(1, 10**9))
-    _, tail_long, n_long = sum_with_tail_bound(dobinski_terms(1, 1, 5), Fraction(1, 10**15))
+    _, tail_short, n_short = rationals(sum_with_tail_bound(dobinski_terms(1, 1, 5), (1, 10**9)))
+    _, tail_long, n_long = rationals(sum_with_tail_bound(dobinski_terms(1, 1, 5), (1, 10**15)))
     assert n_long > n_short
     assert tail_long < tail_short
 
 
 def test_sum_guards():
     with pytest.raises(ValueError):
-        sum_with_tail_bound(iter([(1, 1)]), Fraction(1))
+        sum_with_tail_bound(iter([(1, 1)]), (1, 1))
     for bad in ((-1, 1), (1, 0), (1, -2)):
         with pytest.raises(ValueError):
-            sum_with_tail_bound(iter([bad, (1, 1)]), Fraction(1))
-    with pytest.raises(ValueError):
-        sum_with_tail_bound(dobinski_terms(1, 1, 2), Fraction(0))
+            sum_with_tail_bound(iter([bad, (1, 1)]), (1, 1))
+    for stop in ((0, 1), (-1, 2), (1, -2)):
+        with pytest.raises(ValueError):
+            sum_with_tail_bound(dobinski_terms(1, 1, 2), stop)
     with pytest.raises(PrecisionExhaustedError):
-        sum_with_tail_bound(itertools.repeat((1, 1)), Fraction(1, 10))
+        sum_with_tail_bound(itertools.repeat((1, 1)), (1, 10))
 
 
 def reference_sum(terms, stop_below):
@@ -287,7 +302,7 @@ def test_kernel_matches_fraction_reference():
     makers.append(partial(hypergeometric_terms, 2, 2, 3))
     # The moment series of ContinuousDensity(r), as continuous_moment_series builds it.
     makers += [
-        partial(hypergeometric_terms, r, 1, n, Fraction(math.factorial(r * n), math.factorial(r)))
+        partial(hypergeometric_terms, r, 1, n, (math.factorial(r * n), math.factorial(r)))
         for r in (1, 2, 3)
         for n in range(6)
     ]
@@ -297,7 +312,7 @@ def test_kernel_matches_fraction_reference():
     makers += [partial(_reduced_dobinski_terms, *rsn) for rsn in ((1, 1, 4), (3, 2, 3), (4, 1, 2))]
     for make in makers:
         for stop_below in (Fraction(1, 2 * 10**12), Fraction(1, 10**60)):
-            got = sum_with_tail_bound(make(), stop_below)
+            got = rationals(sum_with_tail_bound(make(), ratio(stop_below)))
             assert got == reference_sum(make(), stop_below), (make, stop_below)
 
 
@@ -338,31 +353,54 @@ def stream(head, ratios):
 @settings(max_examples=300, deadline=None)
 def test_kernel_screen_matches_fraction_reference(case):
     stop, head, ratios = case
-    got = sum_with_tail_bound(stream(head, ratios), stop)
+    got = rationals(sum_with_tail_bound(stream(head, ratios), ratio(stop)))
     assert got == reference_sum(stream(head, ratios), stop)
+
+
+@given(screened_streams(), st.integers(1, 2**64), st.integers(1, 2**64))
+@settings(max_examples=100, deadline=None)
+def test_pair_kernel_matches_fraction_reference(case, g, h):
+    # The same rationals in other representations: every numerator and the
+    # first multiplier times g, the stop's pair times h.  The sum reads only
+    # their values, and quotient_by_e reduces what it is handed, so both give
+    # the reference's values and the enclosure of the reduced pairs, bit for bit.
+    stop, head, ratios = case
+    scaled = ((p * g, m * g if k == 0 else m) for k, (p, m) in enumerate(stream(head, ratios)))
+    partial_sum, tail, count = sum_with_tail_bound(scaled, (stop.numerator * h, stop.denominator * h))
+    want = reference_sum(stream(head, ratios), stop)
+    assert (Fraction(*partial_sum), Fraction(*tail), count) == want
+    spec = SeriesSpec(target_abs_error=2 * stop)
+    value = quotient_by_e(partial_sum, tail, spec)
+    reduced = quotient_by_e(ratio(want[0]), ratio(want[1]), spec)
+    assert [x._mpf_ for x in value] == [x._mpf_ for x in reduced]
+    mid, radius = _exact(value.value), _exact(value.abs_error)
+    assert radius <= 2 * stop
+    below, above = inv_e_rationals()
+    for numerator in (want[0] - want[1], want[0] + want[1]):
+        assert mid - radius <= numerator * below and numerator * above <= mid + radius
 
 
 def test_quotient_by_e_escalates_precision():
     # 16 working bits cannot hit 1e-30; the precision chosen from the target can.
     tight = SeriesSpec(working_precision=16, target_abs_error=1e-30)
-    value = quotient_by_e(Fraction(1), Fraction(0), tight)
+    value = quotient_by_e((1, 1), (0, 1), tight)
     with mp.workprec(200):
         assert abs(value.value - mp.exp(-1)) <= value.abs_error
     # 2^4000 / e to 1e-30 takes a bracket of over 4100 bits, past MAX_BITS.
-    huge = quotient_by_e(Fraction(2**4000), Fraction(0), tight)
+    huge = quotient_by_e((2**4000, 1), (0, 1), tight)
     with mp.workprec(4400):
         scaled = _exact(mp.ldexp(mp.exp(-1), 4000))
     radius = _exact(huge.abs_error)
-    assert radius <= tight.target
+    assert radius <= Fraction(*tight.target)
     assert abs(_exact(huge.value) - scaled) + Fraction(1, 2**300) <= radius
 
 
 def test_quotient_by_e_rejects_hopeless_tail():
     spec = SeriesSpec(target_abs_error=1e-12)
     with pytest.raises(PrecisionExhaustedError):
-        quotient_by_e(Fraction(1), Fraction(1, 10**6), spec)
+        quotient_by_e((1, 1), (1, 10**6), spec)
     with pytest.raises(ValueError):
-        quotient_by_e(Fraction(1), Fraction(-1), spec)
+        quotient_by_e((1, 1), (-1, 1), spec)
 
 
 def test_inv_e_fixed_point_bracket():
@@ -408,10 +446,11 @@ def test_quotient_by_e_encloses_exactly(exp2, den, data, tail_fraction, digits, 
     # 0 to just under the pre-check's limit tail / e = target.
     q = Fraction(den + data.draw(st.integers(0, den - 1)), den) * Fraction(2) ** exp2
     spec = SeriesSpec(working_precision=bits, target_abs_error=10.0**-digits)
-    tail = spec.target * Fraction(27182, 10000) * Fraction(tail_fraction, 1024)
-    value = quotient_by_e(q, tail, spec)
+    target = Fraction(*spec.target)
+    tail = target * Fraction(27182, 10000) * Fraction(tail_fraction, 1024)
+    value = quotient_by_e(ratio(q), ratio(tail), spec)
     mid, radius = _exact(value.value), _exact(value.abs_error)
-    assert radius <= spec.target
+    assert radius <= target
     below, above = inv_e_rationals()
     for numerator in (q - tail, q + tail):
         ends = (numerator * below, numerator * above)
@@ -420,7 +459,28 @@ def test_quotient_by_e_encloses_exactly(exp2, den, data, tail_fraction, digits, 
 
 def test_quotient_by_e_rejects_negative_q():
     with pytest.raises(ValueError):
-        quotient_by_e(Fraction(-1), Fraction(0), SeriesSpec())
+        quotient_by_e((-1, 1), (0, 1), SeriesSpec())
+    for q, tail in (((1, 0), (0, 1)), ((1, -1), (0, 1)), ((1, 1), (0, 0))):
+        with pytest.raises(ValueError):
+            quotient_by_e(q, tail, SeriesSpec())
+
+
+def test_quotient_by_e_reads_the_reduced_pair():
+    # The precision reads bit lengths: 3/2 has mag 1, but 9/6 read as given
+    # would have mag 2, another frac and other mantissas.
+    spec = SeriesSpec()
+    for tail in ((0, 1), (1, 10**14), (3, 7 * 2**50)):
+        reduced = quotient_by_e((3, 2), tail, spec)
+        scaled = quotient_by_e((9, 6), (tail[0] * 12, tail[1] * 12), spec)
+        assert [x._mpf_ for x in scaled] == [x._mpf_ for x in reduced], tail
+
+
+def test_target_is_a_reduced_pair_of_any_exact_number():
+    for target in (1e-12, 3, Fraction(6, 4), Decimal("0.25"), mp.mpf(0.75), mp.mpf(2) ** -1100):
+        spec = SeriesSpec(target_abs_error=target)
+        exact = Fraction(target) if not isinstance(target, mp.mpf) else _exact(target)
+        assert spec.target == ratio(exact)
+        assert spec.half_target == ratio(exact / 2)
 
 
 def test_series_round_to_exact_integers_past_2_8192():

@@ -9,12 +9,14 @@ import pytest
 from bosonkit.errors import OutOfRangeError, UnsupportedError
 from bosonkit.genfunc import (
     _exp_rows,
+    _row_str,
     egf_classic,
     egf_r1,
+    egf_row_sums,
     select_normalization_order,
     verify_normal_exponential,
 )
-from bosonkit.operator_algebra import MonomialSpec, monomial_power_rows
+from bosonkit.operator_algebra import MonomialSpec, format_terms, monomial_power_rows
 from bosonkit.stirling import bell, bell_sequence
 
 
@@ -97,10 +99,20 @@ def test_integer_recurrence_matches_fraction_reference(r, printed_sign):
         assert all(isinstance(c, Fraction) for c in series)
     rows = _exp_rows(r, 20, printed_sign)
     assert [[Fraction(c, factorial(m)) for c in row] for m, row in enumerate(rows)] == expected
+    assert egf_row_sums(r, 20, printed_sign) == list(map(sum, rows))
     engine = list(islice(monomial_power_rows(r, 1), 20))
     scaled = [[c * factorial(m) for c in expected[m]] for m in range(1, 21)]
     assert (engine == scaled) == (not printed_sign)
     assert verify_normal_exponential(r, 20, printed_sign=printed_sign).ok == (not printed_sign)
+
+
+@pytest.mark.parametrize("printed_sign", [False, True])
+def test_mismatch_rows_print_like_fractions(printed_sign):
+    # A row of m! times the coefficients prints each as str(Fraction(c, m!)).
+    for r in (1, 2, 3):
+        for m, row in enumerate(_exp_rows(r, 9, printed_sign)):
+            want = format_terms((((r - 1) * m + j, j), Fraction(c, factorial(m))) for j, c in enumerate(row))
+            assert _row_str(r, m, row) == want, (r, m)
 
 
 def test_operator_exponential_identity_holds():

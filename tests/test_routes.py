@@ -10,7 +10,7 @@ A Stirling row k -> S_{r,s}(n, k), k = 0..ns, comes from
 * ``stirling_rr_closed`` at r = s and ``lah`` at (2, 1).
 
 A Bell number B_{r,s}(n) is the engine row's sum; it comes exactly from
-``bell_sequence``, ``bell`` and, at s = 1 and n <= 100, n! times the n-th
+``bell_sequence``, ``bell`` and, at s = 1, n! times the n-th
 coefficient of ``egf_classic`` or ``egf_r1``.  Certified series round to it:
 the Dobinski series, ``bell_hypergeometric(p, q, n)`` where (r, s) =
 (pq + p, pq), the comb moments at r = s and ``continuous_moment_series(s, n)``
@@ -91,9 +91,8 @@ STIRLING_ROUTES = {
 BELL_ROUTES = {
     "bell_sequence": (always, lambda r, s, n: bell_sequence(r, s, n)[n]),
     "bell": (always, lambda r, s, n: bell(MonomialSpec(r, s, n))),
-    # egf_r1(2, 300) alone takes seconds.
     "EGF": (
-        lambda r, s, n: s == 1 and n <= 100,
+        lambda r, s, n: s == 1,
         lambda r, s, n: (egf_classic(n) if r == 1 else egf_r1(r, n))[n] * factorial(n),
     ),
 }
