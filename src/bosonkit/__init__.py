@@ -43,6 +43,7 @@ from .operator_algebra import (
 from .stirling import (
     bell,
     bell_sequence,
+    bell_values,
     lah,
     stirling_rr_closed,
     stirling_table,
@@ -98,6 +99,7 @@ __all__ = [
     "bell",
     "bell_hypergeometric",
     "bell_sequence",
+    "bell_values",
     "bessel_i",
     "continuous_moment_series",
     "dirac_comb",

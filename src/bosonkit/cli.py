@@ -16,19 +16,22 @@ reported on one line.
 Output is plain text by default; ``--format json`` emits a versioned record
 whose integers are decimal strings (arbitrary precision survives any JSON
 parser) and whose reals carry an explicit error bound.  ``--format csv``
-emits one flat table per section; a section's rows share their keys, so the
-first row's keys head its table.  Every BosonKitError is raised before the
-first byte; then, in every format, each row is formatted and written in
-turn.  Each check is a ``Check`` named tuple, renamed per family with
-``_replace``.  The ``--printed-sign`` and ``--printed-b5`` flags run
-variants of two identities in forms that do not hold, so the corrections the
-library applies stay visible and reproducible; expect exit code 3 from them.
+emits one flat table per section.  A section (results, then checks) is one
+header of column names and rows of strings in that order; the command names
+the results' columns, and checks always have name, status and detail.  Every
+BosonKitError is raised before the first byte; then, in every format, each
+row is formatted and written in turn.  Each check is a ``Check`` named
+tuple, renamed per family with ``_replace``.  The ``--printed-sign`` and
+``--printed-b5`` flags run variants of two identities in forms that do not
+hold, so the corrections the library applies stay visible and reproducible;
+expect exit code 3 from them.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from types import SimpleNamespace
@@ -50,7 +53,7 @@ from .genfunc import egf_row_sums, verify_normal_exponential
 from .measures import verify_moments
 from .numeric import DEFAULT_BITS, MAX_BITS, Check, ErrorBoundedReal, SeriesSpec
 from .operator_algebra import MonomialSpec
-from .stirling import bell_sequence, stirling_table
+from .stirling import bell_sequence, bell_values, stirling_table
 
 __all__ = ["OutputRecord", "console_main", "main"]
 
@@ -60,22 +63,19 @@ class _UsageError(Exception):
 
 
 class OutputRecord:
-    """What a command prints; ``results`` is any iterable of flat string dicts, read once by ``write``.
+    """What a command prints; ``results``, read once by ``write``, holds string tuples in ``columns`` order."""
 
-    The rows of a section (``results``, or the rows of ``checks``) share their keys.
-    """
-
-    def __init__(self, command: str, parameters: dict[str, str], results=None, checks=None) -> None:
+    def __init__(self, command: str, parameters: dict[str, str], columns=(), results=(), checks=()) -> None:
         self.command = command
         self.parameters = parameters
-        self.results = [] if results is None else results
-        self.checks: list[Check] = [] if checks is None else checks
+        self.columns = columns
+        self.results = results
+        self.checks = checks
 
-    def _check_rows(self):
-        return (
-            {"name": c.name, "status": "pass" if c.ok else "fail", "detail": c.detail}
-            for c in self.checks
-        )
+    def _sections(self):
+        # csv leaves out a section without columns, and checks have none when empty.
+        check_rows = ((c.name, "pass" if c.ok else "fail", c.detail) for c in self.checks)
+        return (self.columns, self.results), (("name", "status", "detail") if self.checks else (), check_rows)
 
     def write(self, fmt: str, out) -> None:
         """Write the record in ``fmt`` (plain, json or csv) to the text stream ``out``, a row at a time."""
@@ -83,40 +83,36 @@ class OutputRecord:
 
     def _write_json(self, out) -> None:
         # json.dumps(record, indent=2), byte for byte: every field is a string
-        # or a flat dict of strings, escaped by the encoder's own C function.
+        # or a flat object of strings, escaped by the encoder's own C function.
         out.write(f'{{\n  "schema": 1,\n  "command": {_quote(self.command)},\n'
-                  f'  "parameters": {_json_row(self.parameters, "  ")},\n')
-        for key, rows, end in (("results", self.results, ",\n"), ("checks", self._check_rows(), "\n}\n")):
+                  f'  "parameters": {_json_object(self.parameters, self.parameters.values(), "  ")},\n')
+        for key, (columns, rows), end in zip(("results", "checks"), self._sections(), (",\n", "\n}\n")):
             out.write(f'  "{key}": [')
             lead = "\n    "
             for row in rows:
-                out.write(lead + _json_row(row, "    "))
+                out.write(lead + _json_object(columns, row, "    "))
                 lead = ",\n    "
             out.write(("]" if lead == "\n    " else "\n  ]") + end)
 
     def _write_csv(self, out) -> None:
-        # One flat table per section, headed by its first row's keys, with a
-        # blank line between them; most commands fill only one.  DictWriter
-        # raises ValueError on a row with a key outside the header.
+        # One flat table per section with columns, headed by them, with a
+        # blank line between them; most commands fill only one.
         import csv  # loaded here, since no other output format needs it
+        writer = csv.writer(out, lineterminator="\n")
         gap = ""
-        for rows in (iter(self.results), self._check_rows()):
-            first = next(rows, None)
-            if first is None:
-                continue
-            out.write(gap)
-            writer = csv.DictWriter(out, list(first), lineterminator="\n")
-            writer.writeheader()
-            writer.writerow(first)
-            writer.writerows(rows)
-            gap = "\n"
+        for columns, rows in self._sections():
+            if columns:
+                out.write(gap)
+                writer.writerow(columns)
+                writer.writerows(rows)
+                gap = "\n"
 
     def _write_plain(self, out) -> None:
         out.write(f"command: {self.command}\n")
         if self.parameters:
             out.write("parameters: " + " ".join(f"{k}={v}" for k, v in self.parameters.items()) + "\n")
         for row in self.results:
-            out.write("  " + " ".join(f"{k}={v}" for k, v in row.items()) + "\n")
+            out.write("  " + " ".join(f"{k}={v}" for k, v in zip(self.columns, row)) + "\n")
         for c in self.checks:
             out.write(f"{'pass' if c.ok else 'FAIL'}  {c.name}: {c.detail}\n")
         if self.checks:
@@ -124,12 +120,12 @@ class OutputRecord:
             out.write(f"summary: {passed}/{len(self.checks)} checks passed\n")
 
 
-def _json_row(row: dict[str, str], indent: str) -> str:
-    """A flat dict of strings as indent=2 prints it at the given indentation."""
-    if not row:
+def _json_object(keys, values, indent: str) -> str:
+    """Strings paired by position, as indent=2 prints their object at the given indentation."""
+    if not keys:
         return "{}"
     lead = "\n  " + indent
-    fields = ("," + lead).join(f"{_quote(k)}: {_quote(v)}" for k, v in row.items())
+    fields = ("," + lead).join(f"{_quote(k)}: {_quote(v)}" for k, v in zip(keys, values))
     return "{" + lead + fields + "\n" + indent + "}"
 
 
@@ -323,7 +319,7 @@ def _verify_moments(ns, results: list):
 def _moment_checks(grid: list, tol: float, bits: int, results: list):
     for r, s, n_max in grid:
         report = verify_moments(r, s, n_max, tol, bits=bits)
-        results.append({"family": f"({r},{s})", "measure": report.family, "kind": "exact"})
+        results.append((f"({r},{s})", report.family, "exact"))
         yield from (c._replace(name=f"({r},{s}) {c.name}") for c in report.checks)
 
 
@@ -347,16 +343,16 @@ def _cmd_stirling(ns) -> OutputRecord:
         raise _UsageError("--n must be >= 1")
     spec = MonomialSpec(r=ns.r, s=ns.s, n=ns.n)
     row = stirling_table(spec)
-    results = ({"k": str(k), "value": str(row[k]), "kind": "exact"} for k in range(spec.s, len(row)))
-    return OutputRecord("stirling", {"r": str(ns.r), "s": str(ns.s), "n": str(ns.n)}, results)
+    results = ((str(k), str(row[k]), "exact") for k in range(spec.s, len(row)))
+    return OutputRecord("stirling", dict(r=str(ns.r), s=str(ns.s), n=str(ns.n)), ("k", "value", "kind"), results)
 
 
 def _cmd_bell(ns) -> OutputRecord:
     if ns.max < 0:
         raise _UsageError("--max must be >= 0")
-    values = bell_sequence(ns.r, ns.s, ns.max)
-    results = ({"n": str(n), "value": str(value), "kind": "exact"} for n, value in enumerate(values))
-    return OutputRecord("bell", {"r": str(ns.r), "s": str(ns.s), "max": str(ns.max)}, results)
+    values = islice(bell_values(ns.r, ns.s), ns.max + 1)
+    results = ((str(n), str(value), "exact") for n, value in enumerate(values))
+    return OutputRecord("bell", dict(r=str(ns.r), s=str(ns.s), max=str(ns.max)), ("n", "value", "kind"), results)
 
 
 def _cmd_verify(ns) -> OutputRecord:
@@ -380,12 +376,12 @@ def _cmd_verify(ns) -> OutputRecord:
         value = getattr(ns, flag)
         if value is not default:
             parameters[flag] = "true" if value is True else repr(value)
-    record = OutputRecord(command=f"verify {ns.suite}", parameters=parameters)
+    results = []
     # Every suite validates its flags here, before the first check runs.
-    runs = [_SUITES[suite][0](ns, record.results) for suite in suites]
-    for checks in runs:
-        record.checks.extend(checks)
-    return record
+    runs = [_SUITES[suite][0](ns, results) for suite in suites]
+    checks = [c for run in runs for c in run]
+    columns = ("family", "measure", "kind") if "moments" in suites else ()  # the rows of _moment_checks
+    return OutputRecord(f"verify {ns.suite}", parameters, columns, results, checks)
 
 
 # -- command line -------------------------------------------------------------

@@ -291,11 +291,17 @@ def _quadrature(density: ContinuousDensity, orders: list[int], target, bits: int
                     bounds[i] += weight * radius
             h = mp.ldexp(1, -degree)
             previous, results = results, [h * total for total in sums]
-            radii = [abs(new - old) + h * bound + tail
-                     for new, old, bound, tail in zip(results, previous, bounds, tails)]
+            floors = [h * bound + tail for bound, tail in zip(bounds, tails)]
+            radii = [abs(new - old) + floor for new, old, floor in zip(results, previous, floors)]
             if max(radii) <= target:
                 break
-        else:
+            # More levels shrink |S_k - S_(k-1)| but not the floor, the node
+            # enclosures' integral plus the tail.  A floor past twice the
+            # target will not come down to it: report the floor now.
+            if degree > 1 and max(floors) > 2 * target:
+                radii = floors
+                break
+        if max(radii) > target:
             raise PrecisionExhaustedError(
                 f"quadrature error {mp.nstr(max(radii), 6)} exceeds target {target}"
             )

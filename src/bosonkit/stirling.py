@@ -56,7 +56,7 @@ not on any dispatch path.
 
 from __future__ import annotations
 
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import comb, factorial, perm
 from typing import Iterator
 
@@ -66,6 +66,7 @@ from .operator_algebra import MonomialSpec, monomial_power_rows
 __all__ = [
     "bell",
     "bell_sequence",
+    "bell_values",
     "lah",
     "stirling_rr_closed",
     "stirling_table",
@@ -122,7 +123,7 @@ def stirling_table(spec: MonomialSpec) -> list[int]:
 
 def bell(spec: MonomialSpec) -> int:
     """Generalized Bell number B_{r,s}(n), the row sum; 1 at n = 0 by convention."""
-    return bell_sequence(spec.r, spec.s, spec.n)[-1]
+    return next(islice(bell_values(spec.r, spec.s), spec.n, None))
 
 
 def _laguerre_values(s: int) -> Iterator[int]:
@@ -161,17 +162,23 @@ def _poisson_shift_values(r: int, s: int) -> Iterator[int]:
         a = nxt
 
 
-def bell_sequence(r: int, s: int, n_max: int) -> list[int]:
-    """B_{r,s}(0..n_max): a closed form or recurrence for r > s, engine rows for r = s.
+def bell_values(r: int, s: int) -> Iterator[int]:
+    """B_{r,s}(0), B_{r,s}(1), ... without end; (r, s) is checked at the call.
 
-    r = 2s reads every s-th value of the Laguerre recurrence and stops at
-    G(n_max s - s); other r > s step the Poisson-shift recurrence of the
-    A_j(n); r = s sums the rows of one pass of the contraction engine.
+    r = 2s reads every s-th value of the Laguerre recurrence; other r > s
+    step the Poisson-shift recurrence of the A_j(n); r = s sums the rows of
+    one pass of the contraction engine.  The iterator holds the state of its
+    recurrence, never the values it has yielded.
     """
-    MonomialSpec(r=r, s=s, n=n_max)
+    MonomialSpec(r=r, s=s, n=0)
     if r == 2 * s:
-        stop = max(n_max * s - s + 1, 0)
-        return [1] + list(islice(_laguerre_values(s), 0, stop, s))
+        return chain([1], islice(_laguerre_values(s), 0, None, s))
     if r > s:
-        return list(islice(_poisson_shift_values(r, s), n_max + 1))
-    return [1] + [sum(row) for row in islice(monomial_power_rows(r, s), n_max)]
+        return _poisson_shift_values(r, s)
+    return chain([1], map(sum, monomial_power_rows(r, s)))
+
+
+def bell_sequence(r: int, s: int, n_max: int) -> list[int]:
+    """B_{r,s}(0..n_max), the first n_max + 1 values of ``bell_values``."""
+    MonomialSpec(r=r, s=s, n=n_max)
+    return list(islice(bell_values(r, s), n_max + 1))

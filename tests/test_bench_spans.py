@@ -7,7 +7,12 @@ that run.  The file is loaded by path, and ``install()`` is not called.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import bosonkit
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -28,3 +33,22 @@ def test_every_span_resolves_to_a_callable():
             assert hasattr(target, attr), f"{name}: {module_name} has no {path}"
             target = getattr(target, attr)
         assert callable(target), f"{name}: {module_name}.{path} is not callable"
+
+
+def test_importing_the_cli_loads_every_span_module():
+    # install() finds each span's module in sys.modules after the pass has
+    # imported bosonkit and bosonkit.cli; a module the package loads lazily
+    # would be missing there, and every traced pass would fail.
+    modules = sorted({module_name for module_name, _ in load_tracing().SPANS.values()})
+    src = str(Path(bosonkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = f"import sys, bosonkit, bosonkit.cli\nprint([m for m in {modules!r} if m not in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -9,6 +9,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import deque
 from decimal import Decimal
 from functools import cache
 from itertools import islice
@@ -26,7 +28,7 @@ from bosonkit.cli import main
 from bosonkit.errors import DivergentSeriesError
 from bosonkit.numeric import Check, ErrorBoundedReal
 from bosonkit.operator_algebra import MonomialSpec, monomial_power_rows
-from bosonkit.stirling import bell, bell_sequence
+from bosonkit.stirling import bell, bell_sequence, bell_values
 
 
 def run(capsys, *argv):
@@ -194,14 +196,14 @@ def written(record, fmt):
     return out.getvalue()
 
 
-def reference_json(command, parameters, results=(), checks=()):
+def reference_json(command, parameters, columns=(), results=(), checks=()):
     """The pure-Python indent=2 encoding that ``OutputRecord.write`` must match in json."""
     check_rows = [{"name": c.name, "status": "pass" if c.ok else "fail", "detail": c.detail} for c in checks]
     record = {
         "schema": 1,
         "command": command,
         "parameters": parameters,
-        "results": list(results),
+        "results": [dict(zip(columns, row)) for row in results],
         "checks": check_rows,
     }
     return json.dumps(record, indent=2) + "\n"
@@ -212,26 +214,32 @@ def reference_json(command, parameters, results=(), checks=()):
 TRICKY = st.text(
     st.sampled_from(['"', "\\", "\n", "{", "}", ",", ":", " ", "a", "\u00e9", "\u2603", "\U0001d11e"])
 ) | st.sampled_from(["", "},\n      {", '"},\n      {"', "{\n      \n    }"])
-ROWS = st.lists(st.dictionaries(TRICKY, TRICKY, max_size=4), max_size=12)
+# Distinct column names, and rows of that many values.
+SECTIONS = st.lists(TRICKY, unique=True, max_size=4).flatmap(
+    lambda columns: st.tuples(
+        st.just(tuple(columns)), st.lists(st.tuples(*[TRICKY] * len(columns)), max_size=12)
+    )
+)
 
 
 @given(
     command=TRICKY,
     parameters=st.dictionaries(TRICKY, TRICKY, max_size=4),
-    results=ROWS,
+    section=SECTIONS,
     checks=st.lists(st.builds(Check, TRICKY, st.booleans(), TRICKY), max_size=12),
 )
 @settings(max_examples=300, deadline=None)
-def test_to_json_matches_indented_json_dumps(command, parameters, results, checks):
-    record = cli.OutputRecord(command, parameters, results, checks)
-    assert written(record, "json") == reference_json(command, parameters, results, checks)
+def test_to_json_matches_indented_json_dumps(command, parameters, section, checks):
+    columns, results = section
+    record = cli.OutputRecord(command, parameters, columns, results, checks)
+    assert written(record, "json") == reference_json(command, parameters, columns, results, checks)
 
 
 def test_to_json_of_empty_sections():
     for args in (
         ("bell", {}),
-        ("bell", {}, [{}], [Check("", True, "")]),
-        ("bell", {"r": "1"}, [{}, {"n": "0"}, {}]),
+        ("bell", {}, (), [()], [Check("", True, "")]),
+        ("bell", {"r": "1"}, ("n",), []),
     ):
         assert written(cli.OutputRecord(*args), "json") == reference_json(*args)
 
@@ -257,7 +265,8 @@ ROW_FRAME = 64
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 def test_write_streams_one_row_at_a_time(fmt):
-    rows = [{"n": str(n), "value": str(7**n), "kind": "exact"} for n in range(1000)]
+    columns = ("n", "value", "kind")
+    rows = [(str(n), str(7**n), "exact") for n in range(1000)]
     checks = [Check(f"check {n}", n % 2 == 0, f"detail {n}") for n in range(0, 1000, 100)]
     probe = WriteProbe()
     writes_before_draw = []
@@ -267,11 +276,11 @@ def test_write_streams_one_row_at_a_time(fmt):
             writes_before_draw.append(len(probe.lengths))
             yield row
 
-    cli.OutputRecord("bell", {"max": "999"}, counting_rows(), checks).write(fmt, probe)
+    cli.OutputRecord("bell", {"max": "999"}, columns, counting_rows(), checks).write(fmt, probe)
     # Every row before the last is written by the time the last is drawn.
     assert len(writes_before_draw) == len(rows)
     assert writes_before_draw[-1] >= len(rows) - 1
-    longest = max(sum(map(len, row)) + sum(map(len, row.values())) for row in rows)
+    longest = max(sum(map(len, columns)) + sum(map(len, row)) for row in rows)
     assert len(probe.lengths) > 1000
     assert max(probe.lengths) <= longest + ROW_FRAME
 
@@ -283,6 +292,49 @@ def test_main_streams_bell_rows(monkeypatch):
     longest = len(str(bell_sequence(3, 1, 300)[-1]))
     assert len(probe.lengths) > 300
     assert max(probe.lengths) <= longest + ROW_FRAME
+
+
+class Sink:
+    """A text stream that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("r, s, n", [(1, 1, 300), (2, 1, 1000), (3, 1, 1000)])
+def test_bell_command_holds_no_sweep(monkeypatch, r, s, n):
+    # One case per branch of bell_values: the engine (r = s), the Laguerre
+    # recurrence (r = 2s) and the Poisson shift.  The command holds what the
+    # iterator holds and one row of output, a few times the last value's
+    # digits; the list of the sweep would add 37 KB at (1, 1) and over 500 KB
+    # at the others.
+    digits = len(str(bell_sequence(r, s, n)[-1]))
+    iterator = traced_peak(lambda: deque(islice(bell_values(r, s), n + 1), maxlen=0))
+    monkeypatch.setattr(sys, "stdout", Sink())
+    argv = ["bell", "--r", str(r), "--s", str(s), "--max", str(n), "--format", "json"]
+    command = traced_peak(lambda: main(argv))
+    assert command <= iterator + 4 * digits + 4096
+
+
+def test_bell_errors_come_before_the_first_byte(capsys):
+    assert run(capsys, "bell", "--r", "1", "--s", "2", "--max", "3") == (
+        2, "", "bosonkit: unsupported: (r, s) = (1, 2) not supported: need r >= s >= 1\n"
+    )
+    assert run(capsys, "bell", "--r", "2", "--s", "1", "--max", "-1") == (
+        1, "", "bosonkit: error: --max must be >= 0\n"
+    )
 
 
 def test_integers_are_decimal_strings(capsys):
@@ -657,12 +709,21 @@ def test_computation_error_exits_four(capsys, monkeypatch):
     assert err == "bosonkit: failed: DivergentSeriesError: terms do not decay\n"
 
 
-def test_moments_tol_below_the_quadrature_exits_four(capsys):
-    # Not a usage error: how far the quadrature reaches depends on the family and --max.
+def test_moments_tol_below_the_quadrature_exits_four(capsys, monkeypatch):
+    # Not a usage error: how far the quadrature reaches depends on the family
+    # and --max.  The node enclosures alone put this one's error near 4e-62,
+    # which level 2 already shows, so it stops there: 37 density values, not
+    # the 2,377 of all eight levels.
+    evaluate = measures.ContinuousDensity.evaluate
+    calls = []
+    monkeypatch.setattr(
+        measures.ContinuousDensity, "evaluate", lambda *a, **k: calls.append(1) or evaluate(*a, **k)
+    )
     code, out, err = run(capsys, "verify", "moments", "--r", "2", "--s", "1", "--max", "1", "--tol", "1e-300")
     assert code == 4
     assert out == ""
-    assert err == "bosonkit: failed: PrecisionExhaustedError: quadrature error 3.89205e-62 exceeds target 1e-300\n"
+    assert err == "bosonkit: failed: PrecisionExhaustedError: quadrature error 4.5334e-62 exceeds target 1e-300\n"
+    assert len(calls) < 100
 
 
 def test_verify_all_rejects_flags_before_any_suite_runs(capsys, monkeypatch):
@@ -702,22 +763,11 @@ def test_csv_verify_has_two_sections(capsys):
 
 
 def test_csv_header_is_first_row_keys():
-    # A section's rows share their keys: the first row's order heads the
-    # table, and a row with a key outside it is an error, not a new column.
-    record = cli.OutputRecord(
-        "bell",
-        {},
-        [{"n": "0", "value": "1", "kind": "exact"}, {"kind": "exact", "value": "1", "n": "1"}],
-    )
+    # The columns a section is given head its table, in their order; a section
+    # without columns, such as checks when there are none, is left out.
+    record = cli.OutputRecord("bell", {}, ("n", "value", "kind"), [("0", "1", "exact"), ("1", "1", "exact")])
     rows = list(csv.reader(io.StringIO(written(record, "csv"))))
     assert rows == [["n", "value", "kind"], ["0", "1", "exact"], ["1", "1", "exact"]]
-    mixed = cli.OutputRecord(
-        "verify all",
-        {},
-        [{"family": "(1,1)", "kind": "exact"}, {"family": "(1,1)", "measure": "dirac-comb", "kind": "exact"}],
-    )
-    with pytest.raises(ValueError):
-        written(mixed, "csv")
 
 
 def test_help_exits_zero(capsys):

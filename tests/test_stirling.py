@@ -16,6 +16,7 @@ from bosonkit.operator_algebra import MonomialSpec, monomial_power_rows
 from bosonkit.stirling import (
     bell,
     bell_sequence,
+    bell_values,
     lah,
     stirling_rr_closed,
     stirling_table,
@@ -118,6 +119,9 @@ def test_bell_sequence_matches_per_n_bell():
         bell_sequence(2, 3, 0)
     with pytest.raises(OutOfRangeError):
         bell_sequence(1, 1, -1)
+    # The iterator checks (r, s) when it is made, before any value is drawn.
+    with pytest.raises(UnsupportedError):
+        bell_values(2, 3)
 
 
 def test_k_range_enforced():
