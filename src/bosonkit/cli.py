@@ -165,9 +165,9 @@ def _check_rounds_to(name: str, value: ErrorBoundedReal, expected: int) -> Check
 # -- verify suites ----------------------------------------------------------
 #
 # Each suite takes the parsed arguments, reads only the flags _SUITES lists
-# for it and validates them at once, then returns a generator of Checks that
-# may append rows to ``results``; so ``verify all`` rejects a bad flag of any
-# suite before the first check runs.
+# for it and validates them at once, then returns a generator of Checks (and,
+# from moments only, of result rows: plain tuples); so ``verify all`` rejects
+# a bad flag of any suite before the first check runs.
 
 
 def _dobinski_family(r: int, s: int, n_max: int, series: SeriesSpec, printed_b5: bool):
@@ -212,7 +212,7 @@ def _divergence_flag(r: int, s: int, n: int, series: SeriesSpec) -> Check:
     return Check(name, False, f"expected divergence, got {value}")
 
 
-def _verify_dobinski(ns, results: list):
+def _verify_dobinski(ns):
     series = _series(ns.bits, ns.tol)
     if (ns.r is None) != (ns.s is None):
         raise _UsageError("give both --r and --s, or neither")
@@ -257,7 +257,7 @@ def _egf_printed_sign_rejected(r: int) -> Check:
     )
 
 
-def _verify_egf(ns, results: list):
+def _verify_egf(ns):
     if ns.max is not None and ns.max < 0:
         raise _UsageError("--max must be >= 0")
     if ns.r is not None:
@@ -280,7 +280,7 @@ def _egf_grid(n_max: int | None):
         yield _egf_printed_sign_rejected(r)
 
 
-def _verify_norm(ns, results: list):
+def _verify_norm(ns):
     order = ns.order if ns.order is not None else 5
     if order < 1:
         raise _UsageError("--order must be >= 1")
@@ -302,7 +302,7 @@ def _norm_checks(r: int | None, order: int, printed_sign: bool):
         yield Check(f"printed exponent sign rejected (r={r})", not check.ok, check.detail)
 
 
-def _verify_moments(ns, results: list):
+def _verify_moments(ns):
     if (ns.r is None) != (ns.s is None):
         raise _UsageError("give both --r and --s, or neither")
     if ns.max is not None and ns.max < 1:
@@ -313,13 +313,13 @@ def _verify_moments(ns, results: list):
         grid = [(1, 1, 5), (2, 2, 4), (2, 1, 5)]
         if ns.max is not None:
             grid = [(r, s, min(n, ns.max)) for r, s, n in grid]
-    return _moment_checks(grid, ns.tol, ns.bits, results)
+    return _moment_checks(grid, ns.tol, ns.bits)
 
 
-def _moment_checks(grid: list, tol: float, bits: int, results: list):
+def _moment_checks(grid: list, tol: float, bits: int):
     for r, s, n_max in grid:
         report = verify_moments(r, s, n_max, tol, bits=bits)
-        results.append((f"({r},{s})", report.family, "exact"))
+        yield f"({r},{s})", report.family, "exact"
         yield from (c._replace(name=f"({r},{s}) {c.name}") for c in report.checks)
 
 
@@ -376,11 +376,11 @@ def _cmd_verify(ns) -> OutputRecord:
         value = getattr(ns, flag)
         if value is not default:
             parameters[flag] = "true" if value is True else repr(value)
-    results = []
     # Every suite validates its flags here, before the first check runs.
-    runs = [_SUITES[suite][0](ns, results) for suite in suites]
-    checks = [c for run in runs for c in run]
-    columns = ("family", "measure", "kind") if "moments" in suites else ()  # the rows of _moment_checks
+    items = [item for run in [_SUITES[suite][0](ns) for suite in suites] for item in run]
+    checks = [item for item in items if type(item) is Check]
+    results = [item for item in items if type(item) is not Check]  # the rows of _moment_checks
+    columns = ("family", "measure", "kind") if "moments" in suites else ()
     return OutputRecord(f"verify {ns.suite}", parameters, columns, results, checks)
 
 

@@ -543,12 +543,6 @@ def test_moments_single_family(capsys):
     assert any(c["name"] == "(1,1) mass" for c in record["checks"])
 
 
-def test_moments_quadrature_family(capsys):
-    code, record = json_record(capsys, "verify", "moments", "--r", "2", "--s", "1", "--max", "2")
-    assert code == 0
-    assert any("positivity sample" in c["name"] for c in record["checks"])
-
-
 def test_moments_mass_passes_at_sixteen_bits(capsys):
     # The mass reference is a closed form at a fixed precision, so a low
     # --bits does not loosen it into a failure.

@@ -1,17 +1,15 @@
-"""Closed forms, dispatch and Bell sweeps against the row engine."""
+"""Frozen values, validation and memory bounds of the closed forms, dispatch and Bell sweeps.
+
+Their routes are crossed against the row engine in tests/test_routes.py.
+"""
 
 import sys
 import tracemalloc
 from itertools import islice
-from math import factorial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from bosonkit.dobinski import bell_hypergeometric, dobinski_rs
 from bosonkit.errors import OutOfRangeError, UnsupportedError
-from bosonkit.genfunc import egf_r1
 from bosonkit.operator_algebra import MonomialSpec, monomial_power_rows
 from bosonkit.stirling import (
     bell,
@@ -26,73 +24,8 @@ from bosonkit.stirling import (
 BELL_CLASSIC = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
 
-def test_classical_triangle_recurrence():
-    # S(n+1, k) = k S(n, k) + S(n, k-1); S(n, 0) = 0 for n >= 1.
-    for n in range(1, 8):
-        row = stirling_table(MonomialSpec(1, 1, n)) + [0]
-        nxt = stirling_table(MonomialSpec(1, 1, n + 1))
-        assert nxt[0] == 0
-        for k in range(1, n + 2):
-            assert nxt[k] == k * row[k] + row[k - 1]
-
-
 def test_rr_closed_row_two_two():
     assert {k: stirling_rr_closed(2, 2, k) for k in (2, 3, 4)} == {2: 2, 3: 4, 4: 1}
-
-
-@given(st.integers(1, 5), st.integers(0, 30))
-@settings(max_examples=60, deadline=None)
-def test_r_2s_closed_forms_match_engine(s, n_max):
-    # Rows S_{2s,s}(n, k) = C(ns, k) (ns - s)!/(k - s)! and sweeps
-    # B_{2s,s}(n) = G(ns - s), G(N) = N! L_N^(s)(-1), against the engine.
-    rows = list(islice(monomial_power_rows(2 * s, s), n_max))
-    assert bell_sequence(2 * s, s, n_max) == [1] + [sum(row) for row in rows]
-    if n_max:
-        assert stirling_table(MonomialSpec(2 * s, s, n_max)) == rows[-1]
-
-
-@pytest.mark.parametrize("s", [3])
-def test_r_2s_sweep_matches_series_routes(s):
-    # Two series routes that share no code with the Laguerre recurrence:
-    # the Dobinski sum over N_k and the hypergeometric form of (2s, s).
-    # The route table crosses them at s = 1, 2; (6, 3) is past its r <= 5.
-    values = bell_sequence(2 * s, s, 10)
-    for n in range(1, 11):
-        assert dobinski_rs(2 * s, s, n).to_integer() == values[n], (s, n)
-        assert bell_hypergeometric(s, 1, n).to_integer() == values[n], (s, n)
-
-
-# Every r > s family with r <= 8 outside r = 2s: the Poisson-shift sweeps.
-SHIFT_FAMILIES = [(r, s) for r in range(2, 9) for s in range(1, r) if r != 2 * s]
-
-
-def test_poisson_shift_sweep_matches_engine_for_every_family():
-    for r, s in SHIFT_FAMILIES:
-        engine = [sum(row) for row in islice(monomial_power_rows(r, s), 20)]
-        assert bell_sequence(r, s, 20) == [1] + engine, (r, s)
-
-
-@given(st.sampled_from(SHIFT_FAMILIES), st.data())
-@settings(max_examples=40, deadline=None)
-def test_poisson_shift_sweep_matches_other_routes(family, data):
-    # Three routes that share no code with the recurrence: the engine's row
-    # sums, the certified Dobinski series and, at s = 1, n! times the
-    # coefficients of the paper's exponential generating function.
-    r, s = family
-    n_max = data.draw(st.integers(0, 80 if r < 6 else 40), label="n_max")
-    values = bell_sequence(r, s, n_max)
-    assert values == [1] + [sum(row) for row in islice(monomial_power_rows(r, s), n_max)]
-    for n in range(1, min(n_max, 8) + 1):
-        assert dobinski_rs(r, s, n).to_integer() == values[n], n
-    if s == 1:
-        assert [int(c * factorial(n)) for n, c in enumerate(egf_r1(r, n_max))] == values
-
-
-def test_lah_row_by_ratio_matches_lah():
-    # The (2, 1) row steps lah(n, k + 1) = lah(n, k) (n - k) / (k (k + 1))
-    # from n!; lah() computes each entry from its own factorials.
-    for n in [*range(1, 61), 300]:
-        assert stirling_table(MonomialSpec(2, 1, n)) == [0] + [lah(n, k) for k in range(1, n + 1)], n
 
 
 def test_lah_frozen_row_four():
@@ -104,15 +37,7 @@ def test_oracle_only_family():
     assert stirling_table(spec) == [0, 3, 1]
 
 
-def test_bell_sequence_matches_per_n_bell():
-    # The families of the benchmark's Bell sweeps, at small max.  Only r = s
-    # reaches the engine through bell_sequence, so its rows are read directly
-    # as well.
-    for r, s in ((1, 1), (2, 2), (2, 1), (3, 2), (4, 2), (5, 3)):
-        per_n = [bell(MonomialSpec(r, s, n)) for n in range(9)]
-        assert bell_sequence(r, s, 8) == per_n, (r, s)
-        engine = [sum(row) for row in islice(monomial_power_rows(r, s), 8)]
-        assert per_n == [1] + engine, (r, s)
+def test_bell_sequence_validation():
     assert bell_sequence(1, 1, 10) == BELL_CLASSIC
     assert bell_sequence(3, 1, 0) == [1]
     with pytest.raises(UnsupportedError):
