@@ -84,13 +84,15 @@ class OutputRecord:
     def _write_json(self, out) -> None:
         # json.dumps(record, indent=2), byte for byte: every field is a string
         # or a flat object of strings, escaped by the encoder's own C function.
-        out.write(f'{{\n  "schema": 1,\n  "command": {_quote(self.command)},\n'
-                  f'  "parameters": {_json_object(self.parameters, self.parameters.values(), "  ")},\n')
+        # Each object's layout is built once, and each row fills it in.
+        parameters = _json_layout(self.parameters, "  ") % tuple(map(_quote, self.parameters.values()))
+        out.write(f'{{\n  "schema": 1,\n  "command": {_quote(self.command)},\n  "parameters": {parameters},\n')
         for key, (columns, rows), end in zip(("results", "checks"), self._sections(), (",\n", "\n}\n")):
             out.write(f'  "{key}": [')
+            layout = "%s" + _json_layout(columns, "    ")
             lead = "\n    "
             for row in rows:
-                out.write(lead + _json_object(columns, row, "    "))
+                out.write(layout % (lead, *map(_quote, row)))
                 lead = ",\n    "
             out.write(("]" if lead == "\n    " else "\n  ]") + end)
 
@@ -120,12 +122,15 @@ class OutputRecord:
             out.write(f"summary: {passed}/{len(self.checks)} checks passed\n")
 
 
-def _json_object(keys, values, indent: str) -> str:
-    """Strings paired by position, as indent=2 prints their object at the given indentation."""
+def _json_layout(keys, indent: str) -> str:
+    """The %-template of an object with these keys, as indent=2 prints it at this indentation.
+
+    Each value fills one %s, quoted already; a % in a key is escaped.
+    """
     if not keys:
         return "{}"
     lead = "\n  " + indent
-    fields = ("," + lead).join(f"{_quote(k)}: {_quote(v)}" for k, v in zip(keys, values))
+    fields = ("," + lead).join(_quote(k).replace("%", "%%") + ": %s" for k in keys)
     return "{" + lead + fields + "\n" + indent + "}"
 
 

@@ -45,17 +45,22 @@ __all__ = [
 def _numerators(r: int, s: int, n: int) -> Iterator[int]:
     """N_k = prod_{j<n} f(k+jd), k = 0, 1, 2, ..., with f(x) = x!/(x-s)! and d = r - s >= 0.
 
-    N_k is zero for k < s.  At d = 0 it is f(k)^n.  At d > 0 the factors of
-    N_(k+d) are those of N_k shifted by one step of d, so each residue class
-    of k mod d keeps one running product, seeded at k = s .. s+d-1:
-    N_(k+d) = N_k * f(k+nd) // f(k), one multiply and one exact divide by a
-    small integer per term.
+    N_k is zero for k < s.  At d = 0 it is f(k)^n, mapped in C with no
+    Python frame per term; at d > 0 it comes from ``_running_numerators``.
     """
-    d = r - s
-    yield from repeat(0, s)
-    if d == 0:
-        yield from map(pow, map(perm, count(s), repeat(s)), repeat(n))
-        return
+    if r == s:
+        return chain(repeat(0, s), map(pow, map(perm, count(s), repeat(s)), repeat(n)))
+    return chain(repeat(0, s), _running_numerators(s, r - s, n))
+
+
+def _running_numerators(s: int, d: int, n: int) -> Iterator[int]:
+    """N_k for k = s, s+1, ... at d > 0.
+
+    The factors of N_(k+d) are those of N_k shifted by one step of d, so each
+    residue class of k mod d keeps one running product, seeded at
+    k = s .. s+d-1: N_(k+d) = N_k * f(k+nd) // f(k), one multiply and one
+    exact divide by a small integer per term.
+    """
     chains = [prod(perm(k + j * d, s) for j in range(n)) for k in range(s, s + d)]
     for base in count(s, d):
         for i, numer in enumerate(chains):

@@ -18,7 +18,8 @@ once per node; only the pass's error on the finite interval is an estimate
 certified series expansion of the same integral.  A discrete measure is read
 only through its integer moment terms, its mass and its positivity check.
 ``verify_moments`` reports each comparison as a ``Check`` in a
-``MomentReport``; the family passes when every check does.
+``MomentReport``; the family passes when every check does.  A comb's
+moments are certified, so each must round to its Bell number exactly.
 ``MomentReport``, ``DiscreteMeasure`` and ``ContinuousDensity`` are named
 tuples like ``Check``; the last two check their fields when built.
 """
@@ -26,6 +27,7 @@ tuples like ``Check``; the last two check their fields when built.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import chain, count, islice, repeat
 from math import factorial, inf, perm
 from typing import Iterator, NamedTuple
@@ -37,6 +39,7 @@ from . import numeric
 from .dobinski import dobinski_rs, hypergeometric_terms
 from .errors import (
     DomainError,
+    NonIntegerResultError,
     OutOfRangeError,
     PrecisionExhaustedError,
     UnsupportedFamilyError,
@@ -83,9 +86,7 @@ class DiscreteMeasure(namedtuple("DiscreteMeasure", "r j0")):
     unit_mass = property(lambda self: self.j0 == 0)
 
     def atoms(self) -> Iterator[tuple[int, int]]:
-        # x_j = j!/(j-r)! with q_j = j!: m_j0 = j0!, m_j = j.
-        r, j0 = self
-        return zip(map(perm, count(j0), repeat(r)), chain((factorial(j0),), count(j0 + 1)))
+        return self.scaled_moment_terms(1)
 
     def check_atoms(self, count: int) -> Check:
         """Positivity of the weights and strict ordering of the first ``count`` atoms."""
@@ -102,7 +103,10 @@ class DiscreteMeasure(namedtuple("DiscreteMeasure", "r j0")):
 
     def scaled_moment_terms(self, n: int) -> Iterator[tuple[int, int]]:
         """Yields e * w_k * x_k^n as the integer pair (x_k^n, m_k)."""
-        return ((x**n, m) for x, m in self.atoms())
+        # x_j = j!/(j-r)! with q_j = j!: m_j0 = j0!, m_j = j.
+        r, j0 = self
+        powers = map(pow, map(perm, count(j0), repeat(r)), repeat(n))
+        return zip(powers, chain((factorial(j0),), count(j0 + 1)))
 
     def mass(self, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedReal:
         return sum_over_e(self.scaled_moment_terms(0), series)
@@ -128,11 +132,14 @@ def rarefied_comb(r: int) -> DiscreteMeasure:
     return DiscreteMeasure(r, r)
 
 
+@lru_cache(maxsize=32, typed=True)
 def _series_spec(target_error, bits: int) -> SeriesSpec:
-    """The accuracy checks every entry point makes first.
+    """The accuracy checks every entry point makes first, and the spec they give.
 
     A target that is not positive and finite raises OutOfRangeError, and bits
-    outside what SeriesSpec accepts raise its TypeError or ValueError.
+    outside what SeriesSpec accepts raise its TypeError or ValueError.  One
+    spec serves each (target, bits), so its target pairs are reduced once;
+    typed keys keep 1 and 1.0 apart, so the spec keeps the caller's target.
     """
     if not 0 < target_error < inf:
         raise OutOfRangeError("target_error must be positive and finite")
@@ -347,7 +354,16 @@ class MomentReport(NamedTuple):
     checks: tuple[Check, ...]
 
 
+def _rounds_to(value: ErrorBoundedReal, expected: int) -> bool:
+    """Whether a certified value rounds to ``expected``; one that rounds to no integer does not."""
+    try:
+        return value.to_integer() == expected
+    except (NonIntegerResultError, PrecisionExhaustedError):
+        return False
+
+
 def _close(value: ErrorBoundedReal, expected, tol) -> bool:
+    """Whether an estimate is within max(tol |expected|, its radius) of ``expected``."""
     with mp.workprec(160):
         gap = abs(value.value - mp.mpf(expected))
         allowance = max(mp.mpf(tol) * abs(mp.mpf(expected)), value.abs_error)
@@ -375,7 +391,9 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
     Supported families: (1,1) -> Dirac comb; r = s -> rarefied comb;
     r = 2s -> continuous Bessel-type density; every other (r, s) raises
     UnsupportedFamilyError.  Every family runs the same checks in this order:
-    the moments n = 1..n_max against the Bell numbers; the mass against the
+    the moments n = 1..n_max against the Bell numbers (a comb's certified
+    moment passes only if it rounds to its Bell number, a density's
+    quadrature estimate if it is within tol of it); the mass against the
     closed form 1 - e^{-1} sum_{j<j0} 1/j! (the density's also by quadrature);
     the density's moments n <= 4 against their Dobinski series; and positivity,
     of the comb's atoms or of the density at every quadrature node.  One
@@ -402,7 +420,7 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
     checks = [
         Check(
             name=f"moment n={n}",
-            ok=_close(value, expected, tol),
+            ok=_rounds_to(value, expected) if discrete else _close(value, expected, tol),
             detail=f"got {value}, expected B_{{{r},{s}}}({n}) = {expected}",
         )
         for n, value, expected in zip(count(1), values, bell_sequence(r, s, n_max)[1:])

@@ -13,10 +13,13 @@ Partial sums are exact, and so is the final division by e up to one bracket:
 a quotient q / e is enclosed by integer products with L <= 2^p / e <= U, cut
 from a bracket cached per power-of-two width, at one precision p chosen from
 the target, the bit length of q and the working precision before any
-arithmetic, with no ceiling on p.  Rounding
-an enclosure to an integer, or comparing two, is integer arithmetic too: each
-mpf is read as signed mantissa and exponent, and all of them are shifted to
-one common power of two.
+arithmetic, with no ceiling on p.  The enclosure is built from its last
+integers, a midpoint and a radius over one power of two: its two mpfs are
+the normalized raw tuples mpmath itself would make of them, and the one check
+that can fail, radius >= 0, is made on the integer.  Rounding an enclosure to
+an integer, or comparing two, is integer arithmetic too: each mpf is read as
+signed mantissa and exponent, and all of them are shifted to one common
+power of two.
 
 ``Check``, ``SeriesSpec`` and ``ErrorBoundedReal`` are named tuples, the last two
 checked when built: they unpack, iterate and compare equal to a plain tuple.
@@ -31,7 +34,7 @@ from typing import Iterator, NamedTuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import MPZ, fzero
 
 from .errors import NonIntegerResultError, PrecisionExhaustedError
 
@@ -107,7 +110,9 @@ class ErrorBoundedReal(namedtuple("ErrorBoundedReal", "value abs_error")):
     The bound covers series truncation and accumulated rounding; rounding to
     an integer is only allowed while the bound stays below 1/2.  Both are
     finite mpf numbers, compared exactly as integers over a common power of
-    two, at any magnitude and precision.
+    two, at any magnitude and precision.  The constructor checks them on
+    their raw mpf tuples; a series value is built by ``_from_dyadic`` from
+    the integers it was computed in, and needs only its radius checked.
     """
 
     __slots__ = ()
@@ -115,11 +120,21 @@ class ErrorBoundedReal(namedtuple("ErrorBoundedReal", "value abs_error")):
     def __new__(cls, value: mpmath.mpf, abs_error: mpmath.mpf):
         if not (isinstance(value, mpmath.mpf) and isinstance(abs_error, mpmath.mpf)):
             raise TypeError("value and abs_error must be mpmath mpf numbers")
-        if not (mpmath.isfinite(value) and mpmath.isfinite(abs_error)):
+        # A raw mpf is (sign, man, exp, bc); inf and nan alone have bc < 0,
+        # and zero has sign 0, so a set sign bit on a finite mpf is negative.
+        (_, _, _, bc), (sign, _, _, r_bc) = value._mpf_, abs_error._mpf_
+        if bc < 0 or r_bc < 0:
             raise ValueError("value and abs_error must be finite")
-        if abs_error < 0:
+        if sign:
             raise ValueError("abs_error must be non-negative")
-        return super().__new__(cls, value, abs_error)
+        return tuple.__new__(cls, (value, abs_error))
+
+    @classmethod
+    def _from_dyadic(cls, man: int, radius: int, exp: int) -> "ErrorBoundedReal":
+        """The enclosure man * 2^exp +/- radius * 2^exp, checked and built from its integers."""
+        if radius < 0:
+            raise ValueError("abs_error must be non-negative")
+        return tuple.__new__(cls, (_dyadic(man, exp), _dyadic(radius, exp)))
 
     # namedtuple's _make, behind _replace, calls tuple.__new__ and would skip the checks above.
     _make = classmethod(lambda cls, iterable: cls(*iterable))
@@ -241,8 +256,22 @@ def _inv_e_bracket(p: int) -> tuple[int, int]:
 
 
 def _dyadic(man: int, exp: int) -> mpmath.mpf:
-    """man * 2^exp as an mpf, exactly, whatever the context precision."""
-    return mp.make_mpf(from_man_exp(man, exp))
+    """man * 2^exp as an mpf, exactly, whatever the context precision.
+
+    Its raw tuple is the one mpmath's from_man_exp(man, exp) normalizes to,
+    built here in integers: zero is fzero, and otherwise the sign goes to its
+    own field and the mantissa loses its trailing zero bits to the exponent.
+    """
+    if not man:
+        return mp.make_mpf(fzero)
+    sign = 0
+    if man < 0:
+        sign, man = 1, -man
+    if not man & 1:
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        exp += zeros
+    return mp.make_mpf((sign, MPZ(man), exp, man.bit_length()))
 
 
 def quotient_by_e(q: tuple[int, int], tail: tuple[int, int], series: SeriesSpec) -> ErrorBoundedReal:
@@ -292,9 +321,7 @@ def quotient_by_e(q: tuple[int, int], tail: tuple[int, int], series: SeriesSpec)
         raise PrecisionExhaustedError(
             f"target {series.target_abs_error} unreachable at {frac + mag} bits"
         )
-    return ErrorBoundedReal(
-        value=_dyadic(lo + hi, -frac - 1), abs_error=_dyadic(width, -frac - 1)
-    )
+    return ErrorBoundedReal._from_dyadic(lo + hi, width, -frac - 1)
 
 
 def sum_over_e(terms: Iterator[tuple[int, int]], series: SeriesSpec) -> ErrorBoundedReal:

@@ -210,9 +210,10 @@ def reference_json(command, parameters, columns=(), results=(), checks=()):
 
 
 # Strings that can confuse a writer that frames rows in JSON by hand: quotes,
-# backslashes, raw newlines, non-ASCII and the row boundary itself.
+# backslashes, raw newlines, % (the row template's own marker), non-ASCII and
+# the row boundary itself.
 TRICKY = st.text(
-    st.sampled_from(['"', "\\", "\n", "{", "}", ",", ":", " ", "a", "\u00e9", "\u2603", "\U0001d11e"])
+    st.sampled_from(['"', "\\", "\n", "{", "}", ",", ":", " ", "%", "a", "\u00e9", "\u2603", "\U0001d11e"])
 ) | st.sampled_from(["", "},\n      {", '"},\n      {"', "{\n      \n    }"])
 # Distinct column names, and rows of that many values.
 SECTIONS = st.lists(TRICKY, unique=True, max_size=4).flatmap(
@@ -593,6 +594,23 @@ def test_bad_atom_is_a_failed_check(capsys, monkeypatch):
     assert code == 3
     assert err == ""
     assert "FAIL  (1,1) atom positivity: dirac-comb: locations not increasing at k=2" in out
+
+
+def test_comb_moment_off_its_integer_is_a_failed_check(capsys, monkeypatch):
+    # Comb moments scaled by 1 + 1e-10 stay within --tol 1e-9 of their Bell
+    # numbers, but each certified enclosure excludes them.
+    moment = measures.moment
+
+    def scaled(measure, n, **kwargs):
+        value = moment(measure, n, **kwargs)
+        return ErrorBoundedReal(value.value * (1 + mp.mpf(10) ** -10), value.abs_error)
+
+    monkeypatch.setattr(measures, "moment", scaled)
+    code, out, err = run(capsys, "verify", "moments", "--r", "1", "--s", "1")
+    assert code == 3
+    assert err == ""
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in fails] == [f"FAIL  (1,1) moment n={n}" for n in range(1, 6)]
 
 
 def test_out_file(tmp_path, capsys):

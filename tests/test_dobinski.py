@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 import bosonkit
 from bosonkit.dobinski import (
@@ -825,6 +826,27 @@ def test_rounding_ignores_ambient_precision():
 @settings(max_examples=30, deadline=None)
 def test_classic_to_integer_matches_oracle(n):
     assert dobinski_classic(n).to_integer() == bell_sequence(1, 1, n)[n]
+
+
+@given(
+    man=st.integers(-(2**300), 2**300),
+    zeros=st.integers(0, 300),
+    exp=st.integers(-5000, 5000),
+)
+@settings(max_examples=300, deadline=None)
+def test_dyadic_matches_from_man_exp(man, zeros, exp):
+    # from_man_exp is mpmath's own normalization, read here as the reference only.
+    reference = from_man_exp(man << zeros, exp)
+    built = _dyadic(man << zeros, exp)._mpf_
+    assert built == reference
+    assert list(map(type, built)) == list(map(type, reference))
+    radius = abs(man) << zeros
+    enclosure = ErrorBoundedReal._from_dyadic(man << zeros, radius, exp)
+    assert enclosure == (_dyadic(man << zeros, exp), _dyadic(radius, exp))
+    assert enclosure == ErrorBoundedReal(*enclosure)
+    if radius:
+        with pytest.raises(ValueError, match="abs_error must be non-negative"):
+            ErrorBoundedReal._from_dyadic(man << zeros, -radius, exp)
 
 
 def test_enclosure_must_be_finite():

@@ -380,6 +380,13 @@ def test_verify_moments_comb_mass_check_can_fail(monkeypatch):
         assert all(checks.values())
 
 
+def test_series_spec_is_one_per_typed_target():
+    assert measures._series_spec(1e-12, 256) is measures._series_spec(1e-12, 256)
+    # 1 and 1.0 are equal keys to a plain cache; each spec keeps the caller's target.
+    assert type(measures._series_spec(1, 256).target_abs_error) is int
+    assert type(measures._series_spec(1.0, 256).target_abs_error) is float
+
+
 def test_verify_moments_rejects_other_families():
     with pytest.raises(UnsupportedFamilyError):
         verify_moments(3, 1, 4)
