@@ -51,7 +51,7 @@ from .errors import (
 )
 from .genfunc import egf_row_sums, verify_normal_exponential
 from .measures import verify_moments
-from .numeric import DEFAULT_BITS, MAX_BITS, Check, ErrorBoundedReal, SeriesSpec
+from .numeric import DEFAULT_BITS, MAX_BITS, Check, ErrorBoundedReal, SeriesSpec, rounds_to
 from .operator_algebra import MonomialSpec
 from .stirling import bell_sequence, bell_values, stirling_table
 
@@ -159,11 +159,9 @@ def _series(bits: int, tol: float) -> SeriesSpec:
 
 
 def _check_rounds_to(name: str, value: ErrorBoundedReal, expected: int) -> Check:
-    try:
-        rounded = value.to_integer()
-    except BosonKitError as exc:
-        return Check(name, False, f"cannot round {value}: {exc}")
-    ok = rounded == expected and float(value.abs_error) < 1e-6
+    ok, error = rounds_to(value, expected)
+    if error is not None:
+        return Check(name, False, f"cannot round {value}: {error}")
     return Check(name, ok, f"got {value}, expected {expected}")
 
 

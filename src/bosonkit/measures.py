@@ -39,13 +39,12 @@ from . import numeric
 from .dobinski import dobinski_rs, hypergeometric_terms
 from .errors import (
     DomainError,
-    NonIntegerResultError,
     OutOfRangeError,
     PrecisionExhaustedError,
     UnsupportedFamilyError,
     UnsupportedMomentError,
 )
-from .numeric import DEFAULT_BITS, Check, ErrorBoundedReal, SeriesSpec, sum_over_e
+from .numeric import DEFAULT_BITS, Check, ErrorBoundedReal, SeriesSpec, rounds_to, sum_over_e
 from .stirling import bell_sequence
 
 __all__ = [
@@ -132,18 +131,20 @@ def rarefied_comb(r: int) -> DiscreteMeasure:
     return DiscreteMeasure(r, r)
 
 
-@lru_cache(maxsize=32, typed=True)
-def _series_spec(target_error, bits: int) -> SeriesSpec:
+def _checked_spec(target_error, bits: int) -> SeriesSpec:
     """The accuracy checks every entry point makes first, and the spec they give.
 
     A target that is not positive and finite raises OutOfRangeError, and bits
-    outside what SeriesSpec accepts raise its TypeError or ValueError.  One
-    spec serves each (target, bits), so its target pairs are reduced once;
-    typed keys keep 1 and 1.0 apart, so the spec keeps the caller's target.
+    outside what SeriesSpec accepts raise its TypeError or ValueError.
     """
     if not 0 < target_error < inf:
         raise OutOfRangeError("target_error must be positive and finite")
     return SeriesSpec(working_precision=bits, target_abs_error=target_error)
+
+
+# One spec serves each (target, bits), so its target pairs are reduced once;
+# typed keys keep 1 and 1.0 apart, so the spec keeps the caller's target.
+_series_spec = lru_cache(maxsize=32, typed=True)(_checked_spec)
 
 
 def bessel_i(nu: int, y, target_error=1e-30, *, bits: int = DEFAULT_BITS):
@@ -158,7 +159,8 @@ def bessel_i(nu: int, y, target_error=1e-30, *, bits: int = DEFAULT_BITS):
         raise TypeError("order nu must be an integer")
     if nu < 0:
         raise OutOfRangeError("order nu must be >= 0")
-    _series_spec(target_error, bits)
+    # Checked without the cache: the density passes a new target at every node.
+    _checked_spec(target_error, bits)
     with mp.workprec(bits):
         ym = mp.mpf(y) if not isinstance(y, mp.mpf) else y
         if not 0 <= ym < mp.inf:
@@ -354,14 +356,6 @@ class MomentReport(NamedTuple):
     checks: tuple[Check, ...]
 
 
-def _rounds_to(value: ErrorBoundedReal, expected: int) -> bool:
-    """Whether a certified value rounds to ``expected``; one that rounds to no integer does not."""
-    try:
-        return value.to_integer() == expected
-    except (NonIntegerResultError, PrecisionExhaustedError):
-        return False
-
-
 def _close(value: ErrorBoundedReal, expected, tol) -> bool:
     """Whether an estimate is within max(tol |expected|, its radius) of ``expected``."""
     with mp.workprec(160):
@@ -420,7 +414,7 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
     checks = [
         Check(
             name=f"moment n={n}",
-            ok=_rounds_to(value, expected) if discrete else _close(value, expected, tol),
+            ok=rounds_to(value, expected)[0] if discrete else _close(value, expected, tol),
             detail=f"got {value}, expected B_{{{r},{s}}}({n}) = {expected}",
         )
         for n, value, expected in zip(count(1), values, bell_sequence(r, s, n_max)[1:])

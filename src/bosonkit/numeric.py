@@ -36,7 +36,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import MPZ, fzero
 
-from .errors import NonIntegerResultError, PrecisionExhaustedError
+from .errors import BosonKitError, NonIntegerResultError, PrecisionExhaustedError
 
 DEFAULT_BITS = 256
 MAX_BITS = 4096  # the most working precision a caller may ask for
@@ -178,6 +178,14 @@ class ErrorBoundedReal(namedtuple("ErrorBoundedReal", "value abs_error")):
 
     def __str__(self) -> str:
         return f"{mpmath.nstr(self.value, 20)} +/- {mpmath.nstr(self.abs_error, 3)}"
+
+
+def rounds_to(value: ErrorBoundedReal, expected: int) -> tuple[bool, BosonKitError | None]:
+    """(to_integer() == expected, None), or (False, to_integer's error) if it rounds to no integer."""
+    try:
+        return value.to_integer() == expected, None
+    except (NonIntegerResultError, PrecisionExhaustedError) as exc:
+        return False, exc
 
 
 def sum_with_tail_bound(

@@ -24,17 +24,21 @@ with ``==``; it has no arithmetic of its own, and products go through
 Powers of the monomial a+^r a^s come from one streaming engine,
 ``monomial_power_rows``: every term of [(a+)^r a^s]^n has the same excess
 n(r - s) of creation over annihilation, so the power is a single row of
-coefficients indexed by k, and one contraction a^s a+^m on the left takes
-the row from n to n + 1 in s + 1 whole-list passes, one per number of
-contractions.  All coefficients are arbitrary-precision integers.
+coefficients indexed by k.  Left multiplication by a+^r a^s takes the row
+from n to n + 1 in s whole-list passes, one per annihilator, each applying
+the single commutation a a+^m = a+^m a + m a+^(m-1); the a+^r then only
+relabels the excess.  The closed contraction rule stays in ``multiply``
+only; the tests cross the engine against it applied on the right, entry by
+entry, against the oracle and against the paper's explicit formula.  All
+coefficients are arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from itertools import count, islice
-from math import comb, factorial, perm
+from itertools import chain, count, islice
+from math import comb, factorial
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping
 
@@ -199,27 +203,19 @@ def monomial_power_rows(r: int, s: int) -> Iterator[list[int]]:
 
     Row n is a list of length ns + 1 whose entry k is the coefficient of
     a+^m a^k, m = n(r-s) + k; entries below k = s are zero.  Each step
-    multiplies by a+^r a^s on the left (powers commute): a^s a+^m moves
-    W_l[m] = C(s, l) m!/(m-l)! times the entry at k to k + s - l, so the next
-    row is the row shifted by s plus, per l = 1..s, one list pass adding the
-    row times W_l[n(r-s):] in from index s - l; W_l[m] = 0 for m < l.  Only
-    the row and the small-integer lists W_l (nr + 1 entries) are held.  (r, s)
-    is validated when the first row is drawn.
+    multiplies by a+^r a^s on the left (powers commute) one annihilator at a
+    time: a row at excess e holds sum_k c_k a+^(e+k) a^k, and
+    a a+^(e+k) = a+^(e+k) a + (e+k) a+^(e+k-1), so one a gives the row
+    c'_k = c_(k-1) + (e+k) c_k at excess e - 1.  Row n + 1 is s such passes
+    from e = n(r-s) down, and a+^r then restores the excess to (n+1)(r-s).
+    Only the row is held.  (r, s) is validated when the first row is drawn.
     """
     MonomialSpec(r=r, s=s, n=1)
-    weights: list[list[int]] = [[] for _ in range(s)]  # weights[l - 1] is W_l
     row = [0] * s + [1]
     for start in count(r - s, r - s):  # start = n(r - s) for row n
         yield row
-        end = start + len(row)
-        for m in range(len(weights[0]), end):
-            for l, w in enumerate(weights, start=1):
-                w.append(comb(s, l) * perm(m, l))
-        nxt = [0] * s + row
-        for l, w in enumerate(weights, start=1):
-            lo, hi = s - l, s - l + len(row)
-            nxt[lo:hi] = map(add, nxt[lo:hi], map(mul, row, w[start:end]))
-        row = nxt
+        for t in range(s):
+            row = [*map(add, chain((0,), row), map(mul, row, count(start - t))), row[-1]]
 
 
 def monomial_power_normal_form(spec: MonomialSpec) -> NormalForm:

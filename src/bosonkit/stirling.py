@@ -4,10 +4,10 @@ S_{r,s}(n, k) is the coefficient of a+^(n(r-s)+k) a^k in the normal ordering
 of [(a+)^r a^s]^n, with k running over s..ns; B_{r,s}(n) is the row sum.
 A row is a plain ``list[int]`` of length ns + 1 indexed by k, with zeros
 below k = s: the format of the streaming contraction engine
-``monomial_power_rows`` in operator_algebra, which advances a whole row per
-list pass.  The engine serves every row except r = 2s, whose rows have a
-closed form, and the Bell sweeps of r = s; every Bell sweep with r > s is a
-recurrence in n.  With d = r - s, f(x) = x!/(x-s)!, K ~ Poisson(1) and the
+``monomial_power_rows`` in operator_algebra, which advances a whole row by
+one list pass per annihilator.  The engine serves every row except r = 2s,
+whose rows have a closed form, and the Bell sweeps of r = s; every Bell
+sweep with r > s is a recurrence in n.  With d = r - s, f(x) = x!/(x-s)!, K ~ Poisson(1) and the
 Dobinski numerator N_k(n) = prod_{j<n} f(k+jd), B(n) = E[N_K(n)].
 
 The r = 2s families; with N = ns - s:
@@ -41,17 +41,17 @@ recurrences; Blasiak, Penson & Solomon 2003 for the Dobinski form):
   A_0(n) = 1, 1, 3, 13, 73, the Lah row sums.
 
 A single r = 2s row costs one small multiply and one exact divide per entry
-(0.11 ms against 6.2 ms for 99 engine steps at (4, 2, 100)), and a Laguerre
-sweep two big-by-small products and one subtraction per step of G (0.16 ms
-against 20 ms for the engine's rows of (2, 1) up to n = 300).  A
+(0.1 ms against 3.6 ms for 99 engine steps at (4, 2, 100)), and a Laguerre
+sweep two big-by-small products and one subtraction per step of G (0.1 ms
+against 15 ms for the engine's rows of (2, 1) up to n = 300).  A
 Poisson-shift step is r s + s (s - 1)/2 big-by-small products on r + s
-integers: 0.7 ms against 13 ms for the engine at (3, 2, 150), 10 ms
-against 4 s at (3, 1, 2000), but 0.7 ms at (2, 1, 300), so r = 2s keeps the
-Laguerre sweep.  At d = 0 the chain is an identity and closes nothing, so
-the r = s sweeps read the engine.  Python 3.11 on a 2-core Xeon.  The
-engine stays the reference for every closed form and recurrence in the
-tests.  The r = s closed form is kept as an independent cross-check and is
-not on any dispatch path.
+integers: 0.5 ms against 12 ms for the engine at (3, 2, 150), 10 ms
+against 3.3 s at (3, 1, 2000), but 0.4 ms at (2, 1, 300), so r = 2s keeps
+the Laguerre sweep.  At d = 0 the chain is an identity and closes nothing,
+so the r = s sweeps read the engine.  Best of several runs, Python 3.11 on
+a shared 2-core Xeon.  The engine stays the reference for every closed form
+and recurrence in the tests.  The r = s closed form is kept as an
+independent cross-check and is not on any dispatch path.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ import pytest
 from mpmath import mp
 
 from bosonkit import measures, numeric
+from bosonkit.cli import main
 from bosonkit.dobinski import bell_hypergeometric, dobinski_classic, dobinski_rr, dobinski_rs
 from bosonkit.errors import (
     DomainError,
@@ -141,6 +142,8 @@ def test_bessel_guards():
             bessel_i(1, 2, target_error=target)
     with pytest.raises(ValueError):
         bessel_i(0, 2, bits=8)
+    with pytest.raises(TypeError):
+        bessel_i(0, 2, bits=256.0)
 
 
 def test_bessel_series_shares_the_summation_term_limit(monkeypatch):
@@ -385,6 +388,15 @@ def test_series_spec_is_one_per_typed_target():
     # 1 and 1.0 are equal keys to a plain cache; each spec keeps the caller's target.
     assert type(measures._series_spec(1, 256).target_abs_error) is int
     assert type(measures._series_spec(1.0, 256).target_abs_error) is float
+
+
+def test_density_run_makes_one_series_spec(capsys):
+    # bessel_i checks its target, new at every quadrature node, without the
+    # cache, so the run adds the density's one spec and evicts no other.
+    measures._series_spec.cache_clear()
+    assert main(["verify", "moments", "--r", "2", "--s", "1"]) == 0
+    capsys.readouterr()
+    assert measures._series_spec.cache_info().misses == 1
 
 
 def test_verify_moments_rejects_other_families():

@@ -231,12 +231,12 @@ def reference_rows(r, s):
 @pytest.mark.parametrize(
     "r, s, n_max",
     [(r, s, 40) for r in range(1, 7) for s in range(1, r + 1)]
-    + [(2, 1, 300), (3, 2, 150), (4, 1, 200), (5, 3, 80)],
+    + [(2, 1, 300), (3, 2, 150), (4, 1, 200), (5, 3, 80), (1, 1, 150), (3, 3, 60)],
 )
 def test_monomial_power_rows_match_entrywise_step(r, s, n_max):
-    # The left-multiplied whole-row passes against the right-multiplied
-    # per-entry step; the long runs take the entries past 2^256 and the
-    # weight lists W_l to nr + 1 entries.
+    # The left-multiplied single-annihilator passes against the
+    # right-multiplied per-entry step; the long runs take the entries past
+    # 2^256, for r > s and for r = s, whose passes run at excess 0 and below.
     pairs = islice(zip(monomial_power_rows(r, s), reference_rows(r, s)), n_max)
     for n, (row, expected) in enumerate(pairs, start=1):
         assert row == expected, (r, s, n)

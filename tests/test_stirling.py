@@ -100,10 +100,10 @@ def deep_size(xs):
 
 def test_bell_sweep_memory_stays_bounded():
     # Only the r = s sweeps read the engine.  It holds one row, its
-    # successor, the list-pass temporaries and s weight lists of up to
-    # nr + 1 small integers: about 2.3 final rows beyond the output at the
-    # peak for (1, 1) and 4.2 for (3, 3), where keeping every row would take
-    # about 105 and 23.  The bound leaves room for allocator noise.
+    # successor and the list-pass temporaries: about 2.1 final rows beyond
+    # the output at the peak for both (1, 1) and (3, 3), where keeping every
+    # row would take about 105 and 23.  The bound leaves room for allocator
+    # noise.
     for r, s, n in ((1, 1, 300), (3, 3, 60)):
         # Row n of the engine, entries k = s..ns.
         final_row = next(islice(monomial_power_rows(r, s), n - 1, None))[s:]
