@@ -8,8 +8,8 @@ series for every family:
     B_{r,s}(n) = (1/e) sum_k N_k / k!,   N_k = prod_{j<n} (k+jd)! / (k+jd-s)!.
 
 The classical case (1,1) and r = s are its d = 0 cases, N_k = (k!/(k-s)!)^n.
-For d > 0 the numerators come from d running products, one per residue class
-of k mod d, each advanced by one multiply and one exact small divide per term.
+Consecutive orders share their numerators: order n + 1 starts from the row of
+order n that the last series drew, N_k(n+1) = N_k(n) (k+nd)!/(k+nd-s)!.
 Terms are exact integer pairs (N_k, max(k, 1)), read as N_k / k! with
 k! = (k-1)! k, summed with a certified geometric tail bound, and only the
 final division by e is rounded, so every series value is an
@@ -42,31 +42,38 @@ __all__ = [
 ]
 
 
+# (r, s, n, row): the numerators N_0, N_1, ... that the last series drew.  A row
+# only ever holds values right for its key, so calls that race lose only the reuse.
+_held: tuple[int, int, int, list[int]] = (0, 0, 0, [])
+
+
 def _numerators(r: int, s: int, n: int) -> Iterator[int]:
     """N_k = prod_{j<n} f(k+jd), k = 0, 1, 2, ..., with f(x) = x!/(x-s)! and d = r - s >= 0.
 
-    N_k is zero for k < s.  At d = 0 it is f(k)^n, mapped in C with no
-    Python frame per term; at d > 0 it comes from ``_running_numerators``.
+    The row drawn is held for the next call; if that is order n + 1 of the
+    same family, its head N_k(n+1) = N_k(n) f(k+nd) is mapped in C with no
+    Python frame per term.  Past the head, N_k is f(k)^n at d = 0, and at
+    d > 0 steps within its residue class mod d, N_k = N_(k-d) f(k-d+nd) / f(k-d).
     """
-    if r == s:
-        return chain(repeat(0, s), map(pow, map(perm, count(s), repeat(s)), repeat(n)))
-    return chain(repeat(0, s), _running_numerators(s, r - s, n))
+    global _held
+    *family, held = _held
+    factors = map(perm, count((n - 1) * (r - s)), repeat(s))
+    row = list(map(mul, held, factors)) if family == [r, s, n - 1] else []
+    _held = r, s, n, row
+    return chain(row, _drawn(row, s, r - s, n))
 
 
-def _running_numerators(s: int, d: int, n: int) -> Iterator[int]:
-    """N_k for k = s, s+1, ... at d > 0.
-
-    The factors of N_(k+d) are those of N_k shifted by one step of d, so each
-    residue class of k mod d keeps one running product, seeded at
-    k = s .. s+d-1: N_(k+d) = N_k * f(k+nd) // f(k), one multiply and one
-    exact divide by a small integer per term.
-    """
-    chains = [prod(perm(k + j * d, s) for j in range(n)) for k in range(s, s + d)]
-    for base in count(s, d):
-        for i, numer in enumerate(chains):
-            yield numer
-            k = base + i
-            chains[i] = numer * perm(k + n * d, s) // perm(k, s)
+def _drawn(row: list[int], s: int, d: int, n: int) -> Iterator[int]:
+    """The numerators past the end of ``row``, appended to it as they are drawn."""
+    for k in count(len(row)):
+        if d == 0:
+            numer = perm(k, s) ** n
+        elif k < s + d:
+            numer = prod(perm(k + j * d, s) for j in range(n))
+        else:
+            numer = row[k - d] * perm(k - d + n * d, s) // perm(k - d, s)
+        row.append(numer)
+        yield numer
 
 
 def dobinski_terms(r: int, s: int, n: int) -> Iterator[tuple[int, int]]:

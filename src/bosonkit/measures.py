@@ -28,15 +28,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain, count, islice, repeat
-from math import factorial, inf, perm
+from itertools import chain, count, islice
+from math import factorial, inf
 from typing import Iterator, NamedTuple
 
 from mpmath import mp
 from mpmath.calculus.quadrature import TanhSinh
 
 from . import numeric
-from .dobinski import dobinski_rs, hypergeometric_terms
+from .dobinski import _numerators, dobinski_rs, hypergeometric_terms
 from .errors import (
     DomainError,
     OutOfRangeError,
@@ -101,10 +101,18 @@ class DiscreteMeasure(namedtuple("DiscreteMeasure", "r j0")):
         return Check("atom positivity", True, f"first {count} weights > 0, locations increasing")
 
     def scaled_moment_terms(self, n: int) -> Iterator[tuple[int, int]]:
-        """Yields e * w_k * x_k^n as the integer pair (x_k^n, m_k)."""
-        # x_j = j!/(j-r)! with q_j = j!: m_j0 = j0!, m_j = j.
+        """Yields e * w_k * x_k^n as the integer pair (x_k^n, m_k), for an integer n >= 0.
+
+        x_j^n = (j!/(j-r)!)^n is the (r, r) Dobinski numerator of order n, read
+        from j = j0 on, so consecutive orders share their rows as the series do.
+        """
+        if not isinstance(n, int):
+            raise TypeError("moment order must be an integer")
+        if n < 0:
+            raise OutOfRangeError("moment order must be >= 0")
+        # q_j = j!: m_j0 = j0! (the multipliers of the j < j0 terms folded in), m_j = j.
         r, j0 = self
-        powers = map(pow, map(perm, count(j0), repeat(r)), repeat(n))
+        powers = islice(_numerators(r, r, n), j0, None)
         return zip(powers, chain((factorial(j0),), count(j0 + 1)))
 
     def mass(self, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedReal:

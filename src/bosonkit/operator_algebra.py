@@ -39,7 +39,7 @@ import enum
 from collections import namedtuple
 from itertools import chain, count, islice
 from math import comb, factorial
-from operator import add, mul
+from operator import add, index, mul
 from typing import Iterable, Iterator, Mapping
 
 from .errors import OutOfRangeError, UnsupportedError
@@ -74,6 +74,7 @@ class NormalForm:
 
     Immutable once built; zero coefficients are never stored and repeated
     keys are summed.  {} is the zero operator and {(0, 0): 1} the identity.
+    Exponents and coefficients must be integers (``operator.index``), not truncated.
     """
 
     __slots__ = ("_terms",)
@@ -85,7 +86,7 @@ class NormalForm:
         data: dict[tuple[int, int], int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (i, j), c in items:
-            i, j, c = int(i), int(j), int(c)
+            i, j, c = index(i), index(j), index(c)
             if i < 0 or j < 0:
                 raise ValueError("exponents must be non-negative")
             if c == 0:

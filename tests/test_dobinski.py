@@ -1,25 +1,29 @@
 """Certified series evaluation against the exact rewriting oracle."""
 
 import functools
+import gc
 import hashlib
 import itertools
 import math
 import os
+import random
 import re
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 import bosonkit
+from bosonkit.cli import main
 from bosonkit.dobinski import (
     _numerators,
     bell_hypergeometric,
@@ -45,6 +49,7 @@ from bosonkit.numeric import (
     _inv_e_bracket,
     _inv_e_fixed,
     quotient_by_e,
+    sum_over_e,
     sum_with_tail_bound,
 )
 from bosonkit.measures import (
@@ -119,13 +124,148 @@ def strided_numerators(r, s, n):
         yield falling[k] ** n if d == 0 else math.prod(falling[k : top + 1 : d])
 
 
-def test_running_numerators_match_strided_products():
+def test_numerators_match_strided_products():
     # d = 0, d = 1 (one chain) and d >= 2 (d chains, one per residue class).
+    # Walking n up, each order starts from the row the one below drew and
+    # computes three more terms past it; walking down, every row is fresh.
     for r in range(1, 7):
         for s in range(1, r + 1):
-            for n in range(1, 9):
-                got = list(itertools.islice(_numerators(r, s, n), 80))
-                assert got == list(itertools.islice(strided_numerators(r, s, n), 80)), (r, s, n)
+            for n in [*range(1, 9), *range(8, 0, -1)]:
+                got = list(itertools.islice(_numerators(r, s, n), 60 + 3 * n))
+                want = list(itertools.islice(strided_numerators(r, s, n), 60 + 3 * n))
+                assert got == want, (r, s, n)
+
+
+_STRIDED = {}
+
+
+def strided_head(r, s, n, stop):
+    """The first ``stop`` strided numerators of (r, s, n), grown on demand."""
+    rest, head = _STRIDED.setdefault((r, s, n), (strided_numerators(r, s, n), []))
+    head.extend(itertools.islice(rest, max(0, stop - len(head))))
+    return head[:stop]
+
+
+FAMILIES = [(r, s) for r in range(1, 7) for s in range(1, r + 1)]
+# Each call: (kind, family index, order step, terms to draw or iterator to resume).
+CALLS = st.tuples(
+    st.sampled_from(["draw", "resume", "moment", "mass", "literal"]),
+    st.integers(0, 2),
+    st.integers(-2, 2),
+    st.integers(0, 30),
+)
+
+
+@given(st.lists(st.sampled_from(FAMILIES), min_size=1, max_size=3), st.lists(CALLS, max_size=12))
+@example([(3, 1), (3, 2)], [("draw", 0, 0, 10), ("draw", 1, 1, 10)])  # a key without s
+@example([(2, 2)], [("draw", 0, 0, 10), ("draw", 0, 0, 10)])  # reuse at n, not n - 1
+@example([(1, 1)], [("mass", 0, 0, 0), ("moment", 0, 1, 0), ("moment", 0, 1, 0)])
+@settings(max_examples=150, deadline=None)
+def test_held_row_never_leaks_a_wrong_numerator(pool, calls):
+    # Random call sequences over a few families, orders stepping by -2..2
+    # from the last call's, with partial draws and iterators resumed after
+    # later calls: every numerator drawn is the strided product, and every
+    # comb moment, comb mass and literal series that ran in between is right.
+    live, last_n = [], 1
+    for kind, which, step, size in calls:
+        r, s = pool[which % len(pool)]
+        n = min(max(last_n + step, 1), 8)
+        comb = dirac_comb() if (r, which) == (1, 0) else rarefied_comb(r)
+        if kind == "resume" and live:
+            family, pos, numerators = live[size % len(live)]
+            got = list(itertools.islice(numerators, size))
+            assert got == strided_head(*family, pos[0] + size)[pos[0] :], family
+            pos[0] += size
+            continue
+        last_n = n
+        if kind == "draw" or kind == "resume":  # with nothing to resume, draw anew
+            numerators = _numerators(r, s, n)
+            got = list(itertools.islice(numerators, size))
+            assert got == strided_head(r, s, n, size), (r, s, n)
+            live.append(((r, s, n), [size], numerators))
+        elif kind == "moment":
+            assert moment(comb, n).to_integer() == oracle(r, r, n), (comb, n)
+        elif kind == "mass":
+            last_n = 0
+            numerators = itertools.islice(strided_numerators(r, r, 0), comb.j0, None)
+            multipliers = itertools.chain((math.factorial(comb.j0),), itertools.count(comb.j0 + 1))
+            terms = zip(numerators, multipliers)
+            assert comb.mass() == sum_over_e(terms, SeriesSpec()), comb
+        elif r > s:
+            with pytest.raises(DivergentSeriesError):
+                dobinski_rs_literal(r, s, n)
+
+
+def test_held_row_is_right_across_threads():
+    # Six threads walk orders 1..6 of random families through the one held
+    # row, switching every microsecond: a race may cost the reuse, never a value.
+    want = {
+        (r, s, n): list(itertools.islice(strided_numerators(r, s, n), 40))
+        for r in range(1, 5)
+        for s in range(1, r + 1)
+        for n in range(1, 7)
+    }
+    wrong, done = [], []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            r = rng.randint(1, 4)
+            s = rng.randint(1, r)
+            for n in range(1, 7):
+                size = rng.randint(0, 40)
+                if list(itertools.islice(_numerators(r, s, n), size)) != want[r, s, n][:size]:
+                    wrong.append((r, s, n))
+        done.append(seed)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert sorted(done) == list(range(6))
+    assert wrong == []
+
+
+def test_consecutive_orders_reuse_the_held_row(capsys, monkeypatch):
+    # Order 40 maps its head from order 39's row and computes only the terms
+    # that series did not draw.
+    dobinski_classic(39)
+    fresh, drawn = [], bosonkit.dobinski._drawn
+
+    def counted(*args):
+        for numerator in drawn(*args):
+            fresh.append(numerator)
+            yield numerator
+
+    monkeypatch.setattr(bosonkit.dobinski, "_drawn", counted)
+    dobinski_classic(40)
+    monkeypatch.undo()
+    assert bosonkit.dobinski._held[:3] == (1, 1, 40)
+    assert len(fresh) <= 3
+    # A sweep of 700 orders leaves one of its rows alive, the last one:
+    # (1, 1) rows start 0, 1, 2^n, 3^n, and those past order 40 are its.
+    gc.collect()
+    assert main(["verify", "dobinski", "--r", "1", "--s", "1", "--max", "700"]) == 0
+    capsys.readouterr()
+    gc.collect()
+    rows = [
+        obj
+        for obj in gc.get_objects()
+        if type(obj) is list
+        and len(obj) > 3
+        and obj[:2] == [0, 1]
+        and type(obj[2]) is int
+        and obj[2] > 2**40
+        and obj[3] == 3 ** (obj[2].bit_length() - 1)
+    ]
+    assert [row[2] for row in rows] == [2**700]
+    assert rows[0] is bosonkit.dobinski._held[3]
 
 
 def test_hypergeometric_rounds_to_bell():

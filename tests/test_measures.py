@@ -9,7 +9,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from bosonkit import measures, numeric
+from bosonkit import dobinski, measures, numeric
 from bosonkit.cli import main
 from bosonkit.dobinski import bell_hypergeometric, dobinski_classic, dobinski_rr, dobinski_rs
 from bosonkit.errors import (
@@ -94,6 +94,18 @@ def test_combs_compare_and_hash_by_value():
     assert len({dirac_comb(), rarefied_comb(2), rarefied_comb(2)}) == 2
     with pytest.raises(OutOfRangeError):
         rarefied_comb(0)
+
+
+@pytest.mark.parametrize("comb", [dirac_comb(), rarefied_comb(2)], ids=["dirac", "rarefied-2"])
+@pytest.mark.parametrize("n, error", [(-1, OutOfRangeError), (-3, OutOfRangeError), (2.5, TypeError)])
+def test_scaled_moment_terms_check_the_order(comb, n, error):
+    # As moment() does, and before any term reaches the held numerator row:
+    # n = -1 used to yield floats from the rarefied comb and divide by zero
+    # in the Dirac comb's 0 ** -1.
+    held = dobinski._held
+    with pytest.raises(error):
+        comb.scaled_moment_terms(n)
+    assert dobinski._held is held
 
 
 def test_check_atoms_rejects_bad_measures(monkeypatch):

@@ -194,6 +194,31 @@ def test_normal_form_rejects_negative_exponents():
         NormalForm({(-1, 0): 1})
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1.5, 0): 2},
+        {(1, 0): 2.7},
+        {(1, 0.0): 1},
+        {("3", 0): 4},
+        {(3, 0): "4"},
+        {(Fraction(3), 0): 1},
+        {(1, 1): Fraction(1, 2)},
+    ],
+    ids=["float-i", "float-c", "float-j", "str-i", "str-c", "Fraction-i", "Fraction-c"],
+)
+def test_normal_form_rejects_non_integers(terms):
+    # int() would truncate 1.5 to 1 and parse "3"; the exponents and
+    # coefficients must be integers, as MonomialSpec's fields are.
+    with pytest.raises(TypeError):
+        NormalForm(terms)
+
+
+def test_normal_form_takes_ints_and_bools():
+    assert NormalForm([((True, 0), 2), ((1, False), 3)]) == NormalForm({(1, 0): 5})
+    assert str(NormalForm({(2, True): True})) == "a+^2 a"
+
+
 def test_monomial_spec_validation():
     with pytest.raises(UnsupportedError):
         MonomialSpec(r=2, s=3, n=1)
