@@ -15,8 +15,9 @@ quadrature tail past the cutoff is bounded analytically.  The density's
 moments, mass and positivity come from one tanh-sinh pass that evaluates it
 once per node; only the pass's error on the finite interval is an estimate
 (the difference of its last two levels), and tests pin it against a fully
-certified series expansion of the same integral.  A discrete measure is read
-only through its integer moment terms, its mass and its positivity check.
+certified series expansion of the same integral.  Only the density and the
+closed-form mass compute in mpf, importing mpmath as they run.  A discrete
+measure is read only through its integer moment terms, mass and positivity check.
 ``verify_moments`` reports each comparison as a ``Check`` in a
 ``MomentReport``; the family passes when every check does.  A comb's
 moments are certified, so each must round to its Bell number exactly.
@@ -31,9 +32,6 @@ from functools import lru_cache
 from itertools import chain, count, islice
 from math import factorial, inf
 from typing import Iterator, NamedTuple
-
-from mpmath import mp
-from mpmath.calculus.quadrature import TanhSinh
 
 from . import numeric
 from .dobinski import _numerators, dobinski_rs, hypergeometric_terms
@@ -155,7 +153,7 @@ def _checked_spec(target_error, bits: int) -> SeriesSpec:
 _series_spec = lru_cache(maxsize=32, typed=True)(_checked_spec)
 
 
-def bessel_i(nu: int, y, target_error=1e-30, *, bits: int = DEFAULT_BITS):
+def bessel_i(nu: int, y, target_error=1e-30, *, bits: int = DEFAULT_BITS) -> ErrorBoundedReal:
     """I_nu(y) for integer nu >= 0 and y >= 0, by the defining power series.
 
     Terms t_m = (y/2)^{2m+nu} / (m! (m+nu)!) have next/current ratio
@@ -163,6 +161,7 @@ def bessel_i(nu: int, y, target_error=1e-30, *, bits: int = DEFAULT_BITS):
     below 1/2 the remainder is bounded by a geometric series.  The returned
     bound adds a roundoff allowance proportional to the term count.
     """
+    from mpmath import mp  # loaded here, since only the density computes in mpf
     if not isinstance(nu, int):
         raise TypeError("order nu must be an integer")
     if nu < 0:
@@ -221,7 +220,8 @@ class ContinuousDensity(namedtuple("ContinuousDensity", "r")):
     # namedtuple's _make, behind _replace, calls tuple.__new__ and would skip the checks above.
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    def evaluate(self, x, target_error=1e-30, *, bits: int = DEFAULT_BITS):
+    def evaluate(self, x, target_error=1e-30, *, bits: int = DEFAULT_BITS) -> ErrorBoundedReal:
+        from mpmath import mp  # loaded here, since only the density computes in mpf
         _series_spec(target_error, bits)
         with mp.workprec(bits):
             xm = mp.mpf(x)
@@ -260,6 +260,7 @@ def _quadrature_cutoff(exponents: list[int], target) -> tuple[int, list]:
     # u^a exp(-u^2) I_r(2u) by g(u) = u^a exp(-u^2 + 2u), whose log-derivative
     # is -(2u - 2 - a/u) <= -c with c = 2U - 2 - max(a, 0)/U for u >= U.  Then
     # integral_U^inf g <= g(U)/c, for each exponent at the one U.
+    from mpmath import mp  # loaded here, since only the density computes in mpf
     with mp.workprec(64):
         for U in range(4, 513, 2):
             envelopes = [(2 * U - 2 - mp.mpf(max(a, 0)) / U, mp.mpf(U) ** a * mp.exp(-U * U + 2 * U))
@@ -280,6 +281,8 @@ def _quadrature(density: ContinuousDensity, orders: list[int], target, bits: int
     |S_k - S_(k-1)|, the one estimate, plus the node enclosures, a rounding
     allowance and the tail.
     """
+    from mpmath import mp
+    from mpmath.calculus.quadrature import TanhSinh
     r = density.r
     U, tails = _quadrature_cutoff([2 * r * n - r + 1 for n in orders], target)
     prec = max(96, min(bits, 192)) + 32
@@ -296,15 +299,15 @@ def _quadrature(density: ContinuousDensity, orders: list[int], target, bits: int
         for degree in range(1, 9):
             for u, w in TanhSinh(mp).get_nodes(0, U, degree, prec):
                 x = u ** (2 * r)
-                value = density.evaluate(x, target_error=tiny, bits=prec)
-                positive += value.value > value.abs_error
+                value, error = (mp.make_mpf(v._mpf_) for v in density.evaluate(x, target_error=tiny, bits=prec))
+                positive += value > error
                 nodes += 1
                 # dx = 2r u^{2r-1} du = 2r (x/u) du.
                 step = w * 2 * r * x / u
-                radius = value.abs_error + abs(value.value) * ulps
+                radius = error + abs(value) * ulps
                 for i, n in enumerate(orders):
                     weight = step * x**n
-                    sums[i] += weight * value.value
+                    sums[i] += weight * value
                     bounds[i] += weight * radius
             h = mp.ldexp(1, -degree)
             previous, results = results, [h * total for total in sums]
@@ -366,6 +369,7 @@ class MomentReport(NamedTuple):
 
 def _close(value: ErrorBoundedReal, expected, tol) -> bool:
     """Whether an estimate is within max(tol |expected|, its radius) of ``expected``."""
+    from mpmath import mp  # loaded here, since only the density computes in mpf
     with mp.workprec(160):
         gap = abs(value.value - mp.mpf(expected))
         allowance = max(mp.mpf(tol) * abs(mp.mpf(expected)), value.abs_error)
@@ -427,6 +431,7 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
         )
         for n, value, expected in zip(count(1), values, bell_sequence(r, s, n_max)[1:])
     ]
+    from mpmath import mp  # loaded here, since only the density computes in mpf
     with mp.workprec(160):
         closed = 1 - mp.fsum(mp.mpf(1) / factorial(j) for j in range(j0)) / mp.e
         checks.append(

@@ -13,13 +13,11 @@ Partial sums are exact, and so is the final division by e up to one bracket:
 a quotient q / e is enclosed by integer products with L <= 2^p / e <= U, cut
 from a bracket cached per power-of-two width, at one precision p chosen from
 the target, the bit length of q and the working precision before any
-arithmetic, with no ceiling on p.  The enclosure is built from its last
-integers, a midpoint and a radius over one power of two: its two mpfs are
-the normalized raw tuples mpmath itself would make of them, and the one check
-that can fail, radius >= 0, is made on the integer.  Rounding an enclosure to
-an integer, or comparing two, is integer arithmetic too: each mpf is read as
-signed mantissa and exponent, and all of them are shifted to one common
-power of two.
+arithmetic, with no ceiling on p.  The enclosure keeps its last integers, a
+midpoint and a radius as ``Dyadic`` numbers, and the one check that can fail,
+radius >= 0, is made on the integer.  Rounding an enclosure to an integer,
+comparing two and printing one are integer arithmetic too: no certified
+series loads mpmath, which only a caller's arithmetic on a Dyadic imports.
 
 ``Check``, ``SeriesSpec`` and ``ErrorBoundedReal`` are named tuples, the last two
 checked when built: they unpack, iterate and compare equal to a plain tuple.
@@ -29,12 +27,10 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import namedtuple
+from operator import add, eq, ge, gt, le, lt, mul, sub, truediv
 from typing import Iterator, NamedTuple
-
-import mpmath
-from mpmath import mp
-from mpmath.libmp import MPZ, fzero
 
 from .errors import BosonKitError, NonIntegerResultError, PrecisionExhaustedError
 
@@ -81,10 +77,10 @@ class SeriesSpec(namedtuple("SeriesSpec", "working_precision target_abs_error"))
     @functools.cached_property
     def target(self) -> tuple[int, int]:
         """target_abs_error as a reduced pair, via as_integer_ratio() or an mpf's mantissa and exponent."""
-        if isinstance(self.target_abs_error, mpmath.mpf):
-            man, exp = _signed_man_exp(self.target_abs_error)
-            return _reduced(man << max(exp, 0), 1 << max(-exp, 0))
-        return _reduced(*self.target_abs_error.as_integer_ratio())
+        exact = _to_dyadic(self.target_abs_error)
+        if exact is None:
+            return _reduced(*self.target_abs_error.as_integer_ratio())
+        return _reduced(exact.man << max(exact.exp, 0), 1 << max(-exact.exp, 0))
 
     @functools.cached_property
     def half_target(self) -> tuple[int, int]:
@@ -98,10 +94,82 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _signed_man_exp(x: mpmath.mpf) -> tuple[int, int]:
-    """(man, exp) with x = man * 2^exp exactly; man carries the sign, which mpf.man_exp drops."""
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man), exp
+class Dyadic:
+    """The exact number man * 2^exp, man signed, normalized as mpmath normalizes an mpf: man odd, or (0, 0).
+
+    ``man_exp`` and ``_mpf_`` read as an equal mpf's, so mpmath takes a Dyadic as one.  Comparisons
+    with ints, floats, Dyadics and mpfs, -, abs(), float() and hash() are exact; + - * / give mpfs.
+    """
+
+    __slots__ = ("man", "exp")
+
+    def __new__(cls, man: int, exp: int):
+        self = object.__new__(cls)
+        if not man & 1:  # even, or zero
+            zeros = (man & -man).bit_length() - 1
+            man, exp = (man >> zeros, exp + zeros) if man else (0, 0)
+        self.man, self.exp = man, exp
+        return self
+
+    man_exp = property(lambda self: (abs(self.man), self.exp))
+
+    @property
+    def _mpf_(self) -> tuple:
+        from mpmath.libmp import MPZ  # loaded here, since only mpmath reads the raw tuple
+        return int(self.man < 0), MPZ(abs(self.man)), self.exp, abs(self.man).bit_length()
+
+    def _compare(op):
+        def compare(self, other):
+            other = _to_dyadic(other)
+            if not isinstance(other, Dyadic):  # None for a type it does not know, else inf or nan
+                return NotImplemented if other is None else op(0.0, other)
+            e = min(self.exp, other.exp)
+            return op(self.man << (self.exp - e), other.man << (other.exp - e))
+        return compare
+
+    def _by_mpmath(op):
+        def mpf(x):
+            from mpmath import mp  # loaded here, since only arithmetic on a Dyadic needs it
+            return mp.make_mpf(x._mpf_)
+        return lambda self, other: op(mpf(self), other), lambda self, other: op(other, mpf(self))
+
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(_compare, (eq, lt, le, gt, ge))
+    (__add__, __radd__), (__sub__, __rsub__) = map(_by_mpmath, (add, sub))
+    (__mul__, __rmul__), (__truediv__, __rtruediv__) = map(_by_mpmath, (mul, truediv))
+    del _compare, _by_mpmath
+    __neg__ = lambda self: Dyadic(-self.man, self.exp)
+    __abs__ = lambda self: Dyadic(abs(self.man), self.exp)
+    __bool__ = lambda self: self.man != 0
+    __reduce__ = lambda self: (Dyadic, (self.man, self.exp))
+    __repr__ = lambda self: f"Dyadic({self.man}, {self.exp})"
+    # Every digit: man * 2^exp is man * 5^-exp * 10^exp.
+    __str__ = lambda self: _layout(self.man * 5 ** -min(self.exp, 0) << max(self.exp, 0), min(self.exp, 0))
+
+    def __float__(self) -> float:
+        # As mpf's float(): man rounded to nearest at 53 bits (two guard bits over a sticky one), then scaled.
+        man, cut = abs(self.man), max(abs(self.man).bit_length() - 55, 0)
+        top = float(man >> cut | (man % (1 << cut) != 0))
+        try:
+            return math.ldexp(-top if self.man < 0 else top, self.exp + cut)
+        except OverflowError:
+            return -math.inf if self.man < 0 else math.inf
+
+    # Python's hash of the rational man * 2^exp, which equal ints, floats and mpfs share.
+    __hash__ = lambda self: hash(self.man * pow(2, self.exp, sys.hash_info.modulus))
+
+
+def _to_dyadic(x) -> Dyadic | float | None:
+    """x exactly as a Dyadic if it is one, an int, a float or an mpf; inf or nan as a float; else None."""
+    if isinstance(x, (Dyadic, int)):
+        return x if isinstance(x, Dyadic) else Dyadic(int(x), 0)
+    if isinstance(x, float) and math.isfinite(x):
+        man, den = x.as_integer_ratio()
+        return Dyadic(man, 1 - den.bit_length())
+    raw = getattr(x, "_mpf_", None)
+    if raw is None:
+        return x if isinstance(x, float) else None
+    sign, man, exp, bc = raw  # inf and nan alone have bc < 0
+    return float(x) if bc < 0 else Dyadic(-int(man) if sign else int(man), exp)
 
 
 class ErrorBoundedReal(namedtuple("ErrorBoundedReal", "value abs_error")):
@@ -109,23 +177,21 @@ class ErrorBoundedReal(namedtuple("ErrorBoundedReal", "value abs_error")):
 
     The bound covers series truncation and accumulated rounding; rounding to
     an integer is only allowed while the bound stays below 1/2.  Both are
-    finite mpf numbers, compared exactly as integers over a common power of
-    two, at any magnitude and precision.  The constructor checks them on
-    their raw mpf tuples; a series value is built by ``_from_dyadic`` from
-    the integers it was computed in, and needs only its radius checked.
+    finite ``Dyadic`` numbers, compared exactly as integers over a common
+    power of two, at any magnitude and precision.  The constructor converts
+    mpfs exactly; a series value is built by ``_from_dyadic`` from the
+    integers it was computed in, and needs only its radius checked.
     """
 
     __slots__ = ()
 
-    def __new__(cls, value: mpmath.mpf, abs_error: mpmath.mpf):
-        if not (isinstance(value, mpmath.mpf) and isinstance(abs_error, mpmath.mpf)):
-            raise TypeError("value and abs_error must be mpmath mpf numbers")
-        # A raw mpf is (sign, man, exp, bc); inf and nan alone have bc < 0,
-        # and zero has sign 0, so a set sign bit on a finite mpf is negative.
-        (_, _, _, bc), (sign, _, _, r_bc) = value._mpf_, abs_error._mpf_
-        if bc < 0 or r_bc < 0:
+    def __new__(cls, value: Dyadic, abs_error: Dyadic):
+        if not all(isinstance(x, Dyadic) or hasattr(x, "_mpf_") for x in (value, abs_error)):
+            raise TypeError("value and abs_error must be mpmath mpf numbers or Dyadic")
+        value, abs_error = _to_dyadic(value), _to_dyadic(abs_error)
+        if isinstance(value, float) or isinstance(abs_error, float):
             raise ValueError("value and abs_error must be finite")
-        if sign:
+        if abs_error.man < 0:
             raise ValueError("abs_error must be non-negative")
         return tuple.__new__(cls, (value, abs_error))
 
@@ -134,7 +200,7 @@ class ErrorBoundedReal(namedtuple("ErrorBoundedReal", "value abs_error")):
         """The enclosure man * 2^exp +/- radius * 2^exp, checked and built from its integers."""
         if radius < 0:
             raise ValueError("abs_error must be non-negative")
-        return tuple.__new__(cls, (_dyadic(man, exp), _dyadic(radius, exp)))
+        return tuple.__new__(cls, (Dyadic(man, exp), Dyadic(radius, exp)))
 
     # namedtuple's _make, behind _replace, calls tuple.__new__ and would skip the checks above.
     _make = classmethod(lambda cls, iterable: cls(*iterable))
@@ -150,15 +216,14 @@ class ErrorBoundedReal(namedtuple("ErrorBoundedReal", "value abs_error")):
         halfway between two integers is 1/2 from both, outside every radius
         below 1/2, so it needs no tie rule.
         """
-        r_man, r_exp = _signed_man_exp(self.abs_error)
-        v_man, v_exp = _signed_man_exp(self.value)
-        e = min(r_exp, v_exp, -1)
-        radius, half = r_man << (r_exp - e), 1 << (-1 - e)
+        v, r = self
+        e = min(r.exp, v.exp, -1)
+        radius, half = r.man << (r.exp - e), 1 << (-1 - e)
         if not radius < half:
             raise PrecisionExhaustedError(
                 f"abs_error {self.abs_error} >= 1/2; cannot round to an integer"
             )
-        value = v_man << (v_exp - e)
+        value = v.man << (v.exp - e)
         nearest = (value + half) >> -e
         if abs(value - (nearest << -e)) > radius:
             raise NonIntegerResultError(
@@ -168,16 +233,54 @@ class ErrorBoundedReal(namedtuple("ErrorBoundedReal", "value abs_error")):
 
     def agrees_with(self, other: "ErrorBoundedReal") -> bool:
         """Whether the two enclosures overlap, decided in integers as to_integer is."""
-        parts = [
-            _signed_man_exp(x)
-            for x in (self.value, other.value, self.abs_error, other.abs_error)
-        ]
-        e = min(exp for _, exp in parts)
-        a, b, ra, rb = (man << (exp - e) for man, exp in parts)
+        parts = (self.value, other.value, self.abs_error, other.abs_error)
+        e = min(x.exp for x in parts)
+        a, b, ra, rb = (x.man << (x.exp - e) for x in parts)
         return abs(a - b) <= ra + rb
 
     def __str__(self) -> str:
-        return f"{mpmath.nstr(self.value, 20)} +/- {mpmath.nstr(self.abs_error, 3)}"
+        """The enclosure m +/- r printed from its integers, so that the printed interval holds it.
+
+        As Arb's arb_get_str does: with 10^q <= r < 10^(q+1), m is rounded to a multiple of 10^q, off
+        by eps <= 10^q / 2, and r + eps is rounded up to 3 significant digits; r = 0 prints m exactly.
+        Both are laid out as nstr(x, 20) and nstr(x, 3) lay them out.
+        """
+        value, radius = self
+        if not radius:
+            return f"{value} +/- 0.0"
+        # The midpoint m / den and the radius r / den, den a power of two.
+        shift = max(-value.exp, -radius.exp, 0)
+        den = 1 << shift
+        m, r = value.man << (value.exp + shift), radius.man << (radius.exp + shift)
+        q = math.floor(math.log10(radius.man) + radius.exp * math.log10(2))
+        while r * 10 ** max(-q, 0) < den * 10 ** max(q, 0):  # radius < 10^q
+            q -= 1
+        while r * 10 ** max(-q - 1, 0) >= den * 10 ** max(q + 1, 0):  # radius >= 10^(q+1)
+            q += 1
+        # In units of 1 / (den 10^max(-q, 0)): the midpoint m, the radius r and 10^q = unit.
+        m, r, unit = (m, r, 10**q * den) if q >= 0 else (m * 10**-q, r * 10**-q, den)
+        n = (2 * m + unit) // (2 * unit)
+        bound = r + abs(m - n * unit)
+        p = q + (bound >= 10 * unit)  # 10^p <= bound < 10^(p+1)
+        return f"{_layout(n, q)} +/- {_layout(-(-100 * bound // (unit * 10 ** (p - q))), p - 2, -5, 3)}"
+
+
+def _digits(n: int) -> str:
+    """str(n) for n >= 0, split in halves past the interpreter's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        high, low = divmod(n, 10 ** (k := n.bit_length() * 3 // 20))  # k: about half its digits
+        return _digits(high) + _digits(low).rjust(k, "0")
+
+
+def _layout(n: int, q: int, low: int = -6, high: int = 20) -> str:
+    """n * 10^q as nstr(x, 20) lays it out: fixed-point if low < lead < high, 10^lead its first digit's place."""
+    digits = _digits(abs(n))
+    lead = len(digits) - 1 + q if n else 0
+    point, exponent = (max(lead, 0) + 1, "") if low < lead < high else (1, f"e{lead:+d}")
+    digits = ("0" * -lead + digits if low < lead < 0 else digits).ljust(point + 1, "0")
+    return f"{'-' * (n < 0)}{digits[:point]}.{digits[point:].rstrip('0') or '0'}{exponent}"
 
 
 def rounds_to(value: ErrorBoundedReal, expected: int) -> tuple[bool, BosonKitError | None]:
@@ -263,25 +366,6 @@ def _inv_e_bracket(p: int) -> tuple[int, int]:
     return low >> shift, -(-high >> shift)
 
 
-def _dyadic(man: int, exp: int) -> mpmath.mpf:
-    """man * 2^exp as an mpf, exactly, whatever the context precision.
-
-    Its raw tuple is the one mpmath's from_man_exp(man, exp) normalizes to,
-    built here in integers: zero is fzero, and otherwise the sign goes to its
-    own field and the mantissa loses its trailing zero bits to the exponent.
-    """
-    if not man:
-        return mp.make_mpf(fzero)
-    sign = 0
-    if man < 0:
-        sign, man = 1, -man
-    if not man & 1:
-        zeros = (man & -man).bit_length() - 1
-        man >>= zeros
-        exp += zeros
-    return mp.make_mpf((sign, MPZ(man), exp, man.bit_length()))
-
-
 def quotient_by_e(q: tuple[int, int], tail: tuple[int, int], series: SeriesSpec) -> ErrorBoundedReal:
     """Enclose Q/e for every Q in [q - tail, q + tail], q and tail non-negative.
 
@@ -299,8 +383,8 @@ def quotient_by_e(q: tuple[int, int], tail: tuple[int, int], series: SeriesSpec)
     and hi = ceil(q U_p / 2^(mag+1)) bracket 2^frac q / e and differ by at most
     2.  The midpoint is (lo + hi) / 2^(frac+1) and the radius
     (hi - lo + 2 t) / 2^(frac+1), t being the tail's share in units of 2^-frac,
-    rounded up; both convert to mpf exactly, and the radius is checked
-    against the target in integers.
+    rounded up; both are kept as Dyadic numbers, exactly, and the radius is
+    checked against the target in integers.
     """
     if min(q[0], tail[0]) < 0 or min(q[1], tail[1]) <= 0:
         raise ValueError("q and tail must be non-negative, with positive denominators")

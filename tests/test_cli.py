@@ -123,18 +123,20 @@ def test_json_bytes_are_pinned(capsys, command, flag, r, s, n, digest):
 # SHA-256 of the `--format json` output of verify suites, computed before the
 # density's moment series was summed by the (2s, s) hypergeometric terms,
 # which the (2,1) mass check reads.  `egf` is pinned without the three
-# normalization-order checks and their results rows, which are gone.
+# normalization-order checks and their results rows, which are gone.  The
+# `dobinski` and `moments` rows were pinned again when enclosures began to
+# print from their integers, so that each printed interval holds the stored one.
 PINNED_VERIFY_JSON = [
-    (("dobinski",), "a3723949b47e762d712e8b6aaf2652e06fe3d676cf7745f414b3db8d719c7853"),
+    (("dobinski",), "4bd60aa894c75bec582a844ac1e00ca333fe36ced494dc5fdddd26ffc9807228"),
     (("egf",), "1ac566e99e1ad1cde71398cafaecc0059c2f7799176d5f9788f9a6f74f287e4e"),
     (("norm",), "a7ad940384fded54671fcf0eb1e248dc57e2a5178ec149a6ae02bcce144bf1b9"),
     (
         ("moments", "--r", "2", "--s", "1", "--max", "2"),
-        "c5c78409ad5d81e7c8a9a085c850d1d4c96e5ecc0ba3b6ef17e989478cf6dbb8",
+        "2231a4626b23c661f3d4d596f2a58d28598fcb19f0df8e4d6670da3f11ea47c2",
     ),
     (
         ("moments", "--r", "2", "--s", "2", "--max", "4"),
-        "63475020524ac9f6f21ea088fe0a6241cfb03b9d554bd6742a8936f272a2d662",
+        "7e3bd1f4a6a5a38dd84cfc76688473dcf8c98e8c7ab2b7341fcfd32d95516191",
     ),
 ]
 
@@ -459,16 +461,20 @@ def test_import_loads_no_unused_stdlib_module():
     assert result.stdout.splitlines() == ["[]", "0 []"]
 
 
-def test_no_command_or_series_loads_fractions():
-    # fractions brings decimal and the C module _decimal with it.  Series
-    # carry exact ratios as integer pairs, and only egf_classic and egf_r1,
-    # which return Fractions, load the module; no command calls them.
+def exact_path_output(loaded: str, after: str = "") -> list[str]:
+    """What a fresh interpreter prints of ``loaded`` along the exact path, then runs ``after``.
+
+    The exact path imports bosonkit and its command line, runs every command
+    that stays on integers and four certified series calls, and prints
+    ``loaded`` (a Python expression) after the import, after each command
+    with its exit code, and at the end.
+    """
     src = str(Path(bosonkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
-        "loaded = lambda: sorted({'fractions', 'decimal'} & set(sys.modules) - before)\n"
+        f"loaded = lambda: {loaded}\n"
         "import bosonkit, bosonkit.cli\n"
         "print(loaded())\n"
         "for argv in (['bell', '--r', '2', '--s', '1', '--max', '5'],\n"
@@ -480,7 +486,7 @@ def test_no_command_or_series_loads_fractions():
         "    print(code, loaded())\n"
         "bosonkit.dobinski_classic(30), bosonkit.bell_hypergeometric(2, 1, 5)\n"
         "bosonkit.continuous_moment_series(1, 5), bosonkit.moment(bosonkit.dirac_comb(), 5)\n"
-        "print(loaded())"
+        "print(loaded())\n" + after
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -490,7 +496,27 @@ def test_no_command_or_series_loads_fractions():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]", *[f"{c} []" for c in (0, 0, 0, 0, 0, 3)], "[]"]
+    return result.stdout.splitlines()
+
+
+def test_no_command_or_series_loads_fractions():
+    # fractions brings decimal and the C module _decimal with it.  Series
+    # carry exact ratios as integer pairs, and only egf_classic and egf_r1,
+    # which return Fractions, load the module; no command calls them.
+    lines = exact_path_output("sorted({'fractions', 'decimal'} & set(sys.modules) - before)")
+    assert lines == ["[]", *[f"{c} []" for c in (0, 0, 0, 0, 0, 3)], "[]"]
+
+
+def test_exact_path_loads_no_mpmath():
+    # Enclosures hold Dyadic integers and print themselves, so only the
+    # density's quadrature (and the closed-form mass beside it) loads mpmath.
+    moments = (
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = bosonkit.cli.main(['verify', 'moments', '--r', '2', '--s', '1', '--max', '1'])\n"
+        "print(code, loaded())\n"
+    )
+    lines = exact_path_output("sorted({name.partition('.')[0] for name in sys.modules} & {'mpmath'})", moments)
+    assert lines == ["[]", *[f"{c} []" for c in (0, 0, 0, 0, 0, 3)], "[]", "0 ['mpmath']"]
 
 
 def test_printed_sign_egf_fails(capsys):

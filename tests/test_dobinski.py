@@ -5,6 +5,7 @@ import gc
 import hashlib
 import itertools
 import math
+import operator
 import os
 import random
 import re
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_abs, mpf_neg
 
 import bosonkit
 from bosonkit.cli import main
@@ -45,7 +46,7 @@ from bosonkit.numeric import (
     MAX_BITS,
     ErrorBoundedReal,
     SeriesSpec,
-    _dyadic,
+    Dyadic,
     _inv_e_bracket,
     _inv_e_fixed,
     quotient_by_e,
@@ -736,7 +737,7 @@ def outcome(fn, *args):
 def dyadic(x: Fraction):
     """A Fraction with a power-of-two denominator as an exact mpf."""
     num, den = x.as_integer_ratio()
-    return _dyadic(num, 1 - den.bit_length())
+    return Dyadic(num, 1 - den.bit_length())
 
 
 DYADICS = st.builds(
@@ -871,7 +872,7 @@ def test_enclosures_are_frozen(series, family, value, abs_error, parent_value, p
     assert got.value.man_exp == value
     assert got.abs_error.man_exp == abs_error
     assert encloses(got, oracle(*family))
-    assert got.agrees_with(ErrorBoundedReal(_dyadic(*parent_value), _dyadic(*parent_abs_error)))
+    assert got.agrees_with(ErrorBoundedReal(Dyadic(*parent_value), Dyadic(*parent_abs_error)))
 
 
 # (value.man_exp, abs_error.man_exp) of hypergeometric series (prefactor in
@@ -968,25 +969,86 @@ def test_classic_to_integer_matches_oracle(n):
     assert dobinski_classic(n).to_integer() == bell_sequence(1, 1, n)[n]
 
 
+COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+
+
 @given(
     man=st.integers(-(2**300), 2**300),
     zeros=st.integers(0, 300),
     exp=st.integers(-5000, 5000),
+    k=st.integers(-(2**400), 2**400),
+    f=st.floats(),
 )
+@example(man=2**1100 + 1, zeros=0, exp=-1100, k=0, f=math.inf)  # a mantissa past the float range
 @settings(max_examples=300, deadline=None)
-def test_dyadic_matches_from_man_exp(man, zeros, exp):
+def test_dyadic_matches_from_man_exp(man, zeros, exp, k, f):
     # from_man_exp is mpmath's own normalization, read here as the reference only.
     reference = from_man_exp(man << zeros, exp)
-    built = _dyadic(man << zeros, exp)._mpf_
-    assert built == reference
-    assert list(map(type, built)) == list(map(type, reference))
+    built = Dyadic(man << zeros, exp)
+    assert built._mpf_ == reference
+    assert list(map(type, built._mpf_)) == list(map(type, reference))
+    x = mp.make_mpf(reference)
+    assert built.man_exp == x.man_exp
+    assert (-built)._mpf_ == mpf_neg(reference) and abs(built)._mpf_ == mpf_abs(reference)
+    assert float(built) == float(x) and bool(built) == bool(x)
+    # Every comparison reads as the mpf's, with the Dyadic on either side,
+    # against ints, floats (infinities and nan too), mpfs and Dyadics; what
+    # compares equal hashes equal.
+    above = from_man_exp((man << zeros) + 1, exp)
+    for other in (k, f, int(x), float(x), x, mp.make_mpf(above)):
+        for op in COMPARISONS:
+            assert op(built, other) == op(x, other), (op, other)
+            assert op(other, built) == op(other, x), (op, other)
+        if built == other:
+            assert hash(built) == hash(other)
+    for op in COMPARISONS:
+        assert op(built, Dyadic((man << zeros) + 1, exp)) == op(x, mp.make_mpf(above))
+    # Arithmetic is mpmath's, at its working precision.
+    got = (built + k, k - built, built * k, built / 3, 3 / (built or 1))
+    assert got == (x + k, k - x, x * k, x / 3, 3 / (x or 1))
     radius = abs(man) << zeros
     enclosure = ErrorBoundedReal._from_dyadic(man << zeros, radius, exp)
-    assert enclosure == (_dyadic(man << zeros, exp), _dyadic(radius, exp))
+    assert enclosure == (Dyadic(man << zeros, exp), Dyadic(radius, exp))
     assert enclosure == ErrorBoundedReal(*enclosure)
     if radius:
         with pytest.raises(ValueError, match="abs_error must be non-negative"):
             ErrorBoundedReal._from_dyadic(man << zeros, -radius, exp)
+
+
+def parsed(text: str) -> Fraction:
+    """A printed number read back exactly, with the int-to-str digit limit lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# man * 2^exp with 2^(e-1) <= |man * 2^exp| < 2^e, e in -300..30000, of either sign or zero.
+MAGNITUDES = st.builds(
+    lambda man, e: Dyadic(man, e - man.bit_length()), st.integers(-(2**64), 2**64), st.integers(-300, 30000)
+)
+
+
+@given(MAGNITUDES, st.one_of(st.just(Dyadic(0, 0)), MAGNITUDES.map(abs)))
+@settings(max_examples=300, deadline=None)
+def test_printed_enclosure_holds_the_stored_one(value, radius):
+    text = str(ErrorBoundedReal(value, radius))  # under the digit limit: the printer splits past it
+    got, printed_radius = map(parsed, text.split(" +/- "))
+    assert abs(_exact(value) - got) + _exact(radius) <= printed_radius
+    if not radius:
+        assert (got, printed_radius) == (_exact(value), 0)
+
+
+def test_printed_dobinski_intervals_hold_their_integers(capsys):
+    # Past 20 digits a midpoint cut to 20 of them can miss its integer;
+    # printed from its integers, every interval must hold it.
+    assert main(["verify", "dobinski", "--r", "1", "--s", "1", "--max", "60"]) == 0
+    printed = re.findall(r"got (\S+) \+/- (\S+), expected (\d+)$", capsys.readouterr().out, re.MULTILINE)
+    assert len(printed) == 60
+    for got, radius, expected in printed:
+        assert abs(Fraction(got) - int(expected)) <= Fraction(radius), (got, radius, expected)
 
 
 def test_enclosure_must_be_finite():
