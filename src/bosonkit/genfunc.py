@@ -27,8 +27,12 @@ d = r - s, the ratio rho_n = B(n+1) / ((n+1)^s B(n)) tends to d^s, which
 makes the radius at t = s - 1 equal to d^-s.  Two cases are proved:
 
 * s = 1: the EGF exp(g) above is singular at x = 1/(r-1) = 1/d;
-* r = 2s: B(n) = G(ns - s) with G(N) = N! L_N^(s)(-1) (see ``stirling``),
-  and Perron's formula for Laguerre polynomials off the positive axis
+* r = 2s: with N = ns - s the Dobinski numerator telescopes to
+  (k+N)!/(k-s)!, so B(n) = e^-1 sum_k (k+N)!/((k-s)! k!) is
+  (ns)!/s! 1F1(ns+1; s+1; 1)/e, and Kummer's transformation
+  1F1(a; b; 1) = e 1F1(b-a; b; -1) makes it the terminating
+  (ns)!/s! 1F1(-N; s+1; -1) = G(N), where G(N) = N! L_N^(s)(-1).
+  Perron's formula for Laguerre polynomials off the positive axis
   (Szego, Orthogonal Polynomials, 8.22) gives rho_n -> s^s = d^s.
 
 The other r > s families are measured, not proved: rho_n falls toward d^s

@@ -220,8 +220,9 @@ class ErrorBoundedReal(namedtuple("ErrorBoundedReal", "value abs_error")):
         e = min(r.exp, v.exp, -1)
         radius, half = r.man << (r.exp - e), 1 << (-1 - e)
         if not radius < half:
+            # The radius as str(self) prints it, rounded up, so the message stays true.
             raise PrecisionExhaustedError(
-                f"abs_error {self.abs_error} >= 1/2; cannot round to an integer"
+                f"abs_error {str(self).rpartition(' +/- ')[2]} >= 1/2; cannot round to an integer"
             )
         value = v.man << (v.exp - e)
         nearest = (value + half) >> -e

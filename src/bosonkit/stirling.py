@@ -10,23 +10,14 @@ whose rows have a closed form, and the Bell sweeps of r = s; every Bell
 sweep with r > s is a recurrence in n.  With d = r - s, f(x) = x!/(x-s)!, K ~ Poisson(1) and the
 Dobinski numerator N_k(n) = prod_{j<n} f(k+jd), B(n) = E[N_K(n)].
 
-The r = 2s families; with N = ns - s:
+The r = 2s rows have a closed form: N_k telescopes to one falling factorial,
+(k+N)!/(k-s)! with N = ns - s, N_k = sum_j S(n, j) k!/(k-j)! (a^j acting on
+|k>), and Vandermonde's identity expands (k+N)!/(k-s)! in the falling
+factorials k!/(k-j)!, so S_{2s,s}(n, j) = C(ns, j) N!/(j-s)!, the unsigned
+Lah numbers at s = 1.
 
-* N_k telescopes to one falling factorial, (k+N)!/(k-s)!;
-* N_k = sum_j S(n, j) k!/(k-j)! (a^j acting on |k>), and Vandermonde's
-  identity expands (k+N)!/(k-s)! in the falling factorials k!/(k-j)!, so
-  S_{2s,s}(n, j) = C(ns, j) N!/(j-s)!, the unsigned Lah numbers at s = 1;
-* the Dobinski sum e^{-1} sum_k (k+N)!/((k-s)! k!) is
-  (ns)!/s! 1F1(ns+1; s+1; 1)/e, and Kummer's transformation
-  1F1(a; b; 1) = e 1F1(b-a; b; -1) makes it the terminating
-  (ns)!/s! 1F1(-N; s+1; -1) = G(N), where G(N) = N! L_N^(s)(-1);
-* the Laguerre three-term recurrence (Abramowitz & Stegun 22.7.12) gives
-  G(0) = 1, G(1) = s + 2, G(N+1) = (2N+2+s) G(N) - N(N+s) G(N-1);
-* with k = m + s the same sum is the moment series
-  (1/e) sum_m (ns+m)!/(m! (m+s)!) of the I_s density ``ContinuousDensity(s)``.
-
-Every other r > s family follows the Poisson shift (Stanley's D-finite
-recurrences; Blasiak, Penson & Solomon 2003 for the Dobinski form):
+Every r > s Bell sweep, r = 2s included, follows the Poisson shift (Stanley's
+D-finite recurrences; Blasiak, Penson & Solomon 2003 for the Dobinski form):
 
 * A_j(n) = E[N_{K+j}(n)] are integers, A_j(0) = 1 and B(n) = A_0(n);
 * E[K^(i) h(K)] = E[h(K+i)] for the falling factorial x^(i), and
@@ -40,18 +31,17 @@ recurrences; Blasiak, Penson & Solomon 2003 for the Dobinski form):
   A_{r+s-1}(n) in time for step j = s..r-1, with no division.  At (2, 1),
   A_0(n) = 1, 1, 3, 13, 73, the Lah row sums.
 
-A single r = 2s row costs one small multiply and one exact divide per entry
-(0.1 ms against 3.6 ms for 99 engine steps at (4, 2, 100)), and a Laguerre
-sweep two big-by-small products and one subtraction per step of G (0.1 ms
-against 15 ms for the engine's rows of (2, 1) up to n = 300).  A
-Poisson-shift step is r s + s (s - 1)/2 big-by-small products on r + s
-integers: 0.5 ms against 12 ms for the engine at (3, 2, 150), 10 ms
-against 3.3 s at (3, 1, 2000), but 0.4 ms at (2, 1, 300), so r = 2s keeps
-the Laguerre sweep.  At d = 0 the chain is an identity and closes nothing,
-so the r = s sweeps read the engine.  Best of several runs, Python 3.11 on
-a shared 2-core Xeon.  The engine stays the reference for every closed form
-and recurrence in the tests.  The r = s closed form is kept as an
-independent cross-check and is not on any dispatch path.
+Each branch that skips the engine stays because an op of the benchmark's
+``sweep`` workload runs it faster.  The r = 2s row, one small multiply and
+one exact divide per entry, takes 0.14 ms on ``stirling-2-1-300`` against
+7.4 ms for the engine's row.  A Poisson-shift step is r s + s (s - 1)/2 big-by-small
+products on r + s integers: 0.44 ms on ``bell-3-2-150`` against 8.3 ms for
+the engine's rows, and 0.34 ms on ``bell-2-1-300`` against 10 ms.  At d = 0
+the chain is an identity and closes nothing, so the r = s sweeps,
+``bell-1-1-100`` and ``bell-2-2-40``, read the engine.  Best of several
+runs, Python 3.11 on a shared 2-core Xeon.  The engine stays the reference
+for every closed form and recurrence in the tests.  The r = s closed form is
+kept as an independent cross-check and is not on any dispatch path.
 """
 
 from __future__ import annotations
@@ -126,15 +116,6 @@ def bell(spec: MonomialSpec) -> int:
     return next(islice(bell_values(spec.r, spec.s), spec.n, None))
 
 
-def _laguerre_values(s: int) -> Iterator[int]:
-    """G(N) = N! L_N^(s)(-1) for N = 0, 1, ..., holding only the last two."""
-    prev, g = 1, s + 2
-    yield prev
-    for N in count(1):
-        yield g
-        prev, g = g, (2 * N + 2 + s) * g - N * (N + s) * prev
-
-
 def _poisson_shift_values(r: int, s: int) -> Iterator[int]:
     """B_{r,s}(n) = A_0(n) for n = 0, 1, ..., d = r - s >= 1, holding r + s integers.
 
@@ -165,14 +146,11 @@ def _poisson_shift_values(r: int, s: int) -> Iterator[int]:
 def bell_values(r: int, s: int) -> Iterator[int]:
     """B_{r,s}(0), B_{r,s}(1), ... without end; (r, s) is checked at the call.
 
-    r = 2s reads every s-th value of the Laguerre recurrence; other r > s
-    step the Poisson-shift recurrence of the A_j(n); r = s sums the rows of
-    one pass of the contraction engine.  The iterator holds the state of its
-    recurrence, never the values it has yielded.
+    r > s steps the Poisson-shift recurrence of the A_j(n); r = s sums the
+    rows of one pass of the contraction engine.  The iterator holds the
+    state of its recurrence, never the values it has yielded.
     """
     MonomialSpec(r=r, s=s, n=0)
-    if r == 2 * s:
-        return chain([1], islice(_laguerre_values(s), 0, None, s))
     if r > s:
         return _poisson_shift_values(r, s)
     return chain([1], map(sum, monomial_power_rows(r, s)))

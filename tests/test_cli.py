@@ -318,11 +318,10 @@ def traced_peak(fn):
 
 @pytest.mark.parametrize("r, s, n", [(1, 1, 300), (2, 1, 1000), (3, 1, 1000)])
 def test_bell_command_holds_no_sweep(monkeypatch, r, s, n):
-    # One case per branch of bell_values: the engine (r = s), the Laguerre
-    # recurrence (r = 2s) and the Poisson shift.  The command holds what the
-    # iterator holds and one row of output, a few times the last value's
-    # digits; the list of the sweep would add 37 KB at (1, 1) and over 500 KB
-    # at the others.
+    # The engine (r = s) and the Poisson shift at r = 2s and at d = 2, the
+    # branches of bell_values.  The command holds what the iterator holds
+    # and one row of output, a few times the last value's digits; the list
+    # of the sweep would add 37 KB at (1, 1) and over 500 KB at the others.
     digits = len(str(bell_sequence(r, s, n)[-1]))
     iterator = traced_peak(lambda: deque(islice(bell_values(r, s), n + 1), maxlen=0))
     monkeypatch.setattr(sys, "stdout", Sink())

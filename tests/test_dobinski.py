@@ -703,6 +703,17 @@ def test_error_bounded_real_rounding():
     assert "+/-" in str(near)
 
 
+def test_rounding_error_quotes_the_printed_radius():
+    # 5 +/- (1/2 + 2^-301): every digit of the radius would take 348
+    # characters; the message quotes it as str() prints it, rounded up.
+    wide = ErrorBoundedReal._from_dyadic(5 << 301, (1 << 300) + 1, -301)
+    assert str(wide) == "5.0 +/- 0.501"
+    with pytest.raises(PrecisionExhaustedError) as failed:
+        wide.to_integer()
+    message = str(failed.value)
+    assert len(message) < 100 and "0.501 >= 1/2" in message, message
+
+
 def test_agrees_with_is_symmetric_overlap():
     a = ErrorBoundedReal(value=mp.mpf("1.0"), abs_error=mp.mpf("0.2"))
     b = ErrorBoundedReal(value=mp.mpf("1.3"), abs_error=mp.mpf("0.2"))

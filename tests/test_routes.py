@@ -50,7 +50,7 @@ PAST_2_256 = [(3, 2, 40), (5, 3, 24), (4, 1, 60), (1, 1, 100), (3, 3, 30), (2, 1
 # Every Poisson-shift family with 6 <= r <= 8.
 SHIFT_ROWS = [(r, s, 20) for r in range(6, 9) for s in range(1, r) if r != 2 * s]
 # Past the grid: the s = 1 shift families at n = 40, where the EGF route runs;
-# the r = 2s closed forms and Laguerre sweeps at s = 3..5; lah at n = 60.
+# the r = 2s closed rows and Poisson-shift sweeps at s = 3..5; lah at n = 60.
 FIXED = [
     (1, 1, 30), (2, 2, 20), (3, 3, 20), *PAST_2_256, *SHIFT_ROWS, (6, 1, 40), (7, 1, 40), (8, 1, 40),
     (6, 3, 10), (6, 3, 30), (8, 4, 30), (10, 5, 30), (2, 1, 60),
