@@ -7,9 +7,10 @@ series for every family:
 
     B_{r,s}(n) = (1/e) sum_k N_k / k!,   N_k = prod_{j<n} (k+jd)! / (k+jd-s)!.
 
-The classical case (1,1) and r = s are its d = 0 cases, N_k = (k!/(k-s)!)^n.
-Consecutive orders share their numerators: order n + 1 starts from the row of
-order n that the last series drew, N_k(n+1) = N_k(n) (k+nd)!/(k+nd-s)!.
+The classical case (1,1) and r = s are its d = 0 cases, N_k = (k!/(k-s)!)^n,
+and also the moments of the combs in ``measures``.  Consecutive orders share
+their numerators: order n + 1 starts from the row of order n that the last
+series drew, N_k(n+1) = N_k(n) (k+nd)!/(k+nd-s)!, a row no other module reads.
 Terms are exact integer pairs (N_k, max(k, 1)), read as N_k / k! with
 k! = (k-1)! k, summed with a certified geometric tail bound, and only the
 final division by e is rounded, so every series value is an

@@ -9,15 +9,16 @@ modified Bessel function I_s; its certified moment series is the (2s, s)
 hypergeometric sum of ``bell_hypergeometric(s, 1, n)``.  Each measure has mass
 1 - e^{-1} sum_{j<j0} 1/j!, with j0 = s for the density.
 Verification is numeric but certified where we can make it so:
-discrete moments are partial sums of exact integer-pair terms with a
-geometric tail bound, the Bessel series carries a truncation bound, and the
+a comb's n-th moment, sum_j x_j^n e^{-1}/j!, is the Dobinski series of
+B_{r,r}(n) term for term (its terms below j0 are zero), so ``moment`` returns
+``dobinski_rr``; the Bessel series carries a truncation bound, and the
 quadrature tail past the cutoff is bounded analytically.  The density's
 moments, mass and positivity come from one tanh-sinh pass that evaluates it
 once per node; only the pass's error on the finite interval is an estimate
 (the difference of its last two levels), and tests pin it against a fully
 certified series expansion of the same integral.  Only the density and the
-closed-form mass compute in mpf, importing mpmath as they run.  A discrete
-measure is read only through its integer moment terms, mass and positivity check.
+closed-form mass compute in mpf, importing mpmath as they run.  A comb is
+read only through its moments, its mass and the positivity check of its atoms.
 ``verify_moments`` reports each comparison as a ``Check`` in a
 ``MomentReport``; the family passes when every check does.  A comb's
 moments are certified, so each must round to its Bell number exactly.
@@ -29,12 +30,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain, count, islice
-from math import factorial, inf
+from itertools import chain, count, islice, repeat
+from math import factorial, inf, perm
 from typing import Iterator, NamedTuple
 
 from . import numeric
-from .dobinski import _numerators, dobinski_rs, hypergeometric_terms
+from .dobinski import dobinski_rr, dobinski_rs, hypergeometric_terms
 from .errors import (
     DomainError,
     OutOfRangeError,
@@ -62,9 +63,8 @@ class DiscreteMeasure(namedtuple("DiscreteMeasure", "r j0")):
     """The comb of atoms x_j = j!/(j-r)! with weights e^{-1}/j!, j >= j0; j0 = r, or 0 at r = 1.
 
     atoms() starts a fresh stream of the integer pairs (x_k, m_k), j = j0 + k,
-    with e * w_k = 1 / q_k and q_k = q_(k-1) m_k; the single division by e is
-    deferred to mass()/moment() so everything before the final rounding stays
-    in exact integer arithmetic.
+    with e * w_k = 1 / q_k and q_k = q_(k-1) m_k, and mass() sums the pairs
+    (1, m_k) over e; its moments are Dobinski series (see ``moment``).
     """
 
     __slots__ = ()
@@ -82,8 +82,12 @@ class DiscreteMeasure(namedtuple("DiscreteMeasure", "r j0")):
     label = property(lambda self: "dirac-comb" if self.j0 == 0 else f"rarefied-comb(r={self.r})")
     unit_mass = property(lambda self: self.j0 == 0)
 
+    def _multipliers(self) -> Iterator[int]:
+        # q_j = j!: m_j0 = j0! (the multipliers of the j < j0 terms folded in), m_j = j.
+        return chain((factorial(self.j0),), count(self.j0 + 1))
+
     def atoms(self) -> Iterator[tuple[int, int]]:
-        return self.scaled_moment_terms(1)
+        return zip(map(perm, count(self.j0), repeat(self.r)), self._multipliers())
 
     def check_atoms(self, count: int) -> Check:
         """Positivity of the weights and strict ordering of the first ``count`` atoms."""
@@ -98,23 +102,8 @@ class DiscreteMeasure(namedtuple("DiscreteMeasure", "r j0")):
             previous = x
         return Check("atom positivity", True, f"first {count} weights > 0, locations increasing")
 
-    def scaled_moment_terms(self, n: int) -> Iterator[tuple[int, int]]:
-        """Yields e * w_k * x_k^n as the integer pair (x_k^n, m_k), for an integer n >= 0.
-
-        x_j^n = (j!/(j-r)!)^n is the (r, r) Dobinski numerator of order n, read
-        from j = j0 on, so consecutive orders share their rows as the series do.
-        """
-        if not isinstance(n, int):
-            raise TypeError("moment order must be an integer")
-        if n < 0:
-            raise OutOfRangeError("moment order must be >= 0")
-        # q_j = j!: m_j0 = j0! (the multipliers of the j < j0 terms folded in), m_j = j.
-        r, j0 = self
-        powers = islice(_numerators(r, r, n), j0, None)
-        return zip(powers, chain((factorial(j0),), count(j0 + 1)))
-
     def mass(self, series: SeriesSpec = SeriesSpec()) -> ErrorBoundedReal:
-        return sum_over_e(self.scaled_moment_terms(0), series)
+        return sum_over_e(zip(repeat(1), self._multipliers()), series)
 
 
 def dirac_comb() -> DiscreteMeasure:
@@ -186,7 +175,7 @@ def bessel_i(nu: int, y, target_error=1e-30, *, bits: int = DEFAULT_BITS) -> Err
         m = 0
         while True:
             m += 1
-            if m > numeric._MAX_TERMS:
+            if m > numeric.MAX_TERMS:
                 raise PrecisionExhaustedError(
                     f"Bessel series for I_{nu}({float(ym)}) did not settle"
                 )
@@ -348,11 +337,13 @@ def moment(measure, n: int, target_error=1e-12, *, bits: int = DEFAULT_BITS):
         raise OutOfRangeError("moment order must be >= 0")
     series = _series_spec(target_error, bits)
     if isinstance(measure, DiscreteMeasure):
-        if n == 0 and not measure.unit_mass:
+        if n > 0:
+            return dobinski_rr(measure.r, n, series)
+        if not measure.unit_mass:
             raise UnsupportedMomentError(
                 f"{measure.label} has mass != 1; its n = 0 'moment' is not B(0)"
             )
-        return sum_over_e(measure.scaled_moment_terms(n), series)
+        return measure.mass(series)
     if isinstance(measure, ContinuousDensity):
         if n == 0:
             raise UnsupportedMomentError(

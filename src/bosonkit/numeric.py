@@ -37,7 +37,7 @@ from .errors import BosonKitError, NonIntegerResultError, PrecisionExhaustedErro
 DEFAULT_BITS = 256
 MAX_BITS = 4096  # the most working precision a caller may ask for
 # The most terms a series may take before it is deemed not to converge.
-_MAX_TERMS = 100000
+MAX_TERMS = 100000
 
 
 class Check(NamedTuple):
@@ -331,9 +331,9 @@ def sum_with_tail_bound(
         total, denom = total * m + p, denom * m
         prev = p
         count += 1
-        if count > _MAX_TERMS:
+        if count > MAX_TERMS:
             raise PrecisionExhaustedError(
-                f"series did not meet the stopping rule within {_MAX_TERMS} terms"
+                f"series did not meet the stopping rule within {MAX_TERMS} terms"
             )
     raise ValueError("term iterator exhausted before the stopping rule was met")
 

@@ -70,6 +70,8 @@ def stirling_rr_closed(r: int, n: int, k: int) -> int:
     valid for r <= k <= rn.  The sum must be a non-negative multiple of k!;
     anything else signals an implementation bug.
     """
+    if not all(isinstance(v, int) for v in (r, n, k)):
+        raise TypeError("r, n and k must be integers")
     if r < 1 or n < 1:
         raise OutOfRangeError("need r >= 1 and n >= 1")
     if not r <= k <= r * n:

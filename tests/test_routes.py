@@ -14,14 +14,14 @@ A Bell number B_{r,s}(n) is the engine row's sum; it comes exactly from
 coefficient of ``egf_classic`` or ``egf_r1``.  Certified series round to it:
 the Dobinski series, ``bell_hypergeometric(p, q, n)`` where (r, s) =
 (pq + p, pq), the comb moments at r = s and ``continuous_moment_series(s, n)``
-at r = 2s.  A comb moment sums the Dobinski terms and the density's moment
-series the q = 1 hypergeometric terms, so those enclosures agree bit for bit.
+at r = 2s.  A comb moment is the Dobinski series and the density's moment
+series sums the q = 1 hypergeometric terms, so those enclosures agree bit for bit.
 
 Every route runs on every family 1 <= s <= r <= 5 at n = 1..10 and on fixed
-rows: (1,1,30), (2,2,20) and (3,3,20); six rows past 2^256; each
-Poisson-shift family (r > s, r != 2s) with 6 <= r <= 8 at n = 20, and its
-s = 1 ones also at n = 40; the r = 2s rows (6,3,10), (6,3,30), (8,4,30) and
-(10,5,30); and (2,1,60).
+rows: (1,1,30), (2,2,20) and (3,3,20); six rows past 2^256; each family
+r > s, r != 2s with 6 <= r <= 8 at n = 20, and its s = 1 ones also at n = 40;
+the r = 2s rows (6,3,10), (6,3,30), (8,4,30) and (10,5,30); and (2,1,60).
+Every r > s Bell sweep steps the Poisson shift, r = 2s included.
 """
 
 from itertools import islice
@@ -47,7 +47,9 @@ from bosonkit.stirling import bell, bell_sequence, lah, stirling_rr_closed, stir
 GRID = [(r, s, n) for r in range(1, 6) for s in range(1, r + 1) for n in range(1, 11)]
 # Rows whose largest entries have 358, 326, 364, 382, 329 and 2080 bits.
 PAST_2_256 = [(3, 2, 40), (5, 3, 24), (4, 1, 60), (1, 1, 100), (3, 3, 30), (2, 1, 300)]
-# Every Poisson-shift family with 6 <= r <= 8.
+# Every family r > s with 6 <= r <= 8 whose row the engine makes.  Each Bell
+# sweep here steps the Poisson shift; (6,3) and (8,4) step it too, but their
+# rows are closed forms, so they come in through the r = 2s rows of FIXED.
 SHIFT_ROWS = [(r, s, 20) for r in range(6, 9) for s in range(1, r) if r != 2 * s]
 # Past the grid: the s = 1 shift families at n = 40, where the EGF route runs;
 # the r = 2s closed rows and Poisson-shift sweeps at s = 3..5; lah at n = 60.

@@ -49,6 +49,13 @@ def test_bell_sequence_validation():
         bell_values(2, 3)
 
 
+@pytest.mark.parametrize("args", [(2, 2.0, 2), (1, 3.0, 2), (2.0, 2, 2), (2, 2, 2.0)])
+def test_rr_closed_rejects_non_integers(args):
+    # A float n would pass through perm(...) ** n and divmod and come back a float.
+    with pytest.raises(TypeError):
+        stirling_rr_closed(*args)
+
+
 def test_k_range_enforced():
     with pytest.raises(OutOfRangeError):
         stirling_rr_closed(2, 3, 1)
