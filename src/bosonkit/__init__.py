@@ -22,6 +22,7 @@ from .errors import (
     BosonKitError,
     DivergentSeriesError,
     DomainError,
+    MissingDependencyError,
     NonIntegerResultError,
     OutOfRangeError,
     PrecisionExhaustedError,
@@ -86,6 +87,7 @@ __all__ = [
     "DivergentSeriesError",
     "DomainError",
     "ErrorBoundedReal",
+    "MissingDependencyError",
     "MomentReport",
     "MonomialSpec",
     "NonIntegerResultError",

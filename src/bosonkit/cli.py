@@ -17,10 +17,13 @@ Output is plain text by default; ``--format json`` emits a versioned record
 whose integers are decimal strings (arbitrary precision survives any JSON
 parser) and whose reals carry an explicit error bound.  ``--format csv``
 emits one flat table per section.  A section (results, then checks) is one
-header of column names and rows of strings in that order; the command names
-the results' columns, and checks always have name, status and detail.  Every
-BosonKitError is raised before the first byte; then, in every format, each
-row is formatted and written in turn.  Each check is a ``Check`` named
+header of column names and rows of cells in that order, each cell a decimal
+integer (an ``int``) or a string; the command names the results' columns,
+and checks always have name, status and detail.  ``bell`` and ``stirling``
+hand their values over as ints, which every format prints in decimal and
+JSON quotes without escaping, since digits need none.  Every BosonKitError
+is raised before the first byte; then, in every format, each row is
+formatted and written in turn.  Each check is a ``Check`` named
 tuple, renamed per family with ``_replace``.  The ``--printed-sign`` and
 ``--printed-b5`` flags run variants of two identities in forms that do not
 hold, so the corrections the library applies stay visible and reproducible;
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import islice
+from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from types import SimpleNamespace
@@ -63,7 +66,11 @@ class _UsageError(Exception):
 
 
 class OutputRecord:
-    """What a command prints; ``results``, read once by ``write``, holds string tuples in ``columns`` order."""
+    """What a command prints; ``results``, read once by ``write``, holds tuples in ``columns`` order.
+
+    A section's rows share one shape: the same columns, and in each column
+    the same cell type, ``int`` or ``str``, as its first row.
+    """
 
     def __init__(self, command: str, parameters: dict[str, str], columns=(), results=(), checks=()) -> None:
         self.command = command
@@ -82,19 +89,30 @@ class OutputRecord:
         getattr(self, f"_write_{fmt}")(out)
 
     def _write_json(self, out) -> None:
-        # json.dumps(record, indent=2), byte for byte: every field is a string
-        # or a flat object of strings, escaped by the encoder's own C function.
-        # Each object's layout is built once, and each row fills it in.
-        parameters = _json_layout(self.parameters, "  ") % tuple(map(_quote, self.parameters.values()))
+        # json.dumps(record, indent=2) of the record with every int cell as
+        # str(cell), byte for byte: every field is a string or a flat object
+        # of strings, escaped by the encoder's own C function.  Each object's
+        # layout is built once, a section's from its first row, and each row
+        # fills it in.
+        values = self.parameters.values()
+        parameters = _json_layout(self.parameters, "  ", values) % tuple(map(_quote, values))
         out.write(f'{{\n  "schema": 1,\n  "command": {_quote(self.command)},\n  "parameters": {parameters},\n')
         for key, (columns, rows), end in zip(("results", "checks"), self._sections(), (",\n", "\n}\n")):
             out.write(f'  "{key}": [')
-            layout = "%s" + _json_layout(columns, "    ")
+            rows = iter(rows)
+            if (first := next(rows, None)) is None:
+                out.write("]" + end)
+                continue
+            layout = "%s" + _json_layout(columns, "    ", first)
+            strings = [i for i, cell in enumerate(first) if type(cell) is not int]
             lead = "\n    "
-            for row in rows:
-                out.write(layout % (lead, *map(_quote, row)))
+            for row in chain((first,), rows):
+                cells = [*row]
+                for i in strings:
+                    cells[i] = _quote(cells[i])
+                out.write(layout % (lead, *cells))
                 lead = ",\n    "
-            out.write(("]" if lead == "\n    " else "\n  ]") + end)
+            out.write("\n  ]" + end)
 
     def _write_csv(self, out) -> None:
         # One flat table per section with columns, headed by them, with a
@@ -122,15 +140,18 @@ class OutputRecord:
             out.write(f"summary: {passed}/{len(self.checks)} checks passed\n")
 
 
-def _json_layout(keys, indent: str) -> str:
+def _json_layout(keys, indent: str, cells) -> str:
     """The %-template of an object with these keys, as indent=2 prints it at this indentation.
 
-    Each value fills one %s, quoted already; a % in a key is escaped.
+    A key whose cell is an int takes a "%d" slot, since decimal digits need
+    no escaping; any other value fills one %s, quoted already.  A % in a key
+    is escaped.
     """
     if not keys:
         return "{}"
     lead = "\n  " + indent
-    fields = ("," + lead).join(_quote(k).replace("%", "%%") + ": %s" for k in keys)
+    slots = ('"%d"' if type(cell) is int else "%s" for cell in cells)
+    fields = ("," + lead).join(_quote(k).replace("%", "%%") + ": " + slot for k, slot in zip(keys, slots))
     return "{" + lead + fields + "\n" + indent + "}"
 
 
@@ -346,15 +367,14 @@ def _cmd_stirling(ns) -> OutputRecord:
         raise _UsageError("--n must be >= 1")
     spec = MonomialSpec(r=ns.r, s=ns.s, n=ns.n)
     row = stirling_table(spec)
-    results = ((str(k), str(row[k]), "exact") for k in range(spec.s, len(row)))
+    results = zip(count(spec.s), islice(row, spec.s, None), repeat("exact"))
     return OutputRecord("stirling", dict(r=str(ns.r), s=str(ns.s), n=str(ns.n)), ("k", "value", "kind"), results)
 
 
 def _cmd_bell(ns) -> OutputRecord:
     if ns.max < 0:
         raise _UsageError("--max must be >= 0")
-    values = islice(bell_values(ns.r, ns.s), ns.max + 1)
-    results = ((str(n), str(value), "exact") for n, value in enumerate(values))
+    results = zip(count(), islice(bell_values(ns.r, ns.s), ns.max + 1), repeat("exact"))
     return OutputRecord("bell", dict(r=str(ns.r), s=str(ns.s), max=str(ns.max)), ("n", "value", "kind"), results)
 
 
@@ -406,7 +426,7 @@ usage: bosonkit stirling --r R --s S --n N [--format FORMAT] [--out FILE]
                              [--printed-sign] [--printed-b5] [--format FORMAT] [--out FILE]
 SUITE: {", ".join(_COMMANDS["verify"][1][1])}.  FORMAT: plain (default), json, csv.  TOL: default 1e-9.
 BITS: default {DEFAULT_BITS}, or BOSONKIT_BITS.  Give each flag once, as --name VALUE or --name=VALUE.
-verify moments exits 4 when its quadrature cannot reach TOL.
+verify moments exits 4 when its quadrature cannot reach TOL, or when mpmath is not installed.
 """
 
 

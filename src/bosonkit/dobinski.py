@@ -24,7 +24,7 @@ one upper and one lower parameter they are also the moment series of the
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, count, filterfalse, repeat
 from math import factorial, perm, prod
 from operator import mul
 from typing import Iterator
@@ -53,23 +53,26 @@ def _numerators(r: int, s: int, n: int) -> Iterator[int]:
 
     The row drawn is held for the next call; if that is order n + 1 of the
     same family, its head N_k(n+1) = N_k(n) f(k+nd) is mapped in C with no
-    Python frame per term.  Past the head, N_k is f(k)^n at d = 0, and at
-    d > 0 steps within its residue class mod d, N_k = N_(k-d) f(k-d+nd) / f(k-d).
+    Python frame per term.  Past the head, N_k is f(k)^n at d = 0, again in
+    C, and at d > 0 steps within its residue class mod d,
+    N_k = N_(k-d) f(k-d+nd) / f(k-d).  Either way each is appended to the
+    row as it is drawn.
     """
     global _held
     *family, held = _held
     factors = map(perm, count((n - 1) * (r - s)), repeat(s))
     row = list(map(mul, held, factors)) if family == [r, s, n - 1] else []
     _held = r, s, n, row
-    return chain(row, _drawn(row, s, r - s, n))
+    if r > s:
+        return chain(row, _drawn(row, s, r - s, n))
+    # row.append returns None, so filterfalse passes every value on, appended first.
+    return chain(row, filterfalse(row.append, map(pow, map(perm, count(len(row)), repeat(s)), repeat(n))))
 
 
 def _drawn(row: list[int], s: int, d: int, n: int) -> Iterator[int]:
-    """The numerators past the end of ``row``, appended to it as they are drawn."""
+    """The numerators past the end of ``row`` for d > 0, appended to it as they are drawn."""
     for k in count(len(row)):
-        if d == 0:
-            numer = perm(k, s) ** n
-        elif k < s + d:
+        if k < s + d:
             numer = prod(perm(k + j * d, s) for j in range(n))
         else:
             numer = row[k - d] * perm(k - d + n * d, s) // perm(k - d, s)

@@ -33,5 +33,9 @@ class DivergentSeriesError(BosonKitError):
     """Series terms fail to decay; the sum does not exist."""
 
 
+class MissingDependencyError(BosonKitError):
+    """A package the computation needs, such as mpmath, is not installed."""
+
+
 class DomainError(BosonKitError):
     """Evaluation point outside the domain of a density or function."""

@@ -17,8 +17,9 @@ moments, mass and positivity come from one tanh-sinh pass that evaluates it
 once per node; only the pass's error on the finite interval is an estimate
 (the difference of its last two levels), and tests pin it against a fully
 certified series expansion of the same integral.  Only the density and the
-closed-form mass compute in mpf, importing mpmath as they run.  A comb is
-read only through its moments, its mass and the positivity check of its atoms.
+closed-form mass compute in mpf, importing mpmath as they run; without it
+they raise MissingDependencyError.  A comb is read only through its
+moments, its mass and the positivity check of its atoms.
 ``verify_moments`` reports each comparison as a ``Check`` in a
 ``MomentReport``; the family passes when every check does.  A comb's
 moments are certified, so each must round to its Bell number exactly.
@@ -38,6 +39,7 @@ from . import numeric
 from .dobinski import dobinski_rr, dobinski_rs, hypergeometric_terms
 from .errors import (
     DomainError,
+    MissingDependencyError,
     OutOfRangeError,
     PrecisionExhaustedError,
     UnsupportedFamilyError,
@@ -142,6 +144,17 @@ def _checked_spec(target_error, bits: int) -> SeriesSpec:
 _series_spec = lru_cache(maxsize=32, typed=True)(_checked_spec)
 
 
+def _mpmath():
+    """The mpmath package, imported here, since only the density and the closed-form mass compute in mpf."""
+    try:
+        import mpmath
+    except ImportError:
+        raise MissingDependencyError(
+            "mpmath is not installed; the density and the closed-form mass need it"
+        ) from None
+    return mpmath
+
+
 def bessel_i(nu: int, y, target_error=1e-30, *, bits: int = DEFAULT_BITS) -> ErrorBoundedReal:
     """I_nu(y) for integer nu >= 0 and y >= 0, by the defining power series.
 
@@ -150,7 +163,7 @@ def bessel_i(nu: int, y, target_error=1e-30, *, bits: int = DEFAULT_BITS) -> Err
     below 1/2 the remainder is bounded by a geometric series.  The returned
     bound adds a roundoff allowance proportional to the term count.
     """
-    from mpmath import mp  # loaded here, since only the density computes in mpf
+    mp = _mpmath().mp
     if not isinstance(nu, int):
         raise TypeError("order nu must be an integer")
     if nu < 0:
@@ -210,7 +223,7 @@ class ContinuousDensity(namedtuple("ContinuousDensity", "r")):
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def evaluate(self, x, target_error=1e-30, *, bits: int = DEFAULT_BITS) -> ErrorBoundedReal:
-        from mpmath import mp  # loaded here, since only the density computes in mpf
+        mp = _mpmath().mp
         _series_spec(target_error, bits)
         with mp.workprec(bits):
             xm = mp.mpf(x)
@@ -249,7 +262,7 @@ def _quadrature_cutoff(exponents: list[int], target) -> tuple[int, list]:
     # u^a exp(-u^2) I_r(2u) by g(u) = u^a exp(-u^2 + 2u), whose log-derivative
     # is -(2u - 2 - a/u) <= -c with c = 2U - 2 - max(a, 0)/U for u >= U.  Then
     # integral_U^inf g <= g(U)/c, for each exponent at the one U.
-    from mpmath import mp  # loaded here, since only the density computes in mpf
+    mp = _mpmath().mp
     with mp.workprec(64):
         for U in range(4, 513, 2):
             envelopes = [(2 * U - 2 - mp.mpf(max(a, 0)) / U, mp.mpf(U) ** a * mp.exp(-U * U + 2 * U))
@@ -270,8 +283,8 @@ def _quadrature(density: ContinuousDensity, orders: list[int], target, bits: int
     |S_k - S_(k-1)|, the one estimate, plus the node enclosures, a rounding
     allowance and the tail.
     """
-    from mpmath import mp
-    from mpmath.calculus.quadrature import TanhSinh
+    mpmath = _mpmath()
+    mp, TanhSinh = mpmath.mp, mpmath.calculus.quadrature.TanhSinh
     r = density.r
     U, tails = _quadrature_cutoff([2 * r * n - r + 1 for n in orders], target)
     prec = max(96, min(bits, 192)) + 32
@@ -360,7 +373,7 @@ class MomentReport(NamedTuple):
 
 def _close(value: ErrorBoundedReal, expected, tol) -> bool:
     """Whether an estimate is within max(tol |expected|, its radius) of ``expected``."""
-    from mpmath import mp  # loaded here, since only the density computes in mpf
+    mp = _mpmath().mp
     with mp.workprec(160):
         gap = abs(value.value - mp.mpf(expected))
         allowance = max(mp.mpf(tol) * abs(mp.mpf(expected)), value.abs_error)
@@ -422,7 +435,7 @@ def verify_moments(r: int, s: int, n_max: int, tol=1e-9, *, bits: int = DEFAULT_
         )
         for n, value, expected in zip(count(1), values, bell_sequence(r, s, n_max)[1:])
     ]
-    from mpmath import mp  # loaded here, since only the density computes in mpf
+    mp = _mpmath().mp
     with mp.workprec(160):
         closed = 1 - mp.fsum(mp.mpf(1) / factorial(j) for j in range(j0)) / mp.e
         checks.append(

@@ -18,7 +18,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -120,6 +120,27 @@ def test_json_bytes_are_pinned(capsys, command, flag, r, s, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of bell and stirling output at r = s in json, and at (2, 1) in plain
+# and csv, computed while every cell was still formatted as a string.
+PINNED_FORMATS = [
+    ("bell --r 1 --s 1 --max 100", "json", "06bd10b19d56d7a9cfa0eb42efb55946cb22ed1e62708d564fa22ec1bb4cae0d"),
+    ("stirling --r 3 --s 3 --n 30", "json", "58cfff4feeb5cd2904975e7772ace23d1a2ad9839951f8944f1e111b8aa9e545"),
+    ("bell --r 2 --s 1 --max 300", "plain", "64c5bebf5a70293236ddf79b28ca7f5ac2c6378d37be0d752dd8123b436b9554"),
+    ("bell --r 2 --s 1 --max 300", "csv", "a34262aac6d97bcbe06f6951798aba7f273bacc0ad249256d90ce385103c1b38"),
+    ("stirling --r 2 --s 1 --n 300", "plain", "98a306cfc5b2b5a384f70c199408aba7970319b764ef36535a1a6f97f848d7ce"),
+    ("stirling --r 2 --s 1 --n 300", "csv", "1d9ec277a4e0c304c527b07defcf70c4b9af01a46f0b3c73a2bb4e1b6545e9e3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, digest", PINNED_FORMATS, ids=[f"{argv.replace(' --', ' ')} {fmt}" for argv, fmt, _ in PINNED_FORMATS]
+)
+def test_output_bytes_are_pinned(capsys, argv, fmt, digest):
+    code, out, _ = run(capsys, *argv.split(), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # SHA-256 of the `--format json` output of verify suites, computed before the
 # density's moment series was summed by the (2s, s) hypergeometric terms,
 # which the (2,1) mass check reads.  `egf` is pinned without the three
@@ -199,13 +220,16 @@ def written(record, fmt):
 
 
 def reference_json(command, parameters, columns=(), results=(), checks=()):
-    """The pure-Python indent=2 encoding that ``OutputRecord.write`` must match in json."""
+    """The pure-Python indent=2 encoding that ``OutputRecord.write`` must match in json.
+
+    An int cell is encoded as its decimal string.
+    """
     check_rows = [{"name": c.name, "status": "pass" if c.ok else "fail", "detail": c.detail} for c in checks]
     record = {
         "schema": 1,
         "command": command,
         "parameters": parameters,
-        "results": [dict(zip(columns, row)) for row in results],
+        "results": [{k: str(v) if type(v) is int else v for k, v in zip(columns, row)} for row in results],
         "checks": check_rows,
     }
     return json.dumps(record, indent=2) + "\n"
@@ -217,10 +241,14 @@ def reference_json(command, parameters, columns=(), results=(), checks=()):
 TRICKY = st.text(
     st.sampled_from(['"', "\\", "\n", "{", "}", ",", ":", " ", "%", "a", "\u00e9", "\u2603", "\U0001d11e"])
 ) | st.sampled_from(["", "},\n      {", '"},\n      {"', "{\n      \n    }"])
-# Distinct column names, and rows of that many values.
-SECTIONS = st.lists(TRICKY, unique=True, max_size=4).flatmap(
-    lambda columns: st.tuples(
-        st.just(tuple(columns)), st.lists(st.tuples(*[TRICKY] * len(columns)), max_size=12)
+# Distinct column names, each of string or int cells (negative and past 64
+# bits too), and rows of that many cells, one type down each column.
+CELLS = {"str": TRICKY, "int": st.integers()}
+TYPED_COLUMNS = st.lists(st.tuples(TRICKY, st.sampled_from(sorted(CELLS))), unique_by=lambda c: c[0], max_size=4)
+SECTIONS = TYPED_COLUMNS.flatmap(
+    lambda typed: st.tuples(
+        st.just(tuple(name for name, _ in typed)),
+        st.lists(st.tuples(*[CELLS[cell] for _, cell in typed]), max_size=12),
     )
 )
 
@@ -231,6 +259,13 @@ SECTIONS = st.lists(TRICKY, unique=True, max_size=4).flatmap(
     section=SECTIONS,
     checks=st.lists(st.builds(Check, TRICKY, st.booleans(), TRICKY), max_size=12),
 )
+@example(  # the rows bell hands over, and ints on both sides of a string column
+    command="bell",
+    parameters={"max": "2"},
+    section=(("n", "value", "kind"), [(0, 1, "exact"), (1, -(2**80), '"%d"'), (10**30, 0, "")]),
+    checks=[],
+)
+@example(command="", parameters={}, section=(("a", "b", "c"), [("%s", -5, "\u00e9")]), checks=[])
 @settings(max_examples=300, deadline=None)
 def test_to_json_matches_indented_json_dumps(command, parameters, section, checks):
     columns, results = section
@@ -266,10 +301,15 @@ class WriteProbe:
 ROW_FRAME = 64
 
 
-@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
-def test_write_streams_one_row_at_a_time(fmt):
+@pytest.mark.parametrize(
+    "fmt, cell",
+    [pytest.param(fmt, str, id=fmt) for fmt in ("plain", "json", "csv")]
+    + [pytest.param(fmt, int, id=f"{fmt}-int") for fmt in ("plain", "json", "csv")],
+)
+def test_write_streams_one_row_at_a_time(fmt, cell):
+    # Rows of strings, and rows of ints as bell and stirling hand them over.
     columns = ("n", "value", "kind")
-    rows = [(str(n), str(7**n), "exact") for n in range(1000)]
+    rows = [(cell(n), cell(7**n), "exact") for n in range(1000)]
     checks = [Check(f"check {n}", n % 2 == 0, f"detail {n}") for n in range(0, 1000, 100)]
     probe = WriteProbe()
     writes_before_draw = []
@@ -283,7 +323,7 @@ def test_write_streams_one_row_at_a_time(fmt):
     # Every row before the last is written by the time the last is drawn.
     assert len(writes_before_draw) == len(rows)
     assert writes_before_draw[-1] >= len(rows) - 1
-    longest = max(sum(map(len, columns)) + sum(map(len, row)) for row in rows)
+    longest = max(sum(map(len, columns)) + sum(len(str(value)) for value in row) for row in rows)
     assert len(probe.lengths) > 1000
     assert max(probe.lengths) <= longest + ROW_FRAME
 
@@ -516,6 +556,31 @@ def test_exact_path_loads_no_mpmath():
     )
     lines = exact_path_output("sorted({name.partition('.')[0] for name in sys.modules} & {'mpmath'})", moments)
     assert lines == ["[]", *[f"{c} []" for c in (0, 0, 0, 0, 0, 3)], "[]", "0 ['mpmath']"]
+
+
+def test_missing_mpmath_is_one_error_line():
+    # Under a Python without mpmath, each suite that reaches the density or
+    # the closed-form mass exits 4 with one line and no traceback; the exact
+    # suites run as before.
+    src = str(Path(bosonkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    blocked = "import sys\nsys.modules['mpmath'] = None\nfrom bosonkit.cli import console_main\nconsole_main()\n"
+
+    def run_blocked(*argv):
+        command = [sys.executable, "-c", blocked, *argv]
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+
+    message = "mpmath is not installed; the density and the closed-form mass need it"
+    for argv in (
+        ("verify", "moments", "--r", "1", "--s", "1", "--max", "2"),
+        ("verify", "moments", "--r", "2", "--s", "1", "--max", "1"),
+        ("verify", "all", "--max", "1"),
+    ):
+        result = run_blocked(*argv)
+        assert (result.returncode, result.stdout) == (4, ""), argv
+        assert result.stderr == f"bosonkit: failed: MissingDependencyError: {message}\n", argv
+    assert run_blocked("verify", "dobinski").returncode == 0
 
 
 def test_printed_sign_egf_fails(capsys):
