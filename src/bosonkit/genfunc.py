@@ -6,19 +6,34 @@ double-dot exponential :exp{a+ a g(lam a+^(r-1))}:, where
     g(x) = e^x - 1                            at r = 1,
     g(x) = (1 - (r-1) x)^(-1/(r-1)) - 1       at r >= 2.
 
-Both levels of the identity are one series.  With g = sum_m g_m x^m and y
-standing for a+ a, the coefficient F_m of lam^m in exp{y g} obeys
-m F_m = y sum_i i g_i F_(m-i).  On G_m = m! F_m this is an integer recurrence,
-G_m[j+1] = sum_i C(m-1, i-1) h_i G_(m-i)[j] with h_i = i! g_i =
-prod_{t<i} (sigma + t(r-1)) and sigma = +1 at every r >= 1.  Row G_m[j] is m!
+Both levels of the identity are one series.  With y standing for a+ a, let
+G_m[j] be m! times the coefficient of y^j lam^m in F = exp{y g}.  It is m!
 times the coefficient of a+^((r-1)m+j) a^j, so G_m lines up index for index
-with row m of ``monomial_power_rows(r, 1)``, the normal form of ((a+)^r a)^m,
-and ``verify_normal_exponential`` compares the two integer lists.  At
+with row m of ``monomial_power_rows(r, 1)``, the normal form of
+((a+)^r a)^m, and ``verify_normal_exponential`` compares the two integer
+lists order by order, holding one row of each.
+
+The rows follow from g's differential equation.  With c = r - 1, sigma = +1
+and alpha = 1 + c sigma = r, 1 + g = (1 - c x)^(-sigma/c) obeys
+g' = sigma (1+g)^alpha (g' = 1 + g at r = 1).  So v = F_x / y is
+sigma (1+g)^alpha F, and as d_y F = g F and d_y v = g v, each power of g acts
+on F and on v as the same power of d_y.  Read at y^(J-1) lam^m, this gives
+G_(m+1) from G_m alone (``_exp_rows``): at sigma = +1,
+
+    G_(m+1)[J] = sum_{i<=r} C(r,i) (J-1+i)!/(J-1)! G_m[J-1+i],
+
+a copy of row m and min(r, m) whole-row passes over it, O(min(r, order) order)
+products per row.  At r = 1 this is the engine's own step S(m+1, J) = S(m, J-1) + J S(m, J), so
+the check compares two codes for one recurrence there and two recurrences
+at r >= 2.
+
+Taylor coefficients serve the row sums instead.  With g = sum_m g_m x^m,
+F_m obeys m F_m = y sum_i i g_i F_(m-i), and h_i = i! g_i =
+prod_{t<i} (sigma + t(r-1)).  Summed over j this gives the row sums B_0 = 1
+and B_m = sum_{i=1..m} C(m-1, i-1) h_i B_(m-i), O(m) products per row.  At
 a+ = a = 1 (the coherent-state diagonal) the row sums over m! are the
 exponential generating function of B_{r,1}(n), which ``egf_classic`` and
-``egf_r1`` return as a tuple of Fractions.  Summed over j, the recurrence
-gives the row sums B_0 = 1 and B_m = sum_{i=1..m} C(m-1, i-1) h_i B_(m-i),
-O(m) products per row instead of the O(m^2) of G_m.  Everything here is exact.
+``egf_r1`` return as a tuple of Fractions.  Everything here is exact.
 
 The generalized Bell numbers grow like (n!)^s, so the series
 sum B_{r,s}(n) x^n / (n!)^(t+1) has normalization order t = s - 1 for every
@@ -43,14 +58,16 @@ t = s - 2 every family's series has radius 0.
 The sign variant that a naive reading suggests (exponent +1/(r-1) at r >= 2,
 g(x) = e^-x - 1 at r = 1) is sigma = -1.  It produces alternating
 coefficients (exp(-lam) at r = 2) and is kept only so its failure can be
-demonstrated (``printed_sign=True``).
+demonstrated (``printed_sign=True``).  Its alpha = 2 - r is negative at
+r >= 3, where each row solves a triangular system instead.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, islice
-from math import comb, factorial, gcd
-from operator import add, mul
+from math import comb, factorial, gcd, perm
+from operator import add, mul, neg
+from typing import Iterator
 
 from .errors import OutOfRangeError
 from .numeric import Check
@@ -70,18 +87,40 @@ def _weights(r: int, order: int, printed_sign: bool) -> list[int]:
     return list(accumulate((sigma + t * (r - 1) for t in range(order)), mul, initial=1))
 
 
-def _exp_rows(r: int, order: int, printed_sign: bool) -> list[list[int]]:
-    """Rows G_0..G_order of exp{y g}; G_m[j] is m! times the coefficient of y^j lam^m."""
-    h = _weights(r, order, printed_sign)
-    rows = [[1]]
-    for m in range(1, order + 1):
-        acc = [0] * (m + 1)
-        for i in range(1, m + 1):
-            weight = comb(m - 1, i - 1) * h[i]
-            # Multiplying by y moves entry j to j + 1; G_(m-i) has m - i + 1 entries.
-            acc[1 : m - i + 2] = map(add, acc[1 : m - i + 2], [weight * c for c in rows[m - i]])
-        rows.append(acc)
-    return rows
+def _exp_rows(r: int, order: int, printed_sign: bool) -> Iterator[list[int]]:
+    """Yield G_0..G_order of exp{y g}; G_m[j] is m! times the coefficient of y^j lam^m.
+
+    g' = sigma (1+g)^alpha (module docstring) gives, with a = max(-alpha, 0),
+    b = max(alpha, 0) and G_(m+1)[0] = 0, for J = 1..m+1,
+
+        sum_{i<=a} C(a,i) (J-1+i)!/(J-1)! G_(m+1)[J+i]
+            = sigma sum_{i<=b} C(b,i) (J-1+i)!/(J-1)! G_m[J-1+i].
+
+    The weights C(n,i) (k+i)!/k! are tabled once, for i <= min(n, order),
+    since row m reaches only i <= m; the i = 0 weights are all 1.  At
+    sigma = +1, a = 0 and b = r, so row m + 1 is a copy of row m and min(r, m)
+    C-level passes over it: O(min(r, order) order) products, and at r = 1 the
+    engine's step S(m+1, J) = S(m, J-1) + J S(m, J).  Only the printed sign at
+    r >= 3 has a > 0; its triangular left side is solved from the top index
+    down.  Both sides are linear, so sigma is applied to the finished row.
+    """
+    sigma = -1 if printed_sign else 1
+    alpha = 1 + sigma * (r - 1)
+    a, b = max(-alpha, 0), max(alpha, 0)
+    # right[i][k] = C(b,i) (k+i)!/k!; left[k][i-1] = C(a,i) (k+i)!/k! for i >= 1.
+    ks = range(order + 1)
+    right = [[comb(b, i) * perm(k + i, i) for k in ks] for i in range(min(b, order) + 1)]
+    left = list(zip(*([comb(a, i) * perm(k + i, i) for k in ks] for i in range(1, min(a, order) + 1))))
+    row = [1]
+    for m in range(order):
+        yield row
+        acc = row[:]  # acc[k] is sigma times the entry J = k + 1
+        for i in range(1, min(b, m) + 1):
+            acc[: m + 1 - i] = map(add, acc, map(mul, right[i], row[i:]))
+        for k in range(m, -1, -1) if a else ():
+            acc[k] -= sum(map(mul, left[k], acc[k + 1 : k + 1 + a]))
+        row = [0, *acc] if sigma > 0 else [0, *map(neg, acc)]
+    yield row
 
 
 def egf_row_sums(r: int, order: int, printed_sign: bool) -> list[int]:
@@ -135,9 +174,9 @@ def verify_normal_exponential(r: int, order: int, *, printed_sign: bool = False)
 
     Row m of the contraction engine divided by m! is the normal form of the
     lam^m coefficient; the double-dot expansion gives m! times the same row
-    through the integer exp recurrence.  Equality must hold order by order as
-    an exact operator identity; the check's detail names the first order
-    where it does not.
+    through the row recurrence of ``_exp_rows``, drawn in step with the
+    engine's.  Equality must hold order by order as an exact operator
+    identity; the check's detail names the first order where it does not.
     """
     if not all(isinstance(v, int) for v in (r, order)):
         raise TypeError("r and order must be integers")
@@ -146,14 +185,15 @@ def verify_normal_exponential(r: int, order: int, *, printed_sign: bool = False)
     name = f"normal-ordered exponential r={r} order<={order}"
     if printed_sign:
         name += " (printed sign)"
-    expansion = _exp_rows(r, order, printed_sign)
-    for m, row in enumerate(islice(monomial_power_rows(r, 1), order), start=1):
-        if row != expansion[m]:
+    # The expansion comes first, so the engine draws no row past the order.
+    pairs = zip(islice(_exp_rows(r, order, printed_sign), 1, None), monomial_power_rows(r, 1))
+    for m, (expected, row) in enumerate(pairs, start=1):
+        if row != expected:
             return Check(
                 name,
                 False,
                 f"r={r}: mismatch at order {m}; normal ordering gives {_row_str(r, m, row)}, "
-                f"double-dot expansion gives {_row_str(r, m, expansion[m])}",
+                f"double-dot expansion gives {_row_str(r, m, expected)}",
             )
     return Check(name, True, f"r={r}: match through order {order}")
 

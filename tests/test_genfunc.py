@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from bosonkit import genfunc
 from bosonkit.errors import OutOfRangeError, UnsupportedError
 from bosonkit.genfunc import (
     _exp_rows,
@@ -63,7 +64,7 @@ def generalized_binomial(alpha, m):
 
 
 def reference_rows(r, order, printed_sign):
-    """The exp recurrence in Fractions, the form the integer one replaced.
+    """The Taylor-coefficient recurrence in Fractions, apart from g's differential equation.
 
     F_m[j] is the coefficient of (a+ a)^j lam^m in exp{a+ a g}, built from
     m F_m = y sum_i i g_i F_(m-i) with g_i read off the generalized binomial
@@ -85,7 +86,7 @@ def reference_rows(r, order, printed_sign):
 
 
 @pytest.mark.parametrize("printed_sign", [False, True])
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_integer_recurrence_matches_fraction_reference(r, printed_sign):
     expected = reference_rows(r, 20, printed_sign)
     for order in (0, 1, 7, 20):
@@ -97,7 +98,7 @@ def test_integer_recurrence_matches_fraction_reference(r, printed_sign):
             continue  # egf_classic has no printed variant
         assert series == tuple(sum(row) for row in expected[: order + 1])
         assert all(isinstance(c, Fraction) for c in series)
-    rows = _exp_rows(r, 20, printed_sign)
+    rows = list(_exp_rows(r, 20, printed_sign))
     assert [[Fraction(c, factorial(m)) for c in row] for m, row in enumerate(rows)] == expected
     assert egf_row_sums(r, 20, printed_sign) == list(map(sum, rows))
     engine = list(islice(monomial_power_rows(r, 1), 20))
@@ -116,11 +117,37 @@ def test_mismatch_rows_print_like_fractions(printed_sign):
 
 
 def test_operator_exponential_identity_holds():
-    for r, order in ((1, 5), (2, 5), (3, 5), (4, 12)):
+    for r, order in ((1, 5), (2, 5), (3, 5), (4, 12), (1, 120), (3, 120)):
         check = verify_normal_exponential(r, order)
         assert check.ok
         assert check.name == f"normal-ordered exponential r={r} order<={order}"
         assert f"match through order {order}" in check.detail
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_a_wrong_engine_entry_fails_at_its_order(monkeypatch, r, m):
+    # At r = 1 the expansion takes the engine's own step, so the check must
+    # still read the engine's rows, not a second copy of its own.
+    real = genfunc.monomial_power_rows
+
+    def tampered(r_, s_):
+        for n, row in enumerate(real(r_, s_), start=1):
+            if n == m:
+                row = [*row[:-1], row[-1] + 1]
+            yield row
+
+    monkeypatch.setattr(genfunc, "monomial_power_rows", tampered)
+    check = verify_normal_exponential(r, 8)
+    assert not check.ok
+    assert check.detail.startswith(f"r={r}: mismatch at order {m}; ")
+
+
+def test_huge_r_tables_only_the_weights_a_row_can_reach():
+    # r = 100000 has r + 1 binomial weights per row, but rows of order <= 3
+    # reach only the first four.
+    assert verify_normal_exponential(100000, 3).ok
+    assert not verify_normal_exponential(100000, 3, printed_sign=True).ok
 
 
 def test_operator_exponential_printed_sign_fails_immediately():
