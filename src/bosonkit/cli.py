@@ -21,7 +21,10 @@ header of column names and rows of cells in that order, each cell a decimal
 integer (an ``int``) or a string; the command names the results' columns,
 and checks always have name, status and detail.  ``bell`` and ``stirling``
 hand their values over as ints, which every format prints in decimal and
-JSON quotes without escaping, since digits need none.  Every BosonKitError
+JSON quotes without escaping, since digits need none.  Strings are quoted by
+``_json.encode_basestring_ascii``, the C function that ``json.encoder``
+re-exports on CPython, so the json package is never loaded; there is no
+pure-Python fallback, and the module runs on CPython only.  Every BosonKitError
 is raised before the first byte; then, in every format, each row is
 formatted and written in turn.  Each check is a ``Check`` named
 tuple, renamed per family with ``_replace``.  The ``--printed-sign`` and
@@ -34,8 +37,8 @@ from __future__ import annotations
 
 import os
 import sys
+from _json import encode_basestring_ascii as _quote
 from itertools import chain, count, islice, repeat
-from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from types import SimpleNamespace
 

@@ -24,10 +24,10 @@ one upper and one lower parameter they are also the moment series of the
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import accumulate, chain, count, filterfalse, repeat
 from math import factorial, perm, prod
 from operator import mul
-from typing import Iterator
 
 from .errors import DivergentSeriesError, OutOfRangeError, UnsupportedError
 from .numeric import ErrorBoundedReal, SeriesSpec, sum_over_e

@@ -64,10 +64,10 @@ r >= 3, where each row solves a triangular system instead.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import accumulate, islice
 from math import comb, factorial, gcd, perm
 from operator import add, mul, neg
-from typing import Iterator
 
 from .errors import OutOfRangeError
 from .numeric import Check

@@ -30,10 +30,10 @@ tuples like ``Check``; the last two check their fields when built.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import chain, count, islice, repeat
 from math import factorial, inf, perm
-from typing import Iterator, NamedTuple
 
 from . import numeric
 from .dobinski import dobinski_rr, dobinski_rs, hypergeometric_terms
@@ -366,9 +366,10 @@ def moment(measure, n: int, target_error=1e-12, *, bits: int = DEFAULT_BITS):
     raise TypeError(f"not a measure: {measure!r}")
 
 
-class MomentReport(NamedTuple):
-    family: str
-    checks: tuple[Check, ...]
+class MomentReport(namedtuple("MomentReport", "family checks")):
+    """A family's name and its checks, a tuple of ``Check``."""
+
+    __slots__ = ()
 
 
 def _close(value: ErrorBoundedReal, expected, tol) -> bool:

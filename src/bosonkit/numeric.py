@@ -29,8 +29,8 @@ import functools
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Iterator
 from operator import add, eq, ge, gt, le, lt, mul, sub, truediv
-from typing import Iterator, NamedTuple
 
 from .errors import BosonKitError, NonIntegerResultError, PrecisionExhaustedError
 
@@ -40,16 +40,14 @@ MAX_BITS = 4096  # the most working precision a caller may ask for
 MAX_TERMS = 100000
 
 
-class Check(NamedTuple):
+class Check(namedtuple("Check", "name ok detail")):
     """One verification outcome: a named pass or fail with the reason.
 
     As a named tuple it unpacks, iterates and compares equal to the plain
     tuple (name, ok, detail).
     """
 
-    name: str
-    ok: bool
-    detail: str
+    __slots__ = ()
 
 
 class SeriesSpec(namedtuple("SeriesSpec", "working_precision target_abs_error")):

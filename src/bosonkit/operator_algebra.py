@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain, count, islice
 from math import comb, factorial
 from operator import add, index, mul
-from typing import Iterable, Iterator, Mapping
 
 from .errors import OutOfRangeError, UnsupportedError
 
@@ -98,6 +98,17 @@ class NormalForm:
             else:
                 data.pop(key, None)
         object.__setattr__(self, "_terms", data)
+
+    @classmethod
+    def _of(cls, data: dict[tuple[int, int], int]) -> NormalForm:
+        """The form holding ``data`` itself, unchecked.
+
+        The caller built ``data`` exactly as ``__init__`` would leave it: each
+        key a pair of non-negative ints, each coefficient a non-zero int.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_terms", data)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalForm is immutable")
@@ -159,7 +170,7 @@ def normal_order_word(word: Iterable[Letter]) -> NormalForm:
         else:
             row.insert(0, 0)
     excess = 2 * letters.count(CREATE) - len(letters)
-    return NormalForm({(j + excess, j): c for j, c in enumerate(row) if c})
+    return NormalForm._of({(j + excess, j): c for j, c in enumerate(row) if c})
 
 
 def multiply(x: NormalForm, y: NormalForm) -> NormalForm:
@@ -222,7 +233,7 @@ def monomial_power_rows(r: int, s: int) -> Iterator[list[int]]:
 def monomial_power_normal_form(spec: MonomialSpec) -> NormalForm:
     """Normal form of [(a+)^r a^s]^n; the identity for n = 0."""
     if spec.n == 0:
-        return NormalForm({(0, 0): 1})
+        return NormalForm._of({(0, 0): 1})
     row = next(islice(monomial_power_rows(spec.r, spec.s), spec.n - 1, None))
-    return NormalForm({(spec.excess + k, k): c for k, c in enumerate(row) if c})
+    return NormalForm._of({(spec.excess + k, k): c for k, c in enumerate(row) if c})
 

@@ -46,9 +46,9 @@ kept as an independent cross-check and is not on any dispatch path.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import chain, count, islice
 from math import comb, factorial, perm
-from typing import Iterator
 
 from .errors import NonIntegerResultError, OutOfRangeError
 from .operator_algebra import MonomialSpec, monomial_power_rows

@@ -500,6 +500,29 @@ def test_import_loads_no_unused_stdlib_module():
     assert result.stdout.splitlines() == ["[]", "0 []"]
 
 
+def test_bare_import_loads_no_heavy_stdlib_module():
+    # Under -S no site hook preloads anything, so this sees what the package
+    # itself loads, on any host.  typing brings re; the json package is
+    # skipped by quoting with the C function in _json.
+    src = str(Path(bosonkit.__file__).resolve().parents[1])
+    heavy = ["argparse", "csv", "dataclasses", "decimal", "fractions", "inspect", "json", "re", "typing"]
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bosonkit, bosonkit.cli\n"
+        f"print(sorted(set({heavy!r}) & set(sys.modules) - before))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def exact_path_output(loaded: str, after: str = "") -> list[str]:
     """What a fresh interpreter prints of ``loaded`` along the exact path, then runs ``after``.
 

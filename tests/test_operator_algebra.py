@@ -6,7 +6,7 @@ from itertools import islice
 from math import comb, factorial, perm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bosonkit.errors import OutOfRangeError, UnsupportedError
@@ -161,6 +161,36 @@ def test_multiply_is_a_homomorphism(raw1, raw2):
     lhs = normal_order_word(raw1 + raw2)
     rhs = multiply(normal_order_word(raw1), normal_order_word(raw2))
     assert lhs == rhs
+
+
+def assert_canonical(nf):
+    """``nf`` equals its own terms read back through the validating constructor,
+    and stores no zero coefficient and no negative or non-int exponent."""
+    stored = dict(nf.items())
+    assert nf == NormalForm(stored)
+    assert all(type(c) is int and c != 0 for c in stored.values())
+    assert all(type(i) is type(j) is int and i >= 0 and j >= 0 for i, j in stored)
+
+
+@given(
+    st.one_of(
+        st.lists(letters, max_size=30),
+        st.lists(st.just(CREATE), max_size=12),
+        st.lists(st.just(ANNIHILATE), max_size=12),
+    )
+)
+@example([])
+@example([ANNIHILATE, ANNIHILATE])
+@example([CREATE, CREATE])
+@settings(max_examples=150, deadline=None)
+def test_oracle_builds_canonical_forms(word):
+    # normal_order_word stores its dict unchecked; this is what it must hold.
+    assert_canonical(normal_order_word(word))
+
+
+@pytest.mark.parametrize("r, s, n", [(1, 1, 0), (1, 1, 6), (2, 1, 5), (3, 2, 4), (3, 3, 3), (4, 1, 2)])
+def test_power_normal_form_is_canonical(r, s, n):
+    assert_canonical(monomial_power_normal_form(MonomialSpec(r=r, s=s, n=n)))
 
 
 def test_normal_form_drops_zero_terms():
