@@ -11,7 +11,9 @@ or output that cannot be written (an ``--out`` file, or stdout on a closed
 pipe or a full device), 2 unsupported parameter combination, 3 at least one
 verification check failed (a value that does not round to its integer is a
 failed check), 4 any other BosonKitError, such as exhausted precision,
-reported on one line.
+reported on one line, 130 interrupted (Ctrl-C): ``console_main`` reports
+``bosonkit: interrupted`` on one line and keeps what was already written,
+while ``main``, the library entry point, lets KeyboardInterrupt propagate.
 
 Output is plain text by default; ``--format json`` emits a versioned record
 whose integers are decimal strings (arbitrary precision survives any JSON
@@ -430,6 +432,7 @@ usage: bosonkit stirling --r R --s S --n N [--format FORMAT] [--out FILE]
 SUITE: {", ".join(_COMMANDS["verify"][1][1])}.  FORMAT: plain (default), json, csv.  TOL: default 1e-9.
 BITS: default {DEFAULT_BITS}, or BOSONKIT_BITS.  Give each flag once, as --name VALUE or --name=VALUE.
 verify moments exits 4 when its quadrature cannot reach TOL, or when mpmath is not installed.
+Exit codes: 0 passed, 1 usage or output error, 2 unsupported, 3 check failed, 4 other error, 130 interrupted.
 """
 
 
@@ -524,7 +527,11 @@ def _main(argv) -> int:
 
 
 def console_main() -> None:
-    code = main()
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("bosonkit: interrupted", file=sys.stderr)
+        code = 130  # 128 + SIGINT, as a shell reports a command that Ctrl-C ended
     try:
         sys.stdout.flush()
     except OSError:

@@ -11,13 +11,15 @@ a term costs one multiply-add and no rational is reduced per term.  Every
 exact ratio (target, partial sum, tail) is an integer pair (num, den) too.
 Partial sums are exact, and so is the final division by e up to one bracket:
 a quotient q / e is enclosed by integer products with L <= 2^p / e <= U, cut
-from a bracket cached per power-of-two width, at one precision p chosen from
-the target, the bit length of q and the working precision before any
-arithmetic, with no ceiling on p.  The enclosure keeps its last integers, a
-midpoint and a radius as ``Dyadic`` numbers, and the one check that can fail,
-radius >= 0, is made on the integer.  Rounding an enclosure to an integer,
-comparing two and printing one are integer arithmetic too: no certified
-series loads mpmath, which only a caller's arithmetic on a Dyadic imports.
+from a bracket cached per power-of-two width, at one precision p chosen before
+any arithmetic from the target, the working precision and exact binary
+logarithms of q and of the rounding budget, with no ceiling on p; they read
+values, not representations, so no pair is reduced by a gcd.  The enclosure
+keeps its last integers, a midpoint and a radius as ``Dyadic`` numbers, and
+the one check that can fail, radius >= 0, is made on the integer.  Rounding
+an enclosure to an integer, comparing two and printing one are integer
+arithmetic too: no certified series loads mpmath, which only a caller's
+arithmetic on a Dyadic imports.
 
 ``Check``, ``SeriesSpec`` and ``ErrorBoundedReal`` are named tuples, the last two
 checked when built: they unpack, iterate and compare equal to a plain tuple.
@@ -87,9 +89,15 @@ class SeriesSpec(namedtuple("SeriesSpec", "working_precision target_abs_error"))
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:
-    """num / den in lowest terms; bit lengths of the pair steer quotient_by_e's precision."""
+    """num / den in lowest terms, as a spec's target and half target are given."""
     g = math.gcd(num, den)
     return num // g, den // g
+
+
+def _floor_log2(num: int, den: int) -> int:
+    """floor(log2(num / den)) for num, den > 0: bit lengths, then one shift-and-compare."""
+    d = num.bit_length() - den.bit_length()  # 2^(d-1) < num / den < 2^(d+1)
+    return d - (num << max(-d, 0) < den << max(d, 0))
 
 
 class Dyadic:
@@ -309,7 +317,7 @@ def sum_with_tail_bound(
     stop test first for most terms: bl(P) - bl(D) >= bl(sn) - bl(sd) + 2 gives
     P / D > 2^(bl(P) - 1 - bl(D)) >= 2^(bl(sn) - bl(sd) + 1) > sn / sd.
 
-    Returns ((T, D), (tail_n, tail_d), terms_summed), unreduced; quotient_by_e reduces them.
+    Returns ((T, D), (tail_n, tail_d), terms_summed), unreduced; quotient_by_e reads them as given.
     """
     sn, sd = stop_below
     if sn <= 0 or sd <= 0:
@@ -353,6 +361,7 @@ def _inv_e_fixed(width: int) -> tuple[int, int]:
     return total - (k + 1), total + (k + 1)  # k = K + 1 here
 
 
+@functools.lru_cache(maxsize=16)
 def _inv_e_bracket(p: int) -> tuple[int, int]:
     """Integers L_p <= 2^p / e <= U_p with U_p - L_p <= 2, for any p >= 0.
 
@@ -368,15 +377,17 @@ def _inv_e_bracket(p: int) -> tuple[int, int]:
 def quotient_by_e(q: tuple[int, int], tail: tuple[int, int], series: SeriesSpec) -> ErrorBoundedReal:
     """Enclose Q/e for every Q in [q - tail, q + tail], q and tail non-negative.
 
-    q = num / den and the tail are integer pairs, reduced first since the
-    precision reads their bit lengths (9/6 gives the enclosure of 3/2); all of
-    it is integer arithmetic on them, the target pair and the bracket of 1/e.
+    q = num / den and the tail are integer pairs, read as given: the precision
+    reads exact binary logarithms of values, never a pair's bit lengths, so 9/6
+    gives the enclosure of 3/2 and no gcd is taken.  All of it is integer
+    arithmetic on them, the target pair and the bracket of 1/e.
     The tail's share of the radius, tail / e bounded with the 64-bit bracket,
     does not depend on precision: if it alone reaches the target no precision
     helps.  What it leaves of the target is the rounding budget.  The result's
     number of fraction bits, ``frac``, is chosen once from it: the rounding,
-    at most 2^(1 - frac), takes under a quarter of the budget, and with |q| < 2^mag
-    the midpoint keeps frac + mag >= working_precision significant bits.
+    at most 2^(1 - frac), takes under a quarter of the budget, and with
+    mag = floor(log2 q) + 1 (0 at q = 0), so q < 2^mag, the midpoint keeps
+    frac + mag >= working_precision significant bits.
 
     With L_p <= 2^p / e <= U_p at p = frac + mag + 1, lo = floor(q L_p / 2^(mag+1))
     and hi = ceil(q U_p / 2^(mag+1)) bracket 2^frac q / e and differ by at most
@@ -387,7 +398,7 @@ def quotient_by_e(q: tuple[int, int], tail: tuple[int, int], series: SeriesSpec)
     """
     if min(q[0], tail[0]) < 0 or min(q[1], tail[1]) <= 0:
         raise ValueError("q and tail must be non-negative, with positive denominators")
-    (num, den), (tail_n, tail_d) = _reduced(*q), _reduced(*tail)
+    (num, den), (tail_n, tail_d) = q, tail
     goal_n, goal_d = series.target
     _, inv_e = _inv_e_bracket(64)  # 1/e <= inv_e / 2^64
     # The budget slack_n / slack_d = target - tail * inv_e / 2^64.
@@ -397,9 +408,9 @@ def quotient_by_e(q: tuple[int, int], tail: tuple[int, int], series: SeriesSpec)
         raise PrecisionExhaustedError(
             "truncation tail alone exceeds the target error"
         )
-    mag = num.bit_length() - den.bit_length() + 1  # q < 2^mag
-    # 2^-budget_bits < slack, so 2^(1 - frac) < slack / 4.
-    budget_bits = slack_d.bit_length() - slack_n.bit_length() + 1
+    mag = _floor_log2(num, den) + 1 if num else 0  # q < 2^mag
+    # 2^-budget_bits < slack / 2, so 2^(1 - frac) < slack / 8.
+    budget_bits = _floor_log2(slack_d, slack_n) + 2
     frac = max(series.working_precision - mag, budget_bits + 3, 0)
     low, high = _inv_e_bracket(frac + mag + 1)
     # Divide the products by 2^(mag + 1), multiplying instead when mag + 1 < 0.

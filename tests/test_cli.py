@@ -7,8 +7,10 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import deque
 from decimal import Decimal
@@ -776,6 +778,49 @@ def test_stdout_write_failure_is_one_error_line(stdout, max_n):
         os.close(fd)
     assert result.returncode == 1
     assert result.stderr == f"bosonkit: error: cannot write <stdout>: {reason}\n"
+
+
+def test_interrupt_is_one_line_and_exit_130():
+    # Ctrl-C mid-output: the rows already written stay written, and the
+    # console entry point reports the interrupt on one line, with no traceback.
+    # A runner may start tests with SIGINT ignored, which Python then keeps, so
+    # the child installs the handler an interactive shell would leave in place.
+    src = str(Path(bosonkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import signal\nsignal.signal(signal.SIGINT, signal.default_int_handler)\n"
+        "from bosonkit.cli import console_main\nconsole_main()\n"
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c", code, "bell", "--r", "1", "--s", "1", "--max", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path), text=True,
+    )
+    watchdog = threading.Timer(120, child.kill)
+    watchdog.start()
+    try:
+        first = child.stdout.readline()
+        child.send_signal(signal.SIGINT)
+        out, err = first + child.stdout.read(), child.stderr.read()
+        child.wait()
+    finally:
+        watchdog.cancel()
+        child.kill()
+        child.stdout.close()
+        child.stderr.close()
+    assert out.startswith("command: bell\nparameters: r=1 s=1 max=5000\n  n=0 value=1 kind=exact\n")
+    assert "n=5000 " not in out
+    assert child.returncode == 130  # an uncaught KeyboardInterrupt ends the child by SIGINT: -2
+    assert err == "bosonkit: interrupted\n"
+
+
+def test_main_lets_an_interrupt_propagate(monkeypatch):
+    # Only the console entry point turns Ctrl-C into exit 130; a caller of main gets the interrupt.
+    def interrupted(argv):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_parse", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["bell", "--r", "1", "--s", "1", "--max", "3"])
 
 
 def test_bits_environment_fallback(capsys, monkeypatch):

@@ -24,7 +24,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_abs, mpf_neg
 
 import bosonkit
-from bosonkit import dobinski
+from bosonkit import dobinski, numeric
 from bosonkit.cli import main
 from bosonkit.dobinski import (
     _numerators,
@@ -619,6 +619,51 @@ def test_quotient_by_e_reads_the_reduced_pair():
         assert [x._mpf_ for x in scaled] == [x._mpf_ for x in reduced], tail
 
 
+def test_division_by_e_takes_no_gcd(monkeypatch):
+    # A spec reduces its target pairs once; the division reads q and the tail
+    # as given, so it runs with the reduction gone.
+    spec = SeriesSpec()
+    spec.target, spec.half_target
+
+    def reduced(num, den):
+        raise AssertionError(f"{num}/{den} reduced")
+
+    monkeypatch.setattr(numeric, "_reduced", reduced)
+    value = quotient_by_e((9 * 2**300, 6), (12, 12 * 10**14), spec)
+    assert value == quotient_by_e((3 * 2**300, 2), (1, 10**14), spec)
+    assert sum_over_e(dobinski_terms(1, 1, 80), spec).to_integer() == bell(MonomialSpec(1, 1, 80))
+
+
+@given(
+    st.integers(0, 2**64),
+    st.integers(0, 336),
+    st.integers(1, 2**64),
+    st.integers(0, 1023),
+    st.integers(1, 2**64),
+    st.integers(1, 2**64),
+)
+@example(2**64, 336, 3, 512, 6, 10)  # q near 2^398: the budget, not the working precision, sets frac
+@settings(max_examples=150, deadline=None)
+def test_quotient_by_e_reads_values_in_both_regimes(man, shift, b, tail_fraction, g, h):
+    # q = a / b, a up to 2^400, and the tail, scaled by g and h, give the same
+    # enclosure bit for bit, whether the working precision sets the fraction
+    # bits (small q) or the rounding budget does (q past about 2^210).
+    a = man << shift
+    spec = SeriesSpec()
+    target = Fraction(*spec.target)
+    q = Fraction(a, b)
+    tail = target * Fraction(27182, 10000) * Fraction(tail_fraction, 1024)
+    value = quotient_by_e((a, b), ratio(tail), spec)
+    scaled = quotient_by_e((a * g, b * g), (tail.numerator * h, tail.denominator * h), spec)
+    assert [(x.man, x.exp) for x in scaled] == [(x.man, x.exp) for x in value]
+    mid, radius = _exact(value.value), _exact(value.abs_error)
+    assert radius <= target
+    below, above = inv_e_rationals()
+    for numerator in (q - tail, q + tail):
+        ends = (numerator * below, numerator * above)
+        assert mid - radius <= min(ends) and max(ends) <= mid + radius
+
+
 def test_target_is_a_reduced_pair_of_any_exact_number():
     for target in (1e-12, 3, Fraction(6, 4), Decimal("0.25"), mp.mpf(0.75), mp.mpf(2) ** -1100):
         spec = SeriesSpec(target_abs_error=target)
@@ -896,12 +941,14 @@ def test_enclosures_are_frozen(series, family, value, abs_error, parent_value, p
 
 # (value.man_exp, abs_error.man_exp) of hypergeometric series (prefactor in
 # the terms) past GOLDEN_DIGESTS' n <= 12, pinned so that a change in how
-# terms are built cannot move a bit of either.
+# terms are built cannot move a bit of either.  hyp-2-1-20 was re-pinned when
+# the division by e began choosing its precision from exact binary logarithms
+# of the values: one more fraction bit, and a radius one unit smaller.
 BIT_IDENTICAL = [
     pytest.param(
         lambda: bell_hypergeometric(2, 1, 20),
-        (27180618668310836455134761907963571171813482956176219287669370994407112285483, -86),
-        (176825040537, -86),
+        (54361237336621672910269523815927142343626965912352438575338741988814224570965, -87),
+        (353650081073, -87),
         id="hyp-2-1-20",
     ),
     pytest.param(
@@ -958,12 +1005,13 @@ def series_digest(spec):
     return h.hexdigest()
 
 
-# Digests of golden_grid at two specs, computed while each term was still
-# added by dividing its denominator by the running one; a later change to how
-# terms are built or summed must leave every bit of every output in place.
+# Digests of golden_grid at two specs; a change to how terms are built or
+# summed must leave every bit of every output in place.  Both were re-pinned
+# when the division by e began choosing its precision from exact binary
+# logarithms of the values instead of the bit lengths of reduced pairs.
 GOLDEN_DIGESTS = [
-    pytest.param(SeriesSpec(), "ab84e87a2c4f1938187c5f8f3f22bc6ea7d0a47caf60b7a6539ac140dddc88f0", id="default"),
-    pytest.param(SeriesSpec(128, 1e-30), "51098a658181e912305a3154b9e1201c716e6c165c7029cf746c804725ca4128", id="128-bits-1e-30"),
+    pytest.param(SeriesSpec(), "b73093dc8708e277aa32f8f951e7e3a0c49add074aa7324ad8268817257de199", id="default"),
+    pytest.param(SeriesSpec(128, 1e-30), "a0322ef7e4788749aaea337ca7a4f0ad87cbf9b3f6177f596288e0fe57ddb46a", id="128-bits-1e-30"),
 ]
 
 

@@ -22,7 +22,9 @@ import bosonkit
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 CORPUS = Path(__file__).with_name("series_corpus.txt")
-DIGEST = "1da59374e88d67b1419c9dd3f57b44bf1b3b8c11804f615a3a7772d782f01d60"
+# Re-pinned when the division by e began choosing its precision from exact
+# binary logarithms of the values: 203 outputs moved in their low bits.
+DIGEST = "e73c731a8f72bd740e7ee69eca7d9138d55bc9b9cd8b22ad1adbdbd6ec7a9816"
 
 
 def series_ops():
